@@ -52,7 +52,6 @@ from .search import (
     ReducedRepresentation,
     ResidueSpec,
     assemble_representation,
-    check_profile_bounds,
     congruence_targets,
     enumerate_reduced,
     minimal_representations,

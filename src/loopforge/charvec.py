@@ -168,6 +168,8 @@ def char_vector_of(basis: CodeBasis) -> CharVector:
     if not is_doubly_even(basis):
         raise NotDoublyEven("characteristic vectors require a doubly even code")
     n = basis.rank
+    if n < 2:
+        raise UnsupportedRank(f"characteristic vectors need rank at least 2, got {n}")
     masks = basis.masks
 
     def meet(*idx: int) -> int:

@@ -9,11 +9,16 @@ family (all classes of size at most 7, by default) is a finite tree:
   rank 3:  x_123 odd, each x_ij fixed mod 4, each x_i fixed mod 8   (32 leaves)
   rank 4:  x_1234 free, x_ijk fixed mod 2, x_ij mod 4, x_i mod 8    (2^17 leaves)
 
-The walk visits cells in the fixed labeling order (``gf2.class_order``), so
-the stream is deterministic.  Assembling a leaf lays out consecutive integer
-blocks per cell and takes unions; leaves whose generators come out empty or
-dependent are skipped.  Minimal representations are the valid leaves of
-least degree, deduplicated by code equivalence.
+The walk is a lazy depth-first generator that visits cells in the fixed
+labeling order (``gf2.class_order``) with ascending values, so the stream is
+deterministic and lexicographic in the counts.  Assembling a leaf lays out
+consecutive integer blocks per cell and takes unions; leaves whose
+generators come out empty or dependent are skipped.  Minimal
+representations come from a branch-and-bound pass over the same walk: the
+least degree of a valid leaf so far bounds the rest, and any branch whose
+partial degree already exceeds it is cut (class sizes are nonnegative, so
+a partial degree only grows).  The least-degree valid leaves are then
+deduplicated by code equivalence.
 """
 
 from __future__ import annotations
@@ -158,51 +163,6 @@ def profile_from_sizes(sizes: ClassSizes) -> WeightProfile:
     return WeightProfile(n, singles, pairs, triples, quad)
 
 
-def _bounds_ok(rank: int, counts: tuple[int, ...]) -> bool:
-    """check_profile_bounds evaluated straight from class counts (hot path)."""
-    if rank != 4:
-        raise UnsupportedRank("profile bounds apply to rank 4")
-    inc = _incidence(rank)
-
-    def t(*sigma: int) -> int:
-        return sum(counts[p] for p in inc[tuple(sorted(sigma))])
-
-    q = t(1, 2, 3, 4)
-    t123 = t(1, 2, 3)
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        if not q <= t(i, j, 4) <= t(i, j) - t123 + q:
-            return False
-    for i in (1, 2, 3):
-        j, k = [a for a in (1, 2, 3) if a != i]
-        low = t(i, j, 4) + t(i, k, 4) - q
-        high = t(i) - t(i, j) - t(i, k) + t123 + t(i, j, 4) + t(i, k, 4) - q
-        if not low <= t(i, 4) <= high:
-            return False
-    return t(4) >= t(1, 4) + t(2, 4) + t(3, 4) - t(1, 2, 4) - t(1, 3, 4) - t(2, 3, 4) + q
-
-
-def check_profile_bounds(profile: WeightProfile) -> bool:
-    """Feasibility inequalities used as an optional early-pruning predicate.
-
-    Equivalent to requiring nonnegative cardinalities for the classes the
-    fourth generator cuts out of a rank-4 profile.
-    """
-    if profile.rank != 4:
-        raise UnsupportedRank("profile bounds apply to rank 4")
-    t = profile.t
-    q = t(1, 2, 3, 4)
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        if not q <= t(i, j, 4) <= t(i, j) - t(1, 2, 3) + q:
-            return False
-    if not t(1, 2, 4) + t(1, 3, 4) - q <= t(1, 4) <= t(1) - t(1, 2) - t(1, 3) + t(1, 2, 3) + t(1, 2, 4) + t(1, 3, 4) - q:
-        return False
-    if not t(1, 2, 4) + t(2, 3, 4) - q <= t(2, 4) <= t(2) - t(1, 2) - t(2, 3) + t(1, 2, 3) + t(1, 2, 4) + t(2, 3, 4) - q:
-        return False
-    if not t(1, 3, 4) + t(2, 3, 4) - q <= t(3, 4) <= t(3) - t(1, 3) - t(2, 3) + t(1, 2, 3) + t(1, 3, 4) + t(2, 3, 4) - q:
-        return False
-    return t(4) >= t(1, 4) + t(2, 4) + t(3, 4) - t(1, 2, 4) - t(1, 3, 4) - t(2, 3, 4) + q
-
-
 def assemble_representation(sizes: ClassSizes) -> CodeBasis:
     """Lay out consecutive position blocks per class and take generator unions.
 
@@ -242,8 +202,16 @@ def _require_normalized(cv: CharVector) -> None:
         raise ValueError("normalize the vector first (alpha must be 1 / 1000)")
 
 
-def _walk_class_sizes(cv: CharVector, max_size: int) -> list[tuple[int, ...]]:
-    """All count tuples compatible with the congruences, in DFS order."""
+def _walk_class_sizes(
+    cv: CharVector, max_size: int, limit: list[int] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Count tuples compatible with the congruences, lazily, in DFS order.
+
+    Values ascend within each cell, so the stream is lexicographic in the
+    counts.  ``limit`` is a one-element cell the consumer may lower while
+    iterating: any branch whose partial degree already exceeds ``limit[0]``
+    is cut, so only leaves of degree at most the current limit are yielded.
+    """
     n = cv.rank
     spec = congruence_targets(cv)
     order = class_order(n)
@@ -270,33 +238,38 @@ def _walk_class_sizes(cv: CharVector, max_size: int) -> list[tuple[int, ...]]:
         [q for q in range(p) if set(order[p]) < set(order[q])] for p in range(len(order))
     ]
     end = len(order)
+    if limit is None:
+        limit = [max_size * end]
     values = [0] * end
-    out: list[tuple[int, ...]] = []
+    partial = [0] * end  # partial[p] = sum(values[:p])
 
-    def rec(pos: int) -> None:
-        if pos == end:
-            out.append(tuple(values))
-            return
-        partial = sum(values[q] for q in supersets[pos])
-        first = (target[pos] - partial) % modulus[pos]
-        for v in range(first, max_size + 1, modulus[pos]):
-            values[pos] = v
-            rec(pos + 1)
+    def first(pos: int) -> int:
+        return (target[pos] - sum(values[q] for q in supersets[pos])) % modulus[pos]
 
-    rec(0)
-    return out
+    pos = 0
+    values[0] = first(0)
+    while pos >= 0:
+        if values[pos] > min(max_size, limit[0] - partial[pos]):
+            # ascending values: the rest of this cell is cut too
+            pos -= 1
+            if pos >= 0:
+                values[pos] += modulus[pos]
+        elif pos == end - 1:
+            yield tuple(values)
+            values[pos] += modulus[pos]
+        else:
+            partial[pos + 1] = partial[pos] + values[pos]
+            pos += 1
+            values[pos] = first(pos)
 
 
 def enumerate_reduced(
-    cv: CharVector,
-    max_class_size: int = REDUCED_MAX,
-    check_bounds: bool = False,
+    cv: CharVector, max_class_size: int = REDUCED_MAX
 ) -> Iterator[ReducedRepresentation]:
     """Every reduced representation with the given characteristic vector.
 
-    Degenerate leaves (empty or dependent generators) are pruned silently.
-    ``check_bounds`` additionally filters by ``check_profile_bounds``; it
-    never changes the stream, only exercises the predicate.
+    Leaves stream straight from the walk; degenerate ones (empty or
+    dependent generators) are pruned silently.
     """
     _require_normalized(cv)
     if max_class_size < 1:
@@ -305,8 +278,6 @@ def enumerate_reduced(
 
     for counts in _walk_class_sizes(cv, max_class_size):
         sizes = ClassSizes(cv.rank, counts)
-        if check_bounds and not _bounds_ok(cv.rank, counts):
-            continue
         try:
             basis = assemble_representation(sizes)
         except DegenerateBasis:
@@ -343,21 +314,22 @@ def minimal_representations(
     """Search the reduced family for the least degree and deduplicate."""
     _require_normalized(cv)
     loop_id, _, _ = canonicalize(cv)
-    leaves = [
-        (sum(counts), counts) for counts in _walk_class_sizes(cv, max_class_size)
-    ]
-    leaves.sort()
+    # depth-first branch and bound: the incumbent is the least degree of a
+    # nondegenerate leaf so far; branches strictly above it are cut, so ties
+    # survive and arrive in lexicographic counts order
+    limit = [max_class_size * ((1 << cv.rank) - 1)]
     best: list[ReducedRepresentation] = []
     best_degree: int | None = None
-    for degree, counts in leaves:
-        if best_degree is not None and degree > best_degree:
-            break
+    for counts in _walk_class_sizes(cv, max_class_size, limit):
         sizes = ClassSizes(cv.rank, counts)
         try:
             basis = assemble_representation(sizes)
         except DegenerateBasis:
             continue
-        best_degree = degree
+        degree = sizes.degree
+        if best_degree is None or degree < best_degree:
+            best, best_degree = [], degree
+            limit[0] = degree
         best.append(
             ReducedRepresentation(sizes, basis, degree, type_vector(class_partition(basis)))
         )

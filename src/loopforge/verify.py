@@ -10,6 +10,7 @@ exhibiting exactly the analyzed defects or if any other entry acquires one.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -307,12 +308,13 @@ def run_claims(only: str | None = None, jobs: int = 1) -> list[ClaimResult]:
         names = [only]
     else:
         names = list(CLAIMS)
-    if jobs > 1 and len(names) > 1:
+    workers = min(jobs, len(names), os.cpu_count() or 1)
+    if workers > 1:
         # warm shared caches so forked workers inherit them
         _orbit_table(3)
         _orbit_table(4)
         _gl_label_perms(3)
         _gl_label_perms(4)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, names))
     return [_run_one(name) for name in names]

@@ -64,6 +64,14 @@ def test_classify_code_file(capsys, tmp_path):
     assert "loop: C3_5" in out
 
 
+def test_classify_rank1_code_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "r1.code"
+    path.write_text("m=8 n=1\n1,2,3,4,5,6,7,8\n")
+    code, out, err = run(capsys, "classify", "--code", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: UnsupportedRank") and err.count("\n") == 1
+
+
 def test_classify_requires_one_target(capsys):
     code, _, err = run(capsys, "classify")
     assert code == 1 and "exactly one" in err

@@ -11,13 +11,26 @@ from loopforge.catalog import (
     WORKED_EXAMPLE_U,
     WORKED_EXAMPLE_V,
 )
-from loopforge.charvec import CharVector, char_vector_of, representative, LoopClassId
+from loopforge.charvec import (
+    CharVector,
+    LoopClassId,
+    canonicalize,
+    char_vector_of,
+    representative,
+)
 from loopforge.errors import DegenerateBasis, InfeasibleProfile, NotReduced, UnsupportedRank
-from loopforge.gf2 import WeightProfile, class_partition, profile_of
+from loopforge.gf2 import (
+    WeightProfile,
+    canonical_code_signature,
+    class_partition,
+    profile_of,
+    type_vector,
+)
 from loopforge.search import (
     ClassSizes,
+    MinimalReport,
+    ReducedRepresentation,
     assemble_representation,
-    check_profile_bounds,
     congruence_targets,
     enumerate_reduced,
     minimal_representations,
@@ -26,6 +39,8 @@ from loopforge.search import (
     solve_system_rank4,
     _walk_class_sizes,
 )
+
+ALL_LOOPS = [LoopClassId(3, i) for i in range(1, 6)] + [LoopClassId(4, i) for i in range(1, 17)]
 
 
 def worked_profile() -> WeightProfile:
@@ -146,7 +161,35 @@ def test_enumerate_reduced_rank3_matches_vector():
 def test_enumerate_reduced_rank3_walk_is_32_leaves():
     for index in range(1, 6):
         cv = representative(LoopClassId(3, index))
-        assert len(_walk_class_sizes(cv, 7)) == 32
+        assert sum(1 for _ in _walk_class_sizes(cv, 7)) == 32
+
+
+def test_walk_limit_keeps_exactly_the_leaves_within_it():
+    cv = representative(LoopClassId(4, 14))
+    full = list(_walk_class_sizes(cv, 3))
+    for bound in (0, 9, 13, 20):
+        assert list(_walk_class_sizes(cv, 3, [bound])) == [
+            c for c in full if sum(c) <= bound
+        ]
+
+
+def test_walk_limit_lowered_mid_stream_cuts_later_branches():
+    cv = representative(LoopClassId(3, 2))
+    limit = [10**6]
+    seen = []
+    for counts in _walk_class_sizes(cv, 7, limit):
+        seen.append(counts)
+        limit[0] = min(limit[0], sum(counts))
+    full = list(_walk_class_sizes(cv, 7))
+    least = min(sum(c) for c in full)
+    assert len(seen) < len(full)
+    assert [c for c in full if sum(c) == least] == [c for c in seen if sum(c) == least]
+
+
+def test_enumerate_reduced_is_lazy():
+    # the stream starts without materializing the 16^15-scale bound-15 walk
+    rep = next(enumerate_reduced(representative(LoopClassId(4, 1)), max_class_size=15))
+    assert char_vector_of(rep.basis) == representative(LoopClassId(4, 1))
 
 
 def test_enumerate_requires_normalized():
@@ -208,84 +251,6 @@ def test_solve_round_trip_on_enumerated_representations():
         assert solve_system(profile_of(rep.basis)) == rep.sizes
 
 
-def test_check_profile_bounds():
-    assert check_profile_bounds(worked_profile())
-    bad = WeightProfile(
-        4, singles=(8, 8, 8, 8), pairs=(4, 4, 4, 4, 4, 4),
-        triples=(1, 0, 2, 2), quad=1,
-    )
-    assert not check_profile_bounds(bad)  # t = 1 > t_124 = 0
-    with pytest.raises(UnsupportedRank):
-        check_profile_bounds(WeightProfile(3, (4, 4, 4), (2, 2, 2), (1,)))
-
-
-def test_profiles_of_real_codes_pass_bounds(rng):
-    for _ in range(20):
-        basis = random_doubly_even_basis(rng, 4, rng.randrange(11, 22))
-        assert check_profile_bounds(profile_of(basis))
-
-
-def test_bounds_check_agrees_with_profile_form(rng):
-    from loopforge.search import _bounds_ok
-
-    for _ in range(300):
-        counts = tuple(rng.randrange(0, 8) for _ in range(15))
-        sizes = ClassSizes(4, counts)
-        assert _bounds_ok(4, counts) == check_profile_bounds(profile_from_sizes(sizes))
-
-
-def test_bounds_pruning_never_changes_the_stream():
-    # all 16 loops, full reduced family, with an independent vectorized
-    # evaluation of the five inequality families
-    import numpy as np
-
-    from loopforge.gf2 import class_order
-
-    order = class_order(4)
-    incidence = np.zeros((15, 15), dtype=np.int32)
-    sigmas = {}
-    for col, tau in enumerate(order):
-        for row, sigma in enumerate(order):
-            sigmas[sigma] = row
-            if set(sigma) <= set(tau):
-                incidence[row, col] = 1
-
-    def col(t, *sigma):
-        return t[:, sigmas[tuple(sorted(sigma))]]
-
-    for index in range(1, 17):
-        cv = representative(LoopClassId(4, index))
-        x = np.array(_walk_class_sizes(cv, 7), dtype=np.int32)
-        t = x @ incidence.T
-        q = col(t, 1, 2, 3, 4)
-        ok = np.ones(len(x), dtype=bool)
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            tij4 = col(t, i, j, 4)
-            ok &= (q <= tij4) & (tij4 <= col(t, i, j) - col(t, 1, 2, 3) + q)
-        for i in (1, 2, 3):
-            j, k = [a for a in (1, 2, 3) if a != i]
-            ti4 = col(t, i, 4)
-            ok &= col(t, i, j, 4) + col(t, i, k, 4) - q <= ti4
-            ok &= ti4 <= (
-                col(t, i) - col(t, i, j) - col(t, i, k)
-                + col(t, 1, 2, 3) + col(t, i, j, 4) + col(t, i, k, 4) - q
-            )
-        ok &= col(t, 4) >= (
-            col(t, 1, 4) + col(t, 2, 4) + col(t, 3, 4)
-            - col(t, 1, 2, 4) - col(t, 1, 3, 4) - col(t, 2, 3, 4) + q
-        )
-        assert ok.all(), f"C4_{index}: pruning would drop {int((~ok).sum())} leaves"
-
-
-def test_bounds_pruning_public_api_stream_equality():
-    cv = representative(LoopClassId(4, 14))
-    plain = [r.sizes.counts for r in enumerate_reduced(cv, max_class_size=5)]
-    pruned = [
-        r.sizes.counts for r in enumerate_reduced(cv, max_class_size=5, check_bounds=True)
-    ]
-    assert plain == pruned and plain
-
-
 def test_type_determines_loop_among_minimal():
     from loopforge.verify import minimal_report_for
 
@@ -309,3 +274,60 @@ def test_max_class_size_override():
     assert len(bigger) > 32  # a looser bound really enlarges the family
     with pytest.raises(ValueError):
         list(enumerate_reduced(cv, max_class_size=0))
+
+
+def _minimal_by_sorting(cv: CharVector, max_class_size: int) -> MinimalReport:
+    """Exhaustive oracle: materialize the walk, sort by (degree, counts),
+    keep the least nondegenerate degree, deduplicate by code equivalence."""
+    loop_id, _, _ = canonicalize(cv)
+    leaves = sorted((sum(c), c) for c in _walk_class_sizes(cv, max_class_size))
+    best: list[ReducedRepresentation] = []
+    best_degree = None
+    for degree, counts in leaves:
+        if best_degree is not None and degree > best_degree:
+            break
+        sizes = ClassSizes(cv.rank, counts)
+        try:
+            basis = assemble_representation(sizes)
+        except DegenerateBasis:
+            continue
+        best_degree = degree
+        best.append(
+            ReducedRepresentation(sizes, basis, degree, type_vector(class_partition(basis)))
+        )
+    if best_degree is None:
+        raise InfeasibleProfile("no nondegenerate reduced representation exists")
+    unique: dict[tuple[int, ...], ReducedRepresentation] = {}
+    for rep in best:
+        unique.setdefault(canonical_code_signature(rep.basis), rep)
+    ordered = sorted(
+        unique.values(),
+        key=lambda r: (r.type, tuple(g.positions for g in r.basis.generators)),
+    )
+    return MinimalReport(loop_id, best_degree, tuple(ordered), max_class_size)
+
+
+def _report_or_error(search, cv: CharVector, bound: int):
+    try:
+        return search(cv, bound)
+    except InfeasibleProfile as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("loop", ALL_LOOPS, ids=str)
+def test_branch_and_bound_matches_sorting_oracle(loop):
+    # rank 4 at bound 3 is a small walk in which six loops have no valid
+    # leaf; bound 4 is the least at which all sixteen have one
+    cv = representative(loop)
+    for bound in (7,) if loop.rank == 3 else (3, 4):
+        assert _report_or_error(minimal_representations, cv, bound) == _report_or_error(
+            _minimal_by_sorting, cv, bound
+        )
+
+
+def test_minimal_degree_unchanged_by_larger_bound():
+    # raising every class bound from 7 to 15 finds no smaller representation,
+    # so the reduced family loses nothing
+    for loop in ALL_LOOPS:
+        cv = representative(loop)
+        assert minimal_representations(cv, 15).degree == minimal_representations(cv).degree

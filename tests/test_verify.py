@@ -103,6 +103,39 @@ def test_parallel_dispatch_preserves_order(monkeypatch):
     assert [(r.claim, r.passed) for r in parallel] == [("slow", True), ("fast", True)]
 
 
+def test_worker_count_clamped_to_claims_and_cpus(monkeypatch):
+    import loopforge.verify as verify
+
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    claims = {name: (lambda n=name: ClaimResult(n, True, "ok")) for name in "abc"}
+    monkeypatch.setattr(verify, "CLAIMS", claims)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    results = verify.run_claims(jobs=10**6)
+    assert [r.claim for r in results] == ["a", "b", "c"]
+    assert requested == [2]
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+    verify.run_claims(jobs=10**6)
+    assert requested == [2, 3]
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    verify.run_claims(jobs=10**6)
+    assert requested == [2, 3]  # one worker: no pool at all
+
+
 def test_expected_misprints_constant():
     assert EXPECTED_MISPRINTS == ("C4_7", "C4_8", "C4_10")
     assert all(catalog.ENTRIES[name].corrected for name in EXPECTED_MISPRINTS)
