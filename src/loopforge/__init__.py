@@ -55,8 +55,7 @@ from .search import (
     congruence_targets,
     enumerate_reduced,
     minimal_representations,
-    solve_system_rank3,
-    solve_system_rank4,
+    solve_system,
 )
 
 __version__ = "0.1.0"

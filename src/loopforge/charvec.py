@@ -24,43 +24,48 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 from typing import Iterator
 
 from .errors import AssociativeLoop, NotDoublyEven, NotInvertible, UnexpectedRadical, UnsupportedRank
 from .gf2 import CodeBasis, gf2_rank, is_doubly_even
 
-# Orbit representatives, in the published class order, as shorthand bitstrings
-# (rank 3: lambda_1..3 lambda_12 lambda_13 lambda_23 with lambda_123 = 1;
-#  rank 4: lambda_1..4 lambda_12 lambda_13 lambda_14 lambda_23 lambda_24
-#  lambda_34 with alpha = (1,0,0,0)).
-RANK3_REPRESENTATIVES = ("111111", "000000", "000111", "110000", "100000")
-RANK4_REPRESENTATIVES = (
-    "1110110100",
-    "0000000000",
-    "0000110100",
-    "0010100000",
-    "0000010100",
-    "1111110100",
-    "0001000000",
-    "0000001000",
-    "0100001000",
-    "0001111000",
-    "0001001000",
-    "0000001100",
-    "0110111100",
-    "0001001100",
-    "1001001100",
-    "0001111100",
-)
+# Orbit representatives of the classified ranks, in the published class
+# order, as shorthand bitstrings (lambda_1..n, then lambda_ij in lexicographic
+# order; the alpha part is fixed to (1, 0, ..., 0)).  This is the only per-rank
+# table: lengths, the alpha convention and the orbit counts follow from n.
+REPRESENTATIVES = {
+    3: ("111111", "000000", "000111", "110000", "100000"),
+    4: (
+        "1110110100", "0000000000", "0000110100", "0010100000",
+        "0000010100", "1111110100", "0001000000", "0000001000",
+        "0100001000", "0001111000", "0001001000", "0000001100",
+        "0110111100", "0001001100", "1001001100", "0001111100",
+    ),
+}
 
-NONASSOCIATIVE_COUNTS = {3: 64, 4: 15360}
+
+def orbit_representatives(n: int) -> tuple[str, ...]:
+    """Shorthand orbit representatives of rank n; only classified ranks have them."""
+    try:
+        return REPRESENTATIVES[n]
+    except KeyError:
+        ranks = " or ".join(map(str, REPRESENTATIVES))
+        raise UnsupportedRank(f"classified loops have rank {ranks}, got {n}") from None
+
+
+def shorthand_alpha(n: int) -> tuple[int, ...]:
+    """The alpha part the shorthand omits: lambda_123 = 1, every other zero."""
+    return (1,) + (0,) * (comb(n, 3) - 1)
+
+
+def nonassociative_count(n: int) -> int:
+    """Number of rank-n characteristic vectors with a nonzero alpha part."""
+    return 2 ** (n + comb(n, 2)) * (2 ** comb(n, 3) - 1)
 
 
 def pair_index(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(1, n + 1), 2))
-
-def triple_index(n: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(combinations(range(1, n + 1), 3))
 
 
 @dataclass(frozen=True)
@@ -71,9 +76,7 @@ class LoopClassId:
     index: int
 
     def __post_init__(self) -> None:
-        if self.rank not in (3, 4):
-            raise UnsupportedRank(f"classified loops have rank 3 or 4, got {self.rank}")
-        limit = 5 if self.rank == 3 else 16
+        limit = len(orbit_representatives(self.rank))
         if not 1 <= self.index <= limit:
             raise ValueError(f"index {self.index} outside 1..{limit} for rank {self.rank}")
 
@@ -108,9 +111,9 @@ class CharVector:
         n = self.rank
         if n < 2:
             raise ValueError("rank must be at least 2")
-        if len(self.sigma) != n or len(self.beta) != n * (n - 1) // 2:
+        if len(self.sigma) != n or len(self.beta) != comb(n, 2):
             raise ValueError("wrong coordinate count")
-        if len(self.alpha) != n * (n - 1) * (n - 2) // 6:
+        if len(self.alpha) != comb(n, 3):
             raise ValueError("wrong associator coordinate count")
         for part in (self.sigma, self.beta, self.alpha):
             if any(b not in (0, 1) for b in part):
@@ -122,12 +125,8 @@ class CharVector:
 
     @property
     def is_normalized(self) -> bool:
-        """True when the alpha part matches the shorthand convention."""
-        if self.rank == 3:
-            return self.alpha == (1,)
-        if self.rank == 4:
-            return self.alpha == (1, 0, 0, 0)
-        return False
+        """True when the rank is classified and alpha is ``shorthand_alpha``."""
+        return self.rank in REPRESENTATIVES and self.alpha == shorthand_alpha(self.rank)
 
     def bits(self) -> str:
         return "".join(str(b) for b in self.sigma + self.beta + self.alpha)
@@ -140,23 +139,17 @@ class CharVector:
 
     @classmethod
     def from_shorthand(cls, rank: int, text: str) -> "CharVector":
-        if rank == 3:
-            alpha: tuple[int, ...] = (1,)
-            want = 6
-        elif rank == 4:
-            alpha = (1, 0, 0, 0)
-            want = 10
-        else:
-            raise UnsupportedRank(f"shorthand exists for ranks 3 and 4, got {rank}")
+        orbit_representatives(rank)  # shorthand exists for the classified ranks only
+        want = rank + comb(rank, 2)
         if len(text) != want or set(text) - {"0", "1"}:
             raise ValueError(f"rank-{rank} shorthand needs {want} bits, got {text!r}")
         bits = tuple(int(c) for c in text)
-        return cls(rank, bits[:rank], bits[rank:], alpha)
+        return cls(rank, bits[:rank], bits[rank:], shorthand_alpha(rank))
 
     @classmethod
     def from_bits(cls, rank: int, text: str) -> "CharVector":
         n = rank
-        counts = (n, n * (n - 1) // 2, n * (n - 1) * (n - 2) // 6)
+        counts = (n, comb(n, 2), comb(n, 3))
         if len(text) != sum(counts) or set(text) - {"0", "1"}:
             raise ValueError(f"rank-{rank} full form needs {sum(counts)} bits, got {text!r}")
         bits = tuple(int(c) for c in text)
@@ -178,16 +171,8 @@ def char_vector_of(basis: CodeBasis) -> CharVector:
             bits &= masks[i]
         return bits.bit_count()
 
-    sigma = []
-    for i in range(n):
-        t = meet(i)
-        assert t % 4 == 0
-        sigma.append((t // 4) % 2)
-    beta = []
-    for i, j in combinations(range(n), 2):
-        t = meet(i, j)
-        assert t % 2 == 0, "odd pairwise meet is impossible in a doubly even code"
-        beta.append((t // 2) % 2)
+    sigma = [(meet(i) // 4) % 2 for i in range(n)]
+    beta = [(meet(i, j) // 2) % 2 for i, j in combinations(range(n), 2)]
     alpha = [meet(i, j, k) % 2 for i, j, k in combinations(range(n), 3)]
     return CharVector(n, tuple(sigma), tuple(beta), tuple(alpha))
 
@@ -354,14 +339,11 @@ def gl_transform(cv: CharVector, g: GLMatrix) -> CharVector:
 
 
 def enumerate_nonassociative(n: int) -> Iterator[CharVector]:
-    """All characteristic vectors of nonassociative loops of rank 3 or 4."""
-    if n not in (3, 4):
-        raise UnsupportedRank(f"nonassociative enumeration supports ranks 3 and 4, got {n}")
-    npairs = n * (n - 1) // 2
-    ntrip = n * (n - 1) * (n - 2) // 6
+    """All characteristic vectors of nonassociative loops of a classified rank."""
+    orbit_representatives(n)  # rejects unclassified ranks
     for sigma in product((0, 1), repeat=n):
-        for beta in product((0, 1), repeat=npairs):
-            for alpha in product((0, 1), repeat=ntrip):
+        for beta in product((0, 1), repeat=comb(n, 2)):
+            for alpha in product((0, 1), repeat=comb(n, 3)):
                 if any(alpha):
                     yield CharVector(n, sigma, beta, alpha)
 
@@ -378,8 +360,8 @@ def _form_tables(cv: CharVector):
 
 
 def representative(class_id: LoopClassId) -> CharVector:
-    table = RANK3_REPRESENTATIVES if class_id.rank == 3 else RANK4_REPRESENTATIVES
-    return CharVector.from_shorthand(class_id.rank, table[class_id.index - 1])
+    short = orbit_representatives(class_id.rank)[class_id.index - 1]
+    return CharVector.from_shorthand(class_id.rank, short)
 
 
 @lru_cache(maxsize=None)
@@ -388,7 +370,7 @@ def _orbit_table(n: int) -> dict[CharVector, tuple[int, GLMatrix]]:
     class representative to it).  Built by walking each representative's
     orbit over the whole of GL(n,2); first writer wins, so the witness choice
     is deterministic."""
-    reps = RANK3_REPRESENTATIVES if n == 3 else RANK4_REPRESENTATIVES
+    reps = orbit_representatives(n)
     group = gl_group(n)
     pair_idx = tuple((i, j) for i, j in combinations(range(n), 2))
     triple_idx = tuple((i, j, k) for i, j, k in combinations(range(n), 3))
@@ -405,7 +387,8 @@ def _orbit_table(n: int) -> dict[CharVector, tuple[int, GLMatrix]]:
             cv = CharVector(n, sigma, beta, alpha)
             if cv not in table:
                 table[cv] = (index, g)
-    assert len(table) == NONASSOCIATIVE_COUNTS[n]
+    if len(table) != nonassociative_count(n):
+        raise RuntimeError(f"rank-{n} orbits cover {len(table)} vectors, not all")
     return table
 
 
@@ -419,20 +402,20 @@ def orbit_sizes(n: int) -> dict[LoopClassId, int]:
 
 
 def canonicalize(cv: CharVector) -> tuple[LoopClassId, CharVector, GLMatrix]:
-    """Classify a nonassociative vector of rank 3 or 4.
+    """Classify a nonassociative vector of a classified rank.
 
     Returns the class id, its fixed orbit representative, and a witness w
     with gl_transform(cv, w) equal to the representative.
     """
-    if cv.rank not in (3, 4):
-        raise UnsupportedRank(f"classification covers ranks 3 and 4, got {cv.rank}")
+    orbit_representatives(cv.rank)  # rejects unclassified ranks
     if not cv.nonassociative:
         raise AssociativeLoop("associative vector: every associator sign is trivial")
     index, g = _orbit_table(cv.rank)[cv]
     witness = g.inverse()
     class_id = LoopClassId(cv.rank, index)
     rep = representative(class_id)
-    assert gl_transform(cv, witness) == rep
+    if gl_transform(cv, witness) != rep:
+        raise RuntimeError(f"witness of {class_id} does not reach its representative")
     return class_id, rep, witness
 
 
@@ -477,5 +460,6 @@ def normalize_rank4(cv: CharVector) -> tuple[CharVector, GLMatrix]:
             rows.append(cand)
     g = GLMatrix(4, tuple(rows) + (d,))
     out = gl_transform(cv, g)
-    assert out.alpha == (1, 0, 0, 0)
+    if not out.is_normalized:
+        raise RuntimeError(f"basis change {g.rows} leaves alpha = {out.alpha}")
     return out, g

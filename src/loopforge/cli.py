@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from . import fileio, render
 from .catalog import ENTRIES
 from .charvec import (
+    REPRESENTATIVES,
     CharVector,
     LoopClassId,
     canonicalize,
@@ -70,7 +71,7 @@ def build_parser() -> _Parser:
 
     def add_common(p: _Parser, target: bool = True) -> None:
         if target:
-            p.add_argument("--rank", type=int, choices=(3, 4))
+            p.add_argument("--rank", type=int, choices=tuple(REPRESENTATIVES))
             p.add_argument("--loop", help="loop id such as C3_1 or C4_16")
             p.add_argument("--lambda", dest="lam", help="characteristic vector bits")
             p.add_argument("--code", help="path to a code file")
@@ -81,7 +82,7 @@ def build_parser() -> _Parser:
 
     add_common(sub.add_parser("classify", help="name the loop of a vector or code"))
     p_orbits = sub.add_parser("orbits", help="orbit table for one rank")
-    p_orbits.add_argument("--rank", type=int, choices=(3, 4), required=True)
+    p_orbits.add_argument("--rank", type=int, choices=tuple(REPRESENTATIVES), required=True)
     add_common(p_orbits, target=False)
     add_common(sub.add_parser("enumerate", help="stream every reduced representation"))
     add_common(sub.add_parser("minimal", help="minimal representations of a loop"))
@@ -132,10 +133,9 @@ def _parse_loop_id(text: str, rank: int | None) -> LoopClassId:
 
 
 def _load_code(cfg: CommandConfig) -> CodeBasis:
-    assert cfg.code is not None
     try:
         basis = fileio.load_code(cfg.code)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {cfg.code}: {exc}") from None
     if cfg.rank is not None and basis.rank != cfg.rank:
         raise ParseError(f"--rank {cfg.rank} does not match code rank {basis.rank}")
@@ -186,7 +186,6 @@ def cmd_classify(cfg: CommandConfig) -> str:
 
 
 def cmd_orbits(cfg: CommandConfig) -> str:
-    assert cfg.rank is not None
     sizes = orbit_sizes(cfg.rank)
     rows = [
         [str(cid), representative(cid).shorthand(), size]

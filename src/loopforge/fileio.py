@@ -6,9 +6,9 @@ Code file format:
                        positions (``1,2,3,4``) or a bitstring of length m
                        prefixed ``b:`` (``b:01101...``).
 
-Characteristic vectors are accepted in shorthand (6 bits for rank 3, 10 for
-rank 4, omitted coordinates fixed by convention) or in full coordinate form
-prefixed ``full:``.
+Characteristic vectors are accepted in shorthand (n + C(n,2) bits: 6 for
+rank 3, 10 for rank 4, omitted coordinates fixed by convention) or in full
+coordinate form prefixed ``full:`` (C(n,3) more bits: 7 and 14).
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+from math import comb
 from typing import Any
 
-from .charvec import CharVector, GLMatrix, LoopClassId
+from .charvec import REPRESENTATIVES, CharVector, GLMatrix, LoopClassId
 from .errors import ParseError
 from .gf2 import CodeBasis, Codeword
 from .search import MinimalReport, ReducedRepresentation
-
-_FULL_LENGTHS = {3: 7, 4: 14}  # n + C(n,2) + C(n,3)
 
 
 def parse_code_text(text: str) -> CodeBasis:
@@ -72,21 +71,21 @@ def format_code(basis: CodeBasis) -> str:
 def parse_lambda(text: str, rank: int | None = None) -> CharVector:
     """Parse shorthand or ``full:``-prefixed characteristic vector strings."""
     text = text.strip()
+    full = text.startswith("full:")
+    bits = text[len("full:") :] if full else text
+    form = "full form" if full else "shorthand"
+    # n + C(n,2) sign and commutator bits, plus C(n,3) associator bits in full
+    ranks = {n + comb(n, 2) + (comb(n, 3) if full else 0): n for n in REPRESENTATIVES}
     try:
-        if text.startswith("full:"):
-            bits = text[len("full:") :]
-            inferred = next((n for n, ln in _FULL_LENGTHS.items() if ln == len(bits)), None)
-            if inferred is None:
-                raise ValueError(f"full form must have 7 or 14 bits, got {len(bits)}")
-            if rank is not None and rank != inferred:
-                raise ValueError(f"--rank {rank} does not match a {len(bits)}-bit full form")
-            return CharVector.from_bits(inferred, bits)
-        inferred = {6: 3, 10: 4}.get(len(text))
+        inferred = ranks.get(len(bits))
         if inferred is None:
-            raise ValueError(f"shorthand must have 6 or 10 bits, got {len(text)}")
+            lengths = " or ".join(map(str, ranks))
+            raise ValueError(f"{form} must have {lengths} bits, got {len(bits)}")
         if rank is not None and rank != inferred:
-            raise ValueError(f"--rank {rank} does not match a {len(text)}-bit shorthand")
-        return CharVector.from_shorthand(inferred, text)
+            raise ValueError(f"--rank {rank} does not match a {len(bits)}-bit {form}")
+        if full:
+            return CharVector.from_bits(inferred, bits)
+        return CharVector.from_shorthand(inferred, bits)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, count
 from typing import Iterable, Sequence
 
 from .errors import DegenerateBasis, EmptyMeet, NotCovering, UnsupportedRank
 
 Sigma = tuple[int, ...]
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _popcount(x: int) -> int:
@@ -37,7 +38,7 @@ class Codeword:
     def __post_init__(self) -> None:
         if self.length < 0:
             raise ValueError(f"negative length {self.length}")
-        if not 0 <= self.bits < (1 << self.length):
+        if self.bits < 0 or self.bits.bit_length() > self.length:
             raise ValueError(f"bits out of range for length {self.length}")
 
     @classmethod
@@ -53,11 +54,7 @@ class Codeword:
     def from_bitstring(cls, text: str) -> "Codeword":
         if set(text) - {"0", "1"}:
             raise ValueError(f"not a bitstring: {text!r}")
-        bits = 0
-        for i, c in enumerate(text):
-            if c == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
+        return cls(len(text), int(text[::-1] or "0", 2))
 
     @property
     def weight(self) -> int:
@@ -65,10 +62,11 @@ class Codeword:
 
     @property
     def positions(self) -> tuple[int, ...]:
-        return tuple(p + 1 for p in range(self.length) if self.bits >> p & 1)
+        # digits of bin() lowest first, as 0/1 bytes: compress() picks the set ones
+        return tuple(compress(count(1), bin(self.bits)[:1:-1].encode().translate(_BIT_BYTES)))
 
     def bitstring(self) -> str:
-        return "".join("1" if self.bits >> p & 1 else "0" for p in range(self.length))
+        return bin(self.bits | 1 << self.length)[:2:-1]
 
     def contains(self, position: int) -> bool:
         return 1 <= position <= self.length and bool(self.bits >> (position - 1) & 1)
@@ -176,7 +174,7 @@ class CodeBasis:
 
     @property
     def covers(self) -> bool:
-        return self.support.bits == (1 << self.length) - 1
+        return self.support.weight == self.length
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g.positions) for g in self.generators)
@@ -199,27 +197,18 @@ def is_doubly_even(basis: CodeBasis) -> bool:
     return all(w.weight % 4 == 0 for w in span(basis))
 
 
+@lru_cache(maxsize=None)
 def class_order(rank: int) -> tuple[Sigma, ...]:
     """Fixed enumeration order of the nonempty subsets of I_n used for labeling.
 
-    Ranks 3 and 4 use the orders the worked assembly examples pin down
-    (rank 4: 1234, 123, 124, 134, 12, 13, 14, 1, 234, 23, 24, 2, 34, 3, 4);
-    other ranks fall back to a deterministic generic order.
+    Subsets sort by least element, then larger subsets first, then
+    lexicographically.  This reproduces the orders the worked assembly
+    examples pin down (rank 3: 123, 12, 13, 1, 23, 2, 3; rank 4: 1234, 123,
+    124, 134, 12, 13, 14, 1, 234, 23, 24, 2, 34, 3, 4).
     """
-    if rank == 3:
-        return ((1, 2, 3), (1, 2), (1, 3), (1,), (2, 3), (2,), (3,))
-    if rank == 4:
-        return (
-            (1, 2, 3, 4),
-            (1, 2, 3), (1, 2, 4), (1, 3, 4),
-            (1, 2), (1, 3), (1, 4), (1,),
-            (2, 3, 4), (2, 3), (2, 4), (2,),
-            (3, 4), (3,), (4,),
-        )
-    sigmas: list[Sigma] = []
-    for size in range(rank, 0, -1):
-        sigmas.extend(combinations(range(1, rank + 1), size))
-    return tuple(sigmas)
+    indices = range(1, rank + 1)
+    subsets = (s for k in indices for s in combinations(indices, k))
+    return tuple(sorted(subsets, key=lambda s: (s[0], -len(s), s)))
 
 
 def sigma_mask(sigma: Sigma) -> int:
@@ -227,6 +216,25 @@ def sigma_mask(sigma: Sigma) -> int:
     for i in sigma:
         mask |= 1 << (i - 1)
     return mask
+
+
+def _label_block(masks: Sequence[int], tau: int) -> int:
+    """Positions whose generator-membership label is exactly tau (tau != 0)."""
+    bits = -1
+    for i, mask in enumerate(masks):
+        bits &= mask if tau >> i & 1 else ~mask
+    return bits
+
+
+def _lowest_unset(bits: int, limit: int) -> tuple[int, ...]:
+    """The first ``limit`` 1-based positions missing from a bitset."""
+    free = ~bits
+    found = []
+    for _ in range(limit):
+        low = free & -free
+        found.append(low.bit_length())
+        free ^= low
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -269,23 +277,17 @@ def class_partition(basis: CodeBasis) -> ClassPartition:
     Requires the generators to cover I_m; a non-covering basis is rejected
     rather than silently shrinking the ambient length.
     """
-    if not basis.covers:
-        missing = Codeword(basis.length, ((1 << basis.length) - 1) ^ basis.support.bits)
-        raise NotCovering(f"positions not covered by any generator: {missing.positions}")
+    missing = basis.length - basis.support.weight
+    if missing:
+        shown = _lowest_unset(basis.support.bits, min(missing, 10))
+        more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
+        raise NotCovering(f"positions not covered by any generator: {shown}{more}")
     masks = basis.masks
-    n = basis.rank
-    full = (1 << basis.length) - 1
-    blocks = []
-    for sigma in class_order(n):
-        bits = full
-        smask = sigma_mask(sigma)
-        for i in range(n):
-            if smask >> i & 1:
-                bits &= masks[i]
-            else:
-                bits &= ~masks[i]
-        blocks.append((sigma, Codeword(basis.length, bits & full)))
-    return ClassPartition(basis.length, n, tuple(blocks))
+    blocks = tuple(
+        (sigma, Codeword(basis.length, _label_block(masks, sigma_mask(sigma))))
+        for sigma in class_order(basis.rank)
+    )
+    return ClassPartition(basis.length, basis.rank, blocks)
 
 
 def type_vector(partition: ClassPartition) -> tuple[int, ...]:
@@ -388,16 +390,8 @@ def label_counts(basis: CodeBasis) -> tuple[int, ...]:
     says p is in generator i.  Uncovered positions (label 0) are ignored, so
     padding positions never affect equivalence.
     """
-    n = basis.rank
     masks = basis.masks
-    counts = [0] * (1 << n)
-    for p in range(basis.length):
-        tau = 0
-        for i in range(n):
-            if masks[i] >> p & 1:
-                tau |= 1 << i
-        counts[tau] += 1
-    return tuple(counts[1:])
+    return tuple(_label_block(masks, tau).bit_count() for tau in range(1, 1 << basis.rank))
 
 
 @lru_cache(maxsize=None)
@@ -432,13 +426,7 @@ def canonical_code_signature(basis: CodeBasis) -> tuple[int, ...]:
     if n > 4:
         raise UnsupportedRank("code equivalence is implemented for rank <= 4")
     counts = label_counts(basis)
-    best = None
-    for perm in _gl_label_perms(n):
-        sig = tuple(counts[t - 1] for t in perm)
-        if best is None or sig < best:
-            best = sig
-    assert best is not None
-    return best
+    return min(tuple(counts[t - 1] for t in perm) for perm in _gl_label_perms(n))
 
 
 def codes_equivalent(a: CodeBasis, b: CodeBasis) -> bool:
@@ -449,30 +437,3 @@ def codes_equivalent(a: CodeBasis, b: CodeBasis) -> bool:
     if a.rank != b.rank:
         return False
     return canonical_code_signature(a) == canonical_code_signature(b)
-
-
-def brute_force_equivalent(a: CodeBasis, b: CodeBasis) -> bool:
-    """Oracle: search all position bijections directly (tiny lengths only).
-
-    Exponential; exists to back ``codes_equivalent`` in tests.
-    """
-    from itertools import permutations
-
-    if a.rank != b.rank:
-        return False
-    sup_a = a.support.positions
-    sup_b = b.support.positions
-    if len(sup_a) != len(sup_b):
-        return False
-    span_a = frozenset(w.bits for w in span(a))
-    for image in permutations(sup_b):
-        mapping = dict(zip(sup_a, image))
-        moved = set()
-        for w in span_a:
-            bits = 0
-            for p in Codeword(a.length, w).positions:
-                bits |= 1 << (mapping[p] - 1)
-            moved.add(bits)
-        if moved == {w.bits for w in span(b)}:
-            return True
-    return False

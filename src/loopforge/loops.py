@@ -20,8 +20,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .charvec import canonicalize, char_vector_of
 from .errors import NoFactorSet, NotDoublyEven, UnsupportedRank
@@ -128,16 +127,6 @@ def build_factor_set(
     return fs
 
 
-def iter_factor_sets(basis: CodeBasis) -> Iterator[FactorSet]:
-    """Every factor set reachable from the construction's free choices.
-
-    2^(2^n - n - 1) tables; practical for rank <= 3.
-    """
-    slots = free_seed_slots(basis.rank)
-    for values in product((1, -1), repeat=len(slots)):
-        yield build_factor_set(basis, dict(zip(slots, values)))
-
-
 class CodeLoop:
     """Loop on {+1,-1} x V with product (e,v)(d,w) = (e d phi(v,w), v+w).
 
@@ -162,12 +151,8 @@ class CodeLoop:
                 row.append(s * half + (va ^ vb))
             table.append(tuple(row))
         self.table: tuple[tuple[int, ...], ...] = tuple(table)
-        inv = [0] * self.order
-        for a in range(self.order):
-            matches = [b for b in range(self.order) if self.table[a][b] == 0]
-            assert len(matches) == 1, "inverse must be unique"
-            inv[a] = matches[0]
-        self.inverses: tuple[int, ...] = tuple(inv)
+        # the identity appears once per row: codeword of a, one of its two signs
+        self.inverses: tuple[int, ...] = tuple(row.index(0) for row in table)
 
     # -- element bookkeeping ------------------------------------------------
 
@@ -279,10 +264,10 @@ def loop_table_csv(loop: CodeLoop) -> str:
         sign = "+" if loop.sign_of(a) == 1 else "-"
         return sign + ",".join(str(p) for p in loop.codeword_of(a).positions)
 
+    labels = [label(a) for a in loop.elements()]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    ids = list(loop.elements())
-    writer.writerow([""] + [label(b) for b in ids])
-    for a in ids:
-        writer.writerow([label(a)] + [label(loop.table[a][b]) for b in ids])
+    writer.writerow([""] + labels)
+    for a, row in enumerate(loop.table):
+        writer.writerow([labels[a]] + [labels[b] for b in row])
     return out.getvalue()

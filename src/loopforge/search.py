@@ -19,22 +19,24 @@ least degree of a valid leaf so far bounds the rest, and any branch whose
 partial degree already exceeds it is cut (class sizes are nonnegative, so
 a partial degree only grows).  The least-degree valid leaves are then
 deduplicated by code equivalence.
+
+The converse map, from the meet weights of a basis back to its class
+sizes, is one Moebius inversion over the subset lattice (``solve_system``),
+the same for both ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .charvec import CharVector, LoopClassId, canonicalize
+from .charvec import CharVector, LoopClassId, canonicalize, char_vector_of, orbit_representatives
 from .errors import (
     AssociativeLoop,
     InfeasibleProfile,
     DegenerateBasis,
     NotReduced,
-    UnsupportedRank,
 )
 from .gf2 import (
     CodeBasis,
@@ -97,8 +99,13 @@ class ClassSizes:
         }
 
 
-def _mobius_solve(profile: WeightProfile, max_size: int) -> ClassSizes:
-    """x_sigma = sum over supersets tau of (-1)^|tau - sigma| t_tau."""
+def solve_system(profile: WeightProfile, max_size: int = REDUCED_MAX) -> ClassSizes:
+    """Class cardinalities of a weight profile, by Moebius inversion:
+    x_sigma = sum over supersets tau of (-1)^|tau - sigma| t_tau.
+
+    Raises InfeasibleProfile for a negative cardinality and NotReduced for
+    one above ``max_size``.
+    """
     n = profile.rank
     counts = []
     for sigma in class_order(n):
@@ -113,54 +120,6 @@ def _mobius_solve(profile: WeightProfile, max_size: int) -> ClassSizes:
             raise NotReduced(f"x_{''.join(map(str, sigma))} = {x} > {max_size}")
         counts.append(x)
     return ClassSizes(n, tuple(counts))
-
-
-def solve_system_rank3(profile: WeightProfile, max_size: int = REDUCED_MAX) -> ClassSizes:
-    """Class cardinalities of a rank-3 profile (x_ij = t_ij - t_123, ...)."""
-    if profile.rank != 3:
-        raise UnsupportedRank("rank-3 solver")
-    return _mobius_solve(profile, max_size)
-
-
-def solve_system_rank4(profile: WeightProfile, max_size: int = REDUCED_MAX) -> ClassSizes:
-    """Class cardinalities of a rank-4 profile (14 closed-form differences)."""
-    if profile.rank != 4:
-        raise UnsupportedRank("rank-4 solver")
-    return _mobius_solve(profile, max_size)
-
-
-def solve_system(profile: WeightProfile, max_size: int = REDUCED_MAX) -> ClassSizes:
-    return _mobius_solve(profile, max_size)
-
-
-@lru_cache(maxsize=8)
-def _incidence(n: int) -> dict[Sigma, tuple[int, ...]]:
-    """For each index set sigma, the class_order positions of its supersets."""
-    order = class_order(n)
-    sigmas = [
-        s
-        for size in range(1, n + 1)
-        for s in combinations(range(1, n + 1), size)
-    ]
-    return {
-        s: tuple(p for p, tau in enumerate(order) if set(s) <= set(tau)) for s in sigmas
-    }
-
-
-def profile_from_sizes(sizes: ClassSizes) -> WeightProfile:
-    """Meet weights t_sigma = sum of x_tau over tau containing sigma."""
-    n = sizes.rank
-    inc = _incidence(n)
-    counts = sizes.counts
-
-    def t(sigma: Sigma) -> int:
-        return sum(counts[p] for p in inc[sigma])
-
-    singles = tuple(t((i,)) for i in range(1, n + 1))
-    pairs = tuple(t(p) for p in combinations(range(1, n + 1), 2))
-    triples = tuple(t(tr) for tr in combinations(range(1, n + 1), 3))
-    quad = t((1, 2, 3, 4)) if n == 4 else None
-    return WeightProfile(n, singles, pairs, triples, quad)
 
 
 def assemble_representation(sizes: ClassSizes) -> CodeBasis:
@@ -194,8 +153,7 @@ class ReducedRepresentation:
 
 
 def _require_normalized(cv: CharVector) -> None:
-    if cv.rank not in (3, 4):
-        raise UnsupportedRank(f"representation search covers ranks 3 and 4, got {cv.rank}")
+    orbit_representatives(cv.rank)  # rejects unclassified ranks
     if not cv.nonassociative:
         raise AssociativeLoop("representation search needs a nonassociative vector")
     if not cv.is_normalized:
@@ -274,15 +232,14 @@ def enumerate_reduced(
     _require_normalized(cv)
     if max_class_size < 1:
         raise ValueError("max_class_size must be at least 1")
-    from .charvec import char_vector_of
-
     for counts in _walk_class_sizes(cv, max_class_size):
         sizes = ClassSizes(cv.rank, counts)
         try:
             basis = assemble_representation(sizes)
         except DegenerateBasis:
             continue
-        assert char_vector_of(basis) == cv
+        if char_vector_of(basis) != cv:
+            raise RuntimeError(f"leaf {counts} assembles a code of another vector")
         yield ReducedRepresentation(sizes, basis, sizes.degree, type_vector(class_partition(basis)))
 
 

@@ -13,26 +13,26 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import catalog
 from .charvec import (
     CharVector,
     LoopClassId,
-    NONASSOCIATIVE_COUNTS,
-    RANK3_REPRESENTATIVES,
-    RANK4_REPRESENTATIVES,
+    REPRESENTATIVES,
     canonicalize,
     char_vector_of,
     enumerate_nonassociative,
+    nonassociative_count,
+    orbit_representatives,
     pair_index,
     representative,
     _orbit_table,
 )
 from .errors import LoopforgeError
-from .gf2 import codes_equivalent, is_doubly_even, _gl_label_perms
+from .gf2 import WeightProfile, class_order, codes_equivalent, is_doubly_even, _gl_label_perms
 from .loops import build_loop, is_moufang
-from .search import MinimalReport, minimal_representations
+from .search import MinimalReport, assemble_representation, minimal_representations, solve_system
 
 # What each misprinted listing shows as published, in the words of
 # ``_published_defect``.
@@ -60,8 +60,8 @@ def minimal_report_for(loop: str) -> MinimalReport:
 
 def _claim_orbits(rank: int) -> ClaimResult:
     name = f"rank{rank}-orbits"
-    reps = RANK3_REPRESENTATIVES if rank == 3 else RANK4_REPRESENTATIVES
-    expected_total = NONASSOCIATIVE_COUNTS[rank]
+    reps = orbit_representatives(rank)
+    expected_total = nonassociative_count(rank)
     mismatches: list[str] = []
     orbit_members: dict[int, int] = {}
     rep_hits: dict[int, int] = {}
@@ -95,17 +95,9 @@ def _claim_orbits(rank: int) -> ClaimResult:
     )
 
 
-def claim_rank3_orbits() -> ClaimResult:
-    return _claim_orbits(3)
-
-
-def claim_rank4_orbits() -> ClaimResult:
-    return _claim_orbits(4)
-
-
 def _claim_minimal(rank: int) -> ClaimResult:
     name = f"rank{rank}-minimal"
-    entries = catalog.RANK3 if rank == 3 else catalog.RANK4
+    entries = [e for e in catalog.RANK3 + catalog.RANK4 if e.loop.startswith(f"C{rank}_")]
     mismatches: list[str] = []
     degrees: list[int] = []
     for entry in entries:
@@ -129,14 +121,6 @@ def _claim_minimal(rank: int) -> ClaimResult:
         "degrees " + ",".join(str(d) for d in degrees),
         tuple(mismatches),
     )
-
-
-def claim_rank3_minimal() -> ClaimResult:
-    return _claim_minimal(3)
-
-
-def claim_rank4_minimal() -> ClaimResult:
-    return _claim_minimal(4)
 
 
 def _check_reference_basis(entry: catalog.ReferenceEntry) -> list[str]:
@@ -208,20 +192,16 @@ def claim_published_misprints() -> ClaimResult:
 
 
 def claim_worked_example() -> ClaimResult:
-    from .gf2 import WeightProfile
-    from .search import assemble_representation, solve_system_rank4
-
     u = catalog.WORKED_EXAMPLE_U
     profile = WeightProfile(
         4, singles=tuple(u[11:15]), pairs=tuple(u[5:11]), triples=tuple(u[1:5]), quad=u[0]
     )
     mismatches: list[str] = []
-    sizes = solve_system_rank4(profile)
-    solution = (
-        sizes[(1, 2, 3)], sizes[(1, 2, 4)], sizes[(1, 3, 4)], sizes[(2, 3, 4)],
-        sizes[(1, 2)], sizes[(1, 3)], sizes[(1, 4)], sizes[(2, 3)], sizes[(2, 4)],
-        sizes[(3, 4)], sizes[(1,)], sizes[(2,)], sizes[(3,)], sizes[(4,)],
-    )
+    sizes = solve_system(profile)
+    # the published solution lists x_sigma for the proper subsets sigma of
+    # I_4, larger subsets first, then lexicographically
+    published = sorted(class_order(4), key=lambda sigma: (-len(sigma), sigma))[1:]
+    solution = tuple(sizes[sigma] for sigma in published)
     if solution != catalog.WORKED_EXAMPLE_V:
         mismatches.append(f"solution {solution} != expected {catalog.WORKED_EXAMPLE_V}")
     basis = assemble_representation(sizes)
@@ -304,10 +284,10 @@ def claim_loop_laws() -> ClaimResult:
 
 
 CLAIMS = {
-    "rank3-orbits": claim_rank3_orbits,
-    "rank4-orbits": claim_rank4_orbits,
-    "rank3-minimal": claim_rank3_minimal,
-    "rank4-minimal": claim_rank4_minimal,
+    "rank3-orbits": partial(_claim_orbits, 3),
+    "rank4-orbits": partial(_claim_orbits, 4),
+    "rank3-minimal": partial(_claim_minimal, 3),
+    "rank4-minimal": partial(_claim_minimal, 4),
     "reference-bases": claim_reference_bases,
     "published-misprints": claim_published_misprints,
     "worked-example": claim_worked_example,
@@ -334,10 +314,9 @@ def run_claims(only: str | None = None, jobs: int = 1) -> list[ClaimResult]:
     workers = min(jobs, len(names), os.cpu_count() or 1)
     if workers > 1:
         # warm shared caches so forked workers inherit them
-        _orbit_table(3)
-        _orbit_table(4)
-        _gl_label_perms(3)
-        _gl_label_perms(4)
+        for n in REPRESENTATIVES:
+            _orbit_table(n)
+            _gl_label_perms(n)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, names))
     return [_run_one(name) for name in names]

@@ -215,12 +215,12 @@ def test_criterion_5_summary():
 def test_criterion_6_worked_example_byte_exact():
     from loopforge.fileio import format_code
     from loopforge.gf2 import WeightProfile
-    from loopforge.search import assemble_representation, solve_system_rank4
+    from loopforge.search import assemble_representation, solve_system
 
     u = (0, 1, 0, 2, 0, 2, 6, 2, 6, 0, 4, 8, 8, 16, 4)
     expected_solution = (1, 0, 2, 0, 1, 3, 0, 5, 0, 2, 1, 1, 3, 0)
     profile = WeightProfile(4, singles=u[11:15], pairs=u[5:11], triples=u[1:5], quad=u[0])
-    sizes = solve_system_rank4(profile)
+    sizes = solve_system(profile)
     solution = (
         sizes[(1, 2, 3)], sizes[(1, 2, 4)], sizes[(1, 3, 4)], sizes[(2, 3, 4)],
         sizes[(1, 2)], sizes[(1, 3)], sizes[(1, 4)], sizes[(2, 3)], sizes[(2, 4)],

@@ -9,8 +9,7 @@ from loopforge.charvec import (
     CharVector,
     GLMatrix,
     LoopClassId,
-    RANK3_REPRESENTATIVES,
-    RANK4_REPRESENTATIVES,
+    REPRESENTATIVES,
     alpha_radical,
     canonicalize,
     char_vector_of,
@@ -20,8 +19,11 @@ from loopforge.charvec import (
     eval_sigma,
     gl_group,
     gl_transform,
+    nonassociative_count,
     normalize_rank4,
+    orbit_representatives,
     representative,
+    shorthand_alpha,
 )
 from loopforge.errors import (
     AssociativeLoop,
@@ -29,6 +31,7 @@ from loopforge.errors import (
     NotInvertible,
     UnsupportedRank,
 )
+from loopforge.fileio import parse_lambda
 from loopforge.gf2 import CodeBasis
 
 V1_R3 = CodeBasis.from_positions(7, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7)])
@@ -197,7 +200,7 @@ def test_canonicalize_examples():
 
 
 def test_representatives_are_fixed_points():
-    for rank, table in ((3, RANK3_REPRESENTATIVES), (4, RANK4_REPRESENTATIVES)):
+    for rank, table in REPRESENTATIVES.items():
         for index, short in enumerate(table, start=1):
             cv = CharVector.from_shorthand(rank, short)
             cid, rep, witness = canonicalize(cv)
@@ -242,7 +245,7 @@ def test_alpha_radical_rank3():
 
 
 def test_radical_of_representatives_is_last_generator():
-    for short in RANK4_REPRESENTATIVES:
+    for short in REPRESENTATIVES[4]:
         cv = CharVector.from_shorthand(4, short)
         assert alpha_radical(cv) == frozenset({0, 0b1000})
         normalized, witness = normalize_rank4(cv)
@@ -252,7 +255,7 @@ def test_radical_of_representatives_is_last_generator():
 
 def test_normalize_recovers_orbit(rng):
     for _ in range(20):
-        short = rng.choice(RANK4_REPRESENTATIVES)
+        short = rng.choice(REPRESENTATIVES[4])
         cv = CharVector.from_shorthand(4, short)
         moved = gl_transform(cv, random_gl(rng, 4))
         normalized, witness = normalize_rank4(moved)
@@ -267,12 +270,66 @@ def test_normalize_requires_nonassociative():
 
 
 def test_shorthand_round_trip():
-    for short in RANK3_REPRESENTATIVES:
+    for short in REPRESENTATIVES[3]:
         assert CharVector.from_shorthand(3, short).shorthand() == short
-    for short in RANK4_REPRESENTATIVES:
+    for short in REPRESENTATIVES[4]:
         assert CharVector.from_shorthand(4, short).shorthand() == short
     cv = CharVector(4, (0,) * 4, (0,) * 6, (0, 1, 0, 0))
     assert not cv.is_normalized
     with pytest.raises(ValueError):
         cv.shorthand()
     assert CharVector.from_bits(4, cv.bits()) == cv
+
+
+# -- rank conventions derived from n ------------------------------------------
+
+UNCLASSIFIED = (
+    CharVector(2, (0, 0), (0,), ()),
+    CharVector(5, (0,) * 5, (0,) * 10, (1,) + (0,) * 9),
+)
+
+
+def test_shorthand_and_full_lengths_follow_from_rank():
+    for n, short_len, full_len, alpha in ((3, 6, 7, (1,)), (4, 10, 14, (1, 0, 0, 0))):
+        cv = CharVector.from_shorthand(n, "0" * short_len)
+        assert cv.alpha == shorthand_alpha(n) == alpha
+        assert len(cv.shorthand()) == short_len and len(cv.bits()) == full_len
+        assert parse_lambda("0" * short_len) == cv
+        assert parse_lambda("full:" + cv.bits()) == cv
+        with pytest.raises(ValueError):
+            CharVector.from_shorthand(n, "0" * (short_len + 1))
+
+
+def test_nonassociative_count_matches_enumeration():
+    assert nonassociative_count(3) == sum(1 for _ in enumerate_nonassociative(3)) == 64
+    assert nonassociative_count(4) == sum(1 for _ in enumerate_nonassociative(4)) == 15360
+
+
+def test_class_id_limits_are_the_orbit_counts():
+    assert [len(orbit_representatives(n)) for n in (3, 4)] == [5, 16]
+    for n, limit in ((3, 5), (4, 16)):
+        assert LoopClassId(n, limit).index == limit
+        with pytest.raises(ValueError):
+            LoopClassId(n, limit + 1)
+        with pytest.raises(ValueError):
+            LoopClassId(n, 0)
+
+
+def test_unclassified_ranks_are_rejected_everywhere():
+    from loopforge.search import minimal_representations
+
+    for cv in UNCLASSIFIED:
+        n = cv.rank
+        with pytest.raises(UnsupportedRank, match=f"got {n}$"):
+            orbit_representatives(n)
+        with pytest.raises(UnsupportedRank):
+            CharVector.from_shorthand(n, "0" * (n + n * (n - 1) // 2))
+        with pytest.raises(UnsupportedRank):
+            LoopClassId(n, 1)
+        with pytest.raises(UnsupportedRank):
+            canonicalize(cv)
+        with pytest.raises(UnsupportedRank):
+            next(enumerate_nonassociative(n))
+        with pytest.raises(UnsupportedRank):
+            minimal_representations(cv)
+        assert not cv.is_normalized

@@ -222,6 +222,14 @@ def test_missing_code_file_exits_1(capsys):
     assert code == 1
 
 
+def test_non_utf8_code_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "latin1.code"
+    path.write_bytes(b"m=8 n=1\n1,2,3,4\xff\n")
+    code, out, err = run(capsys, "classify", "--code", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
 def test_rank_mismatch_exits_1(capsys):
     code, _, err = run(capsys, "minimal", "--rank", "4", "--loop", "C3_1")
     assert code == 1

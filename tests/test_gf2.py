@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -11,11 +11,12 @@ from loopforge.errors import DegenerateBasis, EmptyMeet, NotCovering
 from loopforge.gf2 import (
     CodeBasis,
     Codeword,
-    brute_force_equivalent,
     canonical_code_signature,
+    class_order,
     class_partition,
     codes_equivalent,
     is_doubly_even,
+    label_counts,
     meet_weight,
     pair_length,
     profile_of,
@@ -45,6 +46,31 @@ V14_R4 = CodeBasis.from_positions(
     13,
     [range(1, 9), (1, 2, 3, 4, 9, 10, 11, 12), (1, 2, 3, 5, 9, 10, 11, 13), (1, 2, 9, 10)],
 )
+
+
+def brute_force_equivalent(a: CodeBasis, b: CodeBasis) -> bool:
+    """Oracle: search all position bijections directly (tiny lengths only).
+
+    Exponential; exists to back ``codes_equivalent``.
+    """
+    if a.rank != b.rank:
+        return False
+    sup_a = a.support.positions
+    sup_b = b.support.positions
+    if len(sup_a) != len(sup_b):
+        return False
+    span_a = frozenset(w.bits for w in span(a))
+    for image in permutations(sup_b):
+        mapping = dict(zip(sup_a, image))
+        moved = set()
+        for w in span_a:
+            bits = 0
+            for p in Codeword(a.length, w).positions:
+                bits |= 1 << (mapping[p] - 1)
+            moved.add(bits)
+        if moved == {w.bits for w in span(b)}:
+            return True
+    return False
 
 
 def test_weight_examples():
@@ -122,6 +148,78 @@ def test_class_partition_requires_covering():
     basis = CodeBasis.from_positions(5, [(1, 2, 3, 4)])
     with pytest.raises(NotCovering):
         class_partition(basis)
+
+
+def test_class_order_reproduces_the_published_orders():
+    # the orders the worked assembly examples pin down, as printed
+    assert class_order(3) == ((1, 2, 3), (1, 2), (1, 3), (1,), (2, 3), (2,), (3,))
+    assert class_order(4) == (
+        (1, 2, 3, 4),
+        (1, 2, 3), (1, 2, 4), (1, 3, 4),
+        (1, 2), (1, 3), (1, 4), (1,),
+        (2, 3, 4), (2, 3), (2, 4), (2,),
+        (3, 4), (3,), (4,),
+    )
+    assert class_order(1) == ((1,),)
+    assert class_order(2) == ((1, 2), (1,), (2,))
+    for n in range(1, 7):
+        assert sorted(class_order(n)) == sorted(
+            s for k in range(1, n + 1) for s in combinations(range(1, n + 1), k)
+        )
+
+
+def test_not_covering_message_is_capped():
+    basis = CodeBasis.from_positions(12, [(1, 2, 3, 4)])
+    with pytest.raises(NotCovering, match=r"generator: \(5, 6, 7, 8, 9, 10, 11, 12\)$"):
+        class_partition(basis)
+    padded = CodeBasis.from_positions(10**6, [(1, 2, 3, 4), (3, 4, 5, 6)])
+    with pytest.raises(NotCovering) as info:
+        class_partition(padded)
+    assert str(info.value).endswith("(7, 8, 9, 10, 11, 12, 13, 14, 15, 16) and 999984 more")
+
+
+def test_padding_does_not_cost_ambient_length():
+    # m = 10^12 would need 125 GB as a dense bitset; every operation here must
+    # look at the used positions only
+    gens = [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7)]
+    small = CodeBasis.from_positions(7, gens)
+    huge = CodeBasis.from_positions(10**12, gens)
+    assert not huge.covers and small.covers
+    assert [g.positions for g in huge.generators] == [g.positions for g in small.generators]
+    assert label_counts(huge) == label_counts(small) == (1,) * 7
+    assert canonical_code_signature(huge) == canonical_code_signature(small)
+    assert Codeword(10**12, 1 << 10**6).positions == (10**6 + 1,)
+    with pytest.raises(ValueError):
+        Codeword(10**6, 1 << 10**6)
+    with pytest.raises(ValueError):
+        Codeword(8, 1 << 8)
+    with pytest.raises(ValueError):
+        Codeword(8, -1)
+
+
+def test_positions_and_bitstring_agree_with_a_scan(rng):
+    for length in list(range(0, 21)) + [64, 65, 1000]:
+        for _ in range(10):
+            bits = rng.getrandbits(length) if length else 0
+            word = Codeword(length, bits)
+            scan = [p + 1 for p in range(length) if bits >> p & 1]
+            assert word.positions == tuple(scan)
+            assert word.bitstring() == "".join(
+                "1" if p + 1 in scan else "0" for p in range(length)
+            )
+            assert Codeword.from_bitstring(word.bitstring()) == word
+            assert Codeword.from_positions(length, scan) == word
+
+
+def test_label_counts_match_a_position_scan(rng):
+    # reference: read every position's generator-membership label in turn
+    for _ in range(30):
+        basis = random_covering_basis(rng, rng.choice((1, 2, 3, 4)), rng.randrange(6, 21))
+        basis = CodeBasis(basis.length + 3, tuple(g.pad(basis.length + 3) for g in basis.generators))
+        counts = [0] * (1 << basis.rank)
+        for p in range(basis.length):
+            counts[sum(1 << i for i, m in enumerate(basis.masks) if m >> p & 1)] += 1
+        assert label_counts(basis) == tuple(counts[1:])
 
 
 def test_type_vector_examples():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import product
+from typing import Iterator
 
 import pytest
 
@@ -14,17 +16,27 @@ from loopforge.errors import UnsupportedRank
 from loopforge.gf2 import CodeBasis, Codeword
 from loopforge.loops import (
     CodeLoop,
+    FactorSet,
     build_factor_set,
     build_loop,
     free_seed_slots,
     is_moufang,
-    iter_factor_sets,
     loop_table_csv,
     loops_isomorphic,
 )
 
 V1_R3 = CodeBasis.from_positions(7, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7)])
 V5_R3 = ENTRIES["C3_5"].basis()
+
+
+def iter_factor_sets(basis: CodeBasis) -> Iterator[FactorSet]:
+    """Every factor set reachable from the construction's free choices.
+
+    2^(2^n - n - 1) tables; practical for rank <= 3.
+    """
+    slots = free_seed_slots(basis.rank)
+    for values in product((1, -1), repeat=len(slots)):
+        yield build_factor_set(basis, dict(zip(slots, values)))
 
 
 def test_factor_set_identity_row():
@@ -279,3 +291,11 @@ def test_table_csv_shape():
     assert rows[0][1 + loop.half] == "-"
     body = {cell for row in rows[1:] for cell in row[1:]}
     assert body == set(rows[0][1:])  # the table is closed over the headers
+
+
+def test_loop_table_csv_ignores_padding():
+    gens = ENTRIES["C4_1"].generators
+    small = loop_table_csv(build_loop(CodeBasis.from_positions(8, gens)))
+    padded = loop_table_csv(build_loop(CodeBasis.from_positions(200_000, gens)))
+    assert padded == small
+    assert small.count("\n") == 33

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
+
 import pytest
 
 from conftest import random_doubly_even_basis
@@ -20,8 +23,10 @@ from loopforge.charvec import (
 )
 from loopforge.errors import DegenerateBasis, InfeasibleProfile, NotReduced, UnsupportedRank
 from loopforge.gf2 import (
+    Sigma,
     WeightProfile,
     canonical_code_signature,
+    class_order,
     class_partition,
     profile_of,
     type_vector,
@@ -34,13 +39,42 @@ from loopforge.search import (
     congruence_targets,
     enumerate_reduced,
     minimal_representations,
-    profile_from_sizes,
-    solve_system_rank3,
-    solve_system_rank4,
+    solve_system,
     _walk_class_sizes,
 )
 
 ALL_LOOPS = [LoopClassId(3, i) for i in range(1, 6)] + [LoopClassId(4, i) for i in range(1, 17)]
+
+
+@lru_cache(maxsize=8)
+def _incidence(n: int) -> dict[Sigma, tuple[int, ...]]:
+    """For each index set sigma, the class_order positions of its supersets."""
+    order = class_order(n)
+    sigmas = [
+        s
+        for size in range(1, n + 1)
+        for s in combinations(range(1, n + 1), size)
+    ]
+    return {
+        s: tuple(p for p, tau in enumerate(order) if set(s) <= set(tau)) for s in sigmas
+    }
+
+
+def profile_from_sizes(sizes: ClassSizes) -> WeightProfile:
+    """Oracle for ``solve_system``: meet weights t_sigma = sum of x_tau over tau
+    containing sigma."""
+    n = sizes.rank
+    inc = _incidence(n)
+    counts = sizes.counts
+
+    def t(sigma: Sigma) -> int:
+        return sum(counts[p] for p in inc[sigma])
+
+    singles = tuple(t((i,)) for i in range(1, n + 1))
+    pairs = tuple(t(p) for p in combinations(range(1, n + 1), 2))
+    triples = tuple(t(tr) for tr in combinations(range(1, n + 1), 3))
+    quad = t((1, 2, 3, 4)) if n == 4 else None
+    return WeightProfile(n, singles, pairs, triples, quad)
 
 
 def worked_profile() -> WeightProfile:
@@ -63,7 +97,7 @@ def test_congruence_targets_rank3():
 
 def test_solve_rank3_all_singletons():
     profile = WeightProfile(3, singles=(4, 4, 4), pairs=(2, 2, 2), triples=(1,))
-    sizes = solve_system_rank3(profile)
+    sizes = solve_system(profile)
     assert sizes.counts == (1,) * 7
     assert sizes.degree == 7
 
@@ -71,26 +105,26 @@ def test_solve_rank3_all_singletons():
 def test_solve_rank3_infeasible():
     profile = WeightProfile(3, singles=(4, 4, 4), pairs=(2, 2, 2), triples=(3,))
     with pytest.raises(InfeasibleProfile):
-        solve_system_rank3(profile)
+        solve_system(profile)
 
 
 def test_solve_rank3_not_reduced():
     profile = WeightProfile(3, singles=(16, 16, 16), pairs=(10, 10, 10), triples=(1,))
     with pytest.raises(NotReduced):
-        solve_system_rank3(profile)
+        solve_system(profile)
 
 
 def test_solve_rank3_mid_example():
     # degree comes out at 11: this is the vector data of the third loop
     profile = WeightProfile(3, singles=(8, 8, 8), pairs=(6, 6, 6), triples=(5,))
-    sizes = solve_system_rank3(profile)
+    sizes = solve_system(profile)
     assert sizes[(1, 2)] == sizes[(1, 3)] == sizes[(2, 3)] == 1
     assert sizes[(1,)] == sizes[(2,)] == sizes[(3,)] == 1
     assert sizes.degree == 11
 
 
 def test_solve_rank4_worked_example():
-    sizes = solve_system_rank4(worked_profile())
+    sizes = solve_system(worked_profile())
     solution = (
         sizes[(1, 2, 3)], sizes[(1, 2, 4)], sizes[(1, 3, 4)], sizes[(2, 3, 4)],
         sizes[(1, 2)], sizes[(1, 3)], sizes[(1, 4)], sizes[(2, 3)], sizes[(2, 4)],
@@ -101,7 +135,7 @@ def test_solve_rank4_worked_example():
 
 def test_solve_rank4_zero_profile_degenerate_downstream():
     profile = WeightProfile(4, singles=(0,) * 4, pairs=(0,) * 6, triples=(0,) * 4, quad=0)
-    sizes = solve_system_rank4(profile)
+    sizes = solve_system(profile)
     assert sizes.degree == 0
     with pytest.raises(DegenerateBasis):
         assemble_representation(sizes)
@@ -113,14 +147,14 @@ def test_solution_reconstructs_weights(rng):
         basis = random_doubly_even_basis(rng, rank, rng.randrange(3 + 2 * rank, 20))
         profile = profile_of(basis)
         try:
-            sizes = solve_system_rank3(profile) if rank == 3 else solve_system_rank4(profile)
+            sizes = solve_system(profile)
         except NotReduced:
             continue  # random codes may have large classes; not our concern here
         assert profile_from_sizes(sizes) == profile
 
 
 def test_assemble_worked_example_byte_exact():
-    sizes = solve_system_rank4(worked_profile())
+    sizes = solve_system(worked_profile())
     basis = assemble_representation(sizes)
     assert tuple(g.positions for g in basis.generators) == WORKED_EXAMPLE_GENERATORS
 
@@ -241,8 +275,6 @@ def test_remark_exclusions_hold_in_rank3_outputs():
 
 def test_solve_round_trip_on_enumerated_representations():
     # solving the weight system of an emitted basis recovers its class sizes
-    from loopforge.search import solve_system
-
     cv3 = representative(LoopClassId(3, 4))
     sample3 = list(enumerate_reduced(cv3))[::7]
     cv4 = representative(LoopClassId(4, 14))
