@@ -18,6 +18,7 @@ from .charvec import (
     eval_sigma,
     gl_group,
     gl_transform,
+    loop_class,
     normalize_rank4,
     orbit_sizes,
     representative,

@@ -14,21 +14,23 @@ polarization, derived from |u+v| = |u| + |v| - 2|u & v|:
 
 Changing the generating set by an invertible matrix pulls the three forms
 back along the row action, which is how the natural GL(n,2) action on
-characteristic vectors is computed here.  Orbits are enumerated exhaustively
-from a fixed list of class representatives; nonassociative loops of rank 3
-and 4 fall into exactly 5 and 16 orbits respectively.
+characteristic vectors is computed here.  It is GF(2)-linear, so orbits are
+walked on int-packed vectors from fixed class representatives (nonassociative
+loops of rank 3 and 4 fall into 5 and 16 orbits); witnesses are searched for.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterator
 
-from .errors import AssociativeLoop, NotDoublyEven, NotInvertible, UnexpectedRadical, UnsupportedRank
-from .gf2 import CodeBasis, gf2_rank, is_doubly_even
+from .errors import AssociativeLoop, NotDoublyEven, NotInvertible, UnexpectedRadical
+from .errors import UnsupportedRank, quoted
+from .gf2 import CodeBasis, gf2_rank, is_doubly_even, _xor_span
 
 # Orbit representatives of the classified ranks, in the published class
 # order, as shorthand bitstrings (lambda_1..n, then lambda_ij in lexicographic
@@ -91,7 +93,7 @@ class LoopClassId:
                 raise ValueError
             return cls(int(head[1:]), int(idx))
         except (ValueError, IndexError):
-            raise ValueError(f"bad loop id {text!r}; expected e.g. C3_1 or C4_16") from None
+            raise ValueError(f"bad loop id {quoted(text)}; expected e.g. C3_1 or C4_16") from None
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ class CharVector:
         orbit_representatives(rank)  # shorthand exists for the classified ranks only
         want = rank + comb(rank, 2)
         if len(text) != want or set(text) - {"0", "1"}:
-            raise ValueError(f"rank-{rank} shorthand needs {want} bits, got {text!r}")
+            raise ValueError(f"rank-{rank} shorthand needs {want} bits, got {quoted(text)}")
         bits = tuple(int(c) for c in text)
         return cls(rank, bits[:rank], bits[rank:], shorthand_alpha(rank))
 
@@ -151,7 +153,7 @@ class CharVector:
         n = rank
         counts = (n, comb(n, 2), comb(n, 3))
         if len(text) != sum(counts) or set(text) - {"0", "1"}:
-            raise ValueError(f"rank-{rank} full form needs {sum(counts)} bits, got {text!r}")
+            raise ValueError(f"rank-{rank} full form needs {sum(counts)} bits, got {quoted(text)}")
         bits = tuple(int(c) for c in text)
         return cls(rank, bits[: counts[0]], bits[counts[0] : counts[0] + counts[1]], bits[counts[0] + counts[1] :])
 
@@ -181,6 +183,7 @@ def char_vector_of(basis: CodeBasis) -> CharVector:
 # Polarized evaluation at arbitrary coefficient vectors (int masks, bit i-1 = e_i)
 
 
+@lru_cache(maxsize=1024)
 def _mask_bits(x: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if x >> i & 1)
 
@@ -190,12 +193,15 @@ def _check_mask(x: int, n: int) -> None:
         raise ValueError(f"coefficient mask {x} outside rank-{n} space")
 
 
-@lru_cache(maxsize=256)
-def _coordinate_maps(cv: CharVector):
-    n = cv.rank
-    bmap = dict(zip(combinations(range(n), 2), cv.beta))
-    amap = dict(zip(combinations(range(n), 3), cv.alpha))
-    return bmap, amap
+@lru_cache(maxsize=None)
+def _positions(n: int) -> dict[tuple[int, ...], int]:
+    """Where beta and alpha hold the coordinate of two or three distinct
+    generator indices, for every order of the indices."""
+    where: dict[tuple[int, ...], int] = {}
+    for size in (2, 3):
+        for pos, idx in enumerate(combinations(range(n), size)):
+            where.update(dict.fromkeys(permutations(idx), pos))
+    return where
 
 
 def eval_alpha(cv: CharVector, x: int, y: int, z: int) -> int:
@@ -203,13 +209,14 @@ def eval_alpha(cv: CharVector, x: int, y: int, z: int) -> int:
     n = cv.rank
     for m in (x, y, z):
         _check_mask(m, n)
-    _, amap = _coordinate_maps(cv)
+    where = _positions(n)
+    alpha = cv.alpha
     total = 0
     for i in _mask_bits(x, n):
         for j in _mask_bits(y, n):
             for k in _mask_bits(z, n):
                 if i != j and j != k and i != k:
-                    total ^= amap[tuple(sorted((i, j, k)))]
+                    total ^= alpha[where[i, j, k]]
     return total
 
 
@@ -218,22 +225,23 @@ def eval_beta(cv: CharVector, x: int, y: int) -> int:
     n = cv.rank
     _check_mask(x, n)
     _check_mask(y, n)
-    bmap, amap = _coordinate_maps(cv)
+    where = _positions(n)
+    beta, alpha = cv.beta, cv.alpha
     xs = _mask_bits(x, n)
     ys = _mask_bits(y, n)
     total = 0
     for i in xs:
         for j in ys:
             if i != j:
-                total ^= bmap[tuple(sorted((i, j)))]
+                total ^= beta[where[i, j]]
     for i, j in combinations(xs, 2):
         for k in ys:
             if k != i and k != j:
-                total ^= amap[tuple(sorted((i, j, k)))]
+                total ^= alpha[where[i, j, k]]
     for i in xs:
         for j, k in combinations(ys, 2):
             if i != j and i != k:
-                total ^= amap[tuple(sorted((i, j, k)))]
+                total ^= alpha[where[i, j, k]]
     return total
 
 
@@ -241,16 +249,15 @@ def eval_sigma(cv: CharVector, x: int) -> int:
     """Square form; polarizes with beta as its defect."""
     n = cv.rank
     _check_mask(x, n)
-    bmap, amap = _coordinate_maps(cv)
+    where = _positions(n)
     xs = _mask_bits(x, n)
     total = 0
-    for i, s in enumerate(cv.sigma):
-        if x >> i & 1:
-            total ^= s
+    for i in xs:
+        total ^= cv.sigma[i]
     for i, j in combinations(xs, 2):
-        total ^= bmap[(i, j)]
+        total ^= cv.beta[where[i, j]]
     for i, j, k in combinations(xs, 3):
-        total ^= amap[(i, j, k)]
+        total ^= cv.alpha[where[i, j, k]]
     return total
 
 
@@ -309,15 +316,17 @@ class GLMatrix:
 
 @lru_cache(maxsize=None)
 def gl_group(n: int) -> tuple[GLMatrix, ...]:
-    """All invertible n x n matrices over GF(2), in a fixed deterministic order."""
+    """All invertible n x n matrices over GF(2), ordered by their last row,
+    then the row before it, and so on (each ascending as an int mask)."""
     if n > 4:
         raise UnsupportedRank("GL(n,2) enumeration is capped at n = 4")
-    mats = []
-    for bits in range(1 << (n * n)):
-        rows = tuple((bits >> (n * i)) & ((1 << n) - 1) for i in range(n))
-        if gf2_rank(rows) == n:
-            mats.append(GLMatrix(n, rows))
-    return tuple(mats)
+    every = range(1, 1 << n)
+    found: list[tuple[int, ...]] = [()]
+    for _ in range(n):  # put row i before rows i+1..n-1, outside their span
+        found = [
+            (r,) + rows for rows in found for r in every if gf2_rank((r,) + rows) == len(rows) + 1
+        ]
+    return tuple(GLMatrix(n, rows) for rows in found)
 
 
 def gl_transform(cv: CharVector, g: GLMatrix) -> CharVector:
@@ -348,45 +357,46 @@ def enumerate_nonassociative(n: int) -> Iterator[CharVector]:
                     yield CharVector(n, sigma, beta, alpha)
 
 
-@lru_cache(maxsize=8)
-def _form_tables(cv: CharVector):
-    """Dense tables of the three polarized forms over all coefficient masks."""
-    n = cv.rank
-    size = 1 << n
-    S = [eval_sigma(cv, x) for x in range(size)]
-    B = [[eval_beta(cv, x, y) for y in range(size)] for x in range(size)]
-    A = [[[eval_alpha(cv, x, y, z) for z in range(size)] for y in range(size)] for x in range(size)]
-    return S, B, A
+def _pack(cv: CharVector) -> int:
+    """The coordinates of ``cv.bits()`` as one int, coordinate k at bit k."""
+    return int(cv.bits()[::-1], 2)
 
 
+def _packed_action(g: GLMatrix) -> list[int]:
+    """``gl_transform(., g)`` on every packed vector, built from the images
+    of the unit vectors because the action is GF(2)-linear."""
+    n = g.rank
+    length = n + comb(n, 2) + comb(n, 3)
+    units = (CharVector.from_bits(n, "0" * k + "1" + "0" * (length - k - 1)) for k in range(length))
+    return _xor_span([_pack(gl_transform(unit, g)) for unit in units])
+
+
+@lru_cache(maxsize=None)
 def representative(class_id: LoopClassId) -> CharVector:
     short = orbit_representatives(class_id.rank)[class_id.index - 1]
     return CharVector.from_shorthand(class_id.rank, short)
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(n: int) -> dict[CharVector, tuple[int, GLMatrix]]:
-    """Map every nonassociative vector to (class index, matrix sending the
-    class representative to it).  Built by walking each representative's
-    orbit over the whole of GL(n,2); first writer wins, so the witness choice
-    is deterministic."""
-    reps = orbit_representatives(n)
-    group = gl_group(n)
-    pair_idx = tuple((i, j) for i, j in combinations(range(n), 2))
-    triple_idx = tuple((i, j, k) for i, j, k in combinations(range(n), 3))
-    table: dict[CharVector, tuple[int, GLMatrix]] = {}
-    for index, short in enumerate(reps, start=1):
-        rep = CharVector.from_shorthand(n, short)
-        S, B, A = _form_tables(rep)
-        # identity first, so a representative's own witness is the identity
-        for g in (GLMatrix.identity(n),) + group:
-            rows = g.rows
-            sigma = tuple(S[r] for r in rows)
-            beta = tuple(B[rows[i]][rows[j]] for i, j in pair_idx)
-            alpha = tuple(A[rows[i]][rows[j]][rows[k]] for i, j, k in triple_idx)
-            cv = CharVector(n, sigma, beta, alpha)
-            if cv not in table:
-                table[cv] = (index, g)
+def _orbit_table(n: int) -> dict[int, int]:
+    """Map every packed nonassociative vector (``_pack``) to its class index,
+    walking each representative's orbit breadth-first under two generators of
+    GL(n,2) applied through their action tables.  The coverage check also
+    confirms that the two matrices generate GL(n,2)."""
+    unit = tuple(1 << i for i in range(n))
+    transvection = GLMatrix(n, (unit[0] | unit[1],) + unit[1:])
+    shift = GLMatrix(n, unit[1:] + unit[:1])
+    generators = (_packed_action(transvection), _packed_action(shift))
+    table: dict[int, int] = {}
+    for index in range(1, len(orbit_representatives(n)) + 1):
+        orbit = [_pack(representative(LoopClassId(n, index)))]
+        table[orbit[0]] = index
+        for v in orbit:  # appended to while walked: a breadth-first queue
+            for action in generators:
+                w = action[v]
+                if w not in table:
+                    table[w] = index
+                    orbit.append(w)
     if len(table) != nonassociative_count(n):
         raise RuntimeError(f"rank-{n} orbits cover {len(table)} vectors, not all")
     return table
@@ -394,26 +404,80 @@ def _orbit_table(n: int) -> dict[CharVector, tuple[int, GLMatrix]]:
 
 def orbit_sizes(n: int) -> dict[LoopClassId, int]:
     """Orbit cardinalities of the classified loops of rank n."""
-    sizes: dict[LoopClassId, int] = {}
-    for _, (index, _) in _orbit_table(n).items():
-        cid = LoopClassId(n, index)
-        sizes[cid] = sizes.get(cid, 0) + 1
-    return dict(sorted(sizes.items(), key=lambda kv: kv[0].index))
+    sizes = Counter(_orbit_table(n).values())
+    return {LoopClassId(n, index): sizes[index] for index in sorted(sizes)}
+
+
+@lru_cache(maxsize=None)
+def _rep_tables(rep: CharVector) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
+    """The nonzero masks r of a representative's space as bitmask sets, by
+    sigma(r), by beta(r, y) for each y, and by alpha(r, y, z) for each y, z."""
+    size = 1 << rep.rank
+    AM = _alpha_masks(rep)
+    by_sigma = [0, 0]
+    by_beta = [[0, 0] for _ in range(size)]
+    by_alpha = [[[0, 0] for _ in range(size)] for _ in range(size)]
+    for r in range(1, size):
+        bit = 1 << r
+        by_sigma[eval_sigma(rep, r)] |= bit
+        for y in range(size):
+            by_beta[y][eval_beta(rep, r, y)] |= bit
+            for z in range(size):
+                by_alpha[y][z][(AM[y][z] & r).bit_count() & 1] |= bit
+    return by_sigma, by_beta, by_alpha
+
+
+def _first_matrix(rep: CharVector, cv: CharVector) -> GLMatrix:
+    """The first g in ``gl_group`` order with gl_transform(rep, g) == cv: rows
+    chosen last to first, each the least mask outside the span of the later
+    rows whose sigma, and beta and alpha with those rows, match cv's."""
+    n = cv.rank
+    by_sigma, by_beta, by_alpha = _rep_tables(rep)
+    where = _positions(n)
+    rows = [0] * n
+
+    def place(i: int, span: list[int]) -> bool:
+        if i < 0:
+            return True
+        fits = by_sigma[cv.sigma[i]]
+        for j in range(i + 1, n):
+            fits &= by_beta[rows[j]][cv.beta[where[i, j]]]
+            for k in range(j + 1, n):
+                fits &= by_alpha[rows[j]][rows[k]][cv.alpha[where[i, j, k]]]
+        for x in span:
+            fits &= ~(1 << x)
+        while fits:  # ascending over the set bits
+            low = fits & -fits
+            fits ^= low
+            rows[i] = r = low.bit_length() - 1
+            if place(i - 1, span + [x ^ r for x in span]):
+                return True
+        return False
+
+    if not place(n - 1, [0]):
+        raise RuntimeError(f"no basis change sends {rep.bits()} to {cv.bits()}")
+    return GLMatrix(n, tuple(rows))
+
+
+def loop_class(cv: CharVector) -> LoopClassId:
+    """Class of a nonassociative vector of a classified rank (no witness)."""
+    orbit_representatives(cv.rank)  # rejects unclassified ranks
+    if not cv.nonassociative:
+        raise AssociativeLoop("associative vector: every associator sign is trivial")
+    return LoopClassId(cv.rank, _orbit_table(cv.rank)[_pack(cv)])
 
 
 def canonicalize(cv: CharVector) -> tuple[LoopClassId, CharVector, GLMatrix]:
     """Classify a nonassociative vector of a classified rank.
 
     Returns the class id, its fixed orbit representative, and a witness w
-    with gl_transform(cv, w) equal to the representative.
+    with gl_transform(cv, w) equal to the representative (the inverse of the
+    first matrix of (identity,) + gl_group(n) sending the representative to cv).
     """
-    orbit_representatives(cv.rank)  # rejects unclassified ranks
-    if not cv.nonassociative:
-        raise AssociativeLoop("associative vector: every associator sign is trivial")
-    index, g = _orbit_table(cv.rank)[cv]
-    witness = g.inverse()
-    class_id = LoopClassId(cv.rank, index)
+    class_id = loop_class(cv)
     rep = representative(class_id)
+    g = GLMatrix.identity(cv.rank) if cv == rep else _first_matrix(rep, cv)
+    witness = g.inverse()
     if gl_transform(cv, witness) != rep:
         raise RuntimeError(f"witness of {class_id} does not reach its representative")
     return class_id, rep, witness
@@ -423,17 +487,24 @@ def canonicalize(cv: CharVector) -> tuple[LoopClassId, CharVector, GLMatrix]:
 # Associator radical and rank-4 normalization
 
 
+@lru_cache(maxsize=64)
+def _alpha_masks(cv: CharVector) -> list[list[int]]:
+    """AM[x][y], the n-bit mask with alpha(x, y, z) = parity(AM[x][y] & z),
+    extended bilinearly from the associator coordinates."""
+    n = cv.rank
+    basic = [[0] * n for _ in range(n)]  # AM[e_i][e_j]
+    for triple, a in zip(combinations(range(n), 3), cv.alpha):
+        for i, j, k in permutations(triple) if a else ():
+            basic[i][j] |= 1 << k
+    AM = [[0] * (1 << n)]
+    for row in map(_xor_span, basic):  # row[y] = AM[e_i][y]
+        AM += [[a ^ b for a, b in zip(prev, row)] for prev in AM]
+    return AM
+
+
 def alpha_radical(cv: CharVector) -> frozenset[int]:
     """{x : alpha(x, y, z) = 0 for all y, z}, as a set of coefficient masks."""
-    n = cv.rank
-    size = 1 << n
-    _, _, A = _form_tables(cv)
-    rad = [
-        x
-        for x in range(size)
-        if all(A[x][y][z] == 0 for y in range(size) for z in range(size))
-    ]
-    return frozenset(rad)
+    return frozenset(x for x, row in enumerate(_alpha_masks(cv)) if not any(row))
 
 
 def normalize_rank4(cv: CharVector) -> tuple[CharVector, GLMatrix]:

@@ -9,9 +9,8 @@ failure.  Identical inputs produce byte-identical primary output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import fileio, render
 from .catalog import ENTRIES
@@ -21,11 +20,12 @@ from .charvec import (
     LoopClassId,
     canonicalize,
     char_vector_of,
+    loop_class,
     normalize_rank4,
     orbit_sizes,
     representative,
 )
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, quoted
 from .gf2 import CodeBasis, class_partition
 from .loops import build_loop, is_moufang, loop_table_csv
 from .search import enumerate_reduced, minimal_representations
@@ -47,7 +47,6 @@ class CommandConfig:
     format: str = "text"
     style: str = "ascii"
     max_class_size: int = 7
-    jobs: int = 1
     only: str | None = None
     output: str | None = None
 
@@ -56,13 +55,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage problems exit 1, not argparse's 2
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("LOOPFORGE_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> _Parser:
@@ -77,7 +69,6 @@ def build_parser() -> _Parser:
             p.add_argument("--code", help="path to a code file")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--max-class-size", type=int, default=7)
-        p.add_argument("--jobs", type=int, default=_default_jobs())
         p.add_argument("--output", help="write primary output to this path")
 
     add_common(sub.add_parser("classify", help="name the loop of a vector or code"))
@@ -100,7 +91,7 @@ def _config(args: argparse.Namespace) -> CommandConfig:
     cfg = CommandConfig(command=args.command)
     for field in (
         "rank", "loop", "lam", "code", "format", "style",
-        "max_class_size", "jobs", "only", "output",
+        "max_class_size", "only", "output",
     ):
         if hasattr(args, field):
             setattr(cfg, field, getattr(args, field))
@@ -128,7 +119,7 @@ def _parse_loop_id(text: str, rank: int | None) -> LoopClassId:
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     if rank is not None and rank != class_id.rank:
-        raise ParseError(f"--rank {rank} does not match loop id {text}")
+        raise ParseError(f"--rank {rank} does not match loop id {quoted(text)}")
     return class_id
 
 
@@ -136,7 +127,7 @@ def _load_code(cfg: CommandConfig) -> CodeBasis:
     try:
         basis = fileio.load_code(cfg.code)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {cfg.code}: {exc}") from None
+        raise ParseError(f"cannot read {quoted(cfg.code)}: {getattr(exc, 'strerror', exc)}") from None
     if cfg.rank is not None and basis.rank != cfg.rank:
         raise ParseError(f"--rank {cfg.rank} does not match code rank {basis.rank}")
     return basis
@@ -152,8 +143,7 @@ def _resolve_basis(cfg: CommandConfig) -> CodeBasis:
     if cfg.loop:
         class_id = _parse_loop_id(cfg.loop, cfg.rank)
     else:
-        cv = fileio.parse_lambda(cfg.lam, cfg.rank)
-        class_id, _, _ = canonicalize(cv)
+        class_id = loop_class(fileio.parse_lambda(cfg.lam, cfg.rank))
     return ENTRIES[str(class_id)].basis()
 
 
@@ -214,7 +204,7 @@ def cmd_orbits(cfg: CommandConfig) -> str:
 def cmd_enumerate(cfg: CommandConfig):
     """Streamed: yields one chunk per representation, then a summary record."""
     cv = _normalized(_resolve_vector(cfg))
-    class_id, _, _ = canonicalize(cv)
+    class_id = loop_class(cv)
 
     def stream():
         count = 0
@@ -274,7 +264,7 @@ def cmd_loop(cfg: CommandConfig) -> str:
     if cfg.format == "csv":
         return loop_table_csv(loop)
     cv = char_vector_of(basis)
-    class_id, _, _ = canonicalize(cv) if cv.nonassociative else (None, None, None)
+    class_id = loop_class(cv) if cv.nonassociative else None
     record = {
         "order": loop.order,
         "moufang": is_moufang(loop),
@@ -296,6 +286,7 @@ def cmd_loop(cfg: CommandConfig) -> str:
 
 def cmd_render(cfg: CommandConfig) -> str:
     basis = _resolve_basis(cfg)
+    render.check_rank(basis.rank)  # before the 2^n - 1 blocks of the partition
     partition = class_partition(basis)
     if cfg.style == "svg":
         return render.render_svg(partition)
@@ -303,27 +294,17 @@ def cmd_render(cfg: CommandConfig) -> str:
 
 
 def cmd_verify(cfg: CommandConfig) -> tuple[str, int]:
-    results = run_claims(only=cfg.only, jobs=cfg.jobs)
+    results = run_claims(only=cfg.only)
+    code = EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
+    if cfg.format == "json":
+        return fileio.dumps([asdict(res) for res in results]), code
     lines = []
-    failed = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         lines.append(f"{status} {res.claim}: {res.detail}")
         for miss in res.mismatches:
             lines.append(f"     mismatch: {miss}")
-        failed = failed or not res.passed
-    if cfg.format == "json":
-        payload = [
-            {
-                "claim": r.claim,
-                "passed": r.passed,
-                "detail": r.detail,
-                "mismatches": list(r.mismatches),
-            }
-            for r in results
-        ]
-        return fileio.dumps(payload), EXIT_VERIFY if failed else EXIT_OK
-    return "\n".join(lines) + "\n", EXIT_VERIFY if failed else EXIT_OK
+    return "\n".join(lines) + "\n", code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,6 +5,13 @@
 """
 
 
+def quoted(text: str) -> str:
+    """``repr`` of text; past 40 characters, the first 40 and the length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 class LoopforgeError(Exception):
     """Base class for all package errors."""
 

@@ -20,7 +20,7 @@ from math import comb
 from typing import Any
 
 from .charvec import REPRESENTATIVES, CharVector, GLMatrix, LoopClassId
-from .errors import ParseError
+from .errors import ParseError, quoted
 from .gf2 import CodeBasis, Codeword
 from .search import MinimalReport, ReducedRepresentation
 
@@ -35,7 +35,7 @@ def parse_code_text(text: str) -> CodeBasis:
         m = int(fields["m"])
         n = int(fields["n"])
     except (ValueError, KeyError):
-        raise ParseError(f"bad header {lines[0]!r}; expected 'm=<int> n=<int>'") from None
+        raise ParseError(f"bad header {quoted(lines[0])}; expected 'm=<int> n=<int>'") from None
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} generator lines, found {len(lines) - 1}")
     generators = []
@@ -53,7 +53,7 @@ def parse_code_text(text: str) -> CodeBasis:
                 positions = [int(p) for p in ln.split(",")]
                 generators.append(Codeword.from_positions(m, positions))
             except ValueError as exc:
-                raise ParseError(f"bad generator line {ln!r}: {exc}") from None
+                raise ParseError(f"bad generator line {quoted(ln)}: {exc}") from None
     return CodeBasis(m, tuple(generators))
 
 

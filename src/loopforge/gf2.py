@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations, compress, count
 from typing import Iterable, Sequence
 
-from .errors import DegenerateBasis, EmptyMeet, NotCovering, UnsupportedRank
+from .errors import DegenerateBasis, EmptyMeet, NotCovering, UnsupportedRank, quoted
 
 Sigma = tuple[int, ...]
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -53,7 +53,7 @@ class Codeword:
     @classmethod
     def from_bitstring(cls, text: str) -> "Codeword":
         if set(text) - {"0", "1"}:
-            raise ValueError(f"not a bitstring: {text!r}")
+            raise ValueError(f"not a bitstring: {quoted(text)}")
         return cls(len(text), int(text[::-1] or "0", 2))
 
     @property
@@ -181,15 +181,17 @@ class CodeBasis:
         return f"CodeBasis(m={self.length}, [{gens}])"
 
 
+def _xor_span(columns: Sequence[int]) -> list[int]:
+    """Entry x is the xor of the columns[j] with bit j set in x."""
+    out = [0]
+    for col in columns:
+        out += [x ^ col for x in out]
+    return out
+
+
 def span(basis: CodeBasis) -> tuple[Codeword, ...]:
     """All 2^n linear combinations, indexed by coefficient mask (bit i-1 = v_i)."""
-    n = basis.rank
-    masks = basis.masks
-    out = [0] * (1 << n)
-    for c in range(1, 1 << n):
-        low = c & -c
-        out[c] = out[c ^ low] ^ masks[low.bit_length() - 1]
-    return tuple(Codeword(basis.length, b) for b in out)
+    return tuple(Codeword(basis.length, b) for b in _xor_span(basis.masks))
 
 
 def is_doubly_even(basis: CodeBasis) -> bool:
@@ -399,18 +401,16 @@ def _gl_label_perms(n: int) -> tuple[tuple[int, ...], ...]:
     """For each GL(n,2) element, its action on nonzero label masks.
 
     A basis change with row masks r_i sends a position's label chi to the
-    mask whose bit i is the parity of r_i & chi.
+    mask whose bit i is the parity of r_i & chi.  That is linear in chi: the
+    xor of the transposed columns (bit i set when r_i holds bit b) picked
+    by the bits b of chi.
     """
     from .charvec import gl_group  # local import to avoid a module cycle
 
     perms = []
     for g in gl_group(n):
-        rows = g.rows
-        perm = tuple(
-            sum(((_popcount(rows[i] & tau) & 1) << i) for i in range(n))
-            for tau in range(1, 1 << n)
-        )
-        perms.append(perm)
+        columns = [sum((r >> b & 1) << i for i, r in enumerate(g.rows)) for b in range(n)]
+        perms.append(tuple(_xor_span(columns)[1:]))
     return tuple(perms)
 
 

@@ -22,7 +22,7 @@ import io
 from dataclasses import dataclass
 from typing import Mapping
 
-from .charvec import canonicalize, char_vector_of
+from .charvec import char_vector_of, loop_class
 from .errors import NoFactorSet, NotDoublyEven, UnsupportedRank
 from .gf2 import Codeword, CodeBasis, is_doubly_even, span
 
@@ -252,9 +252,7 @@ def is_moufang(loop: CodeLoop) -> bool:
 
 def loops_isomorphic(a: CodeBasis, b: CodeBasis) -> bool:
     """Classification-level isomorphism: equal orbit class ids."""
-    ca, _, _ = canonicalize(char_vector_of(a))
-    cb, _, _ = canonicalize(char_vector_of(b))
-    return ca == cb
+    return loop_class(char_vector_of(a)) == loop_class(char_vector_of(b))
 
 
 def loop_table_csv(loop: CodeLoop) -> str:

@@ -33,12 +33,15 @@ def _summary(partition: ClassPartition) -> str:
     return f"m={partition.length}  nonempty classes: {nonempty}"
 
 
+def check_rank(rank: int) -> None:
+    """Diagrams exist for ranks 3 and 4 only; check before partitioning."""
+    if rank not in (3, 4):
+        raise UnsupportedRank("diagrams exist for ranks 3 and 4")
+
+
 def render_ascii(partition: ClassPartition) -> str:
-    if partition.rank == 3:
-        return _ascii_rank3(partition)
-    if partition.rank == 4:
-        return _ascii_rank4(partition)
-    raise UnsupportedRank("diagrams exist for ranks 3 and 4")
+    check_rank(partition.rank)
+    return _ascii_rank3(partition) if partition.rank == 3 else _ascii_rank4(partition)
 
 
 def _ascii_rank3(partition: ClassPartition) -> str:
@@ -131,11 +134,8 @@ def _svg_text(x: float, y: float, text: str, size: int = 12, anchor: str = "midd
 
 
 def render_svg(partition: ClassPartition) -> str:
-    if partition.rank == 3:
-        return _svg_rank3(partition)
-    if partition.rank == 4:
-        return _svg_rank4(partition)
-    raise UnsupportedRank("diagrams exist for ranks 3 and 4")
+    check_rank(partition.rank)
+    return _svg_rank3(partition) if partition.rank == 3 else _svg_rank4(partition)
 
 
 def _positions_text(partition: ClassPartition, sigma: Sigma) -> str:

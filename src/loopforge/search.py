@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .charvec import CharVector, LoopClassId, canonicalize, char_vector_of, orbit_representatives
+from .charvec import CharVector, LoopClassId, char_vector_of, loop_class, orbit_representatives
 from .errors import (
     AssociativeLoop,
     InfeasibleProfile,
@@ -270,7 +270,7 @@ def minimal_representations(
 ) -> MinimalReport:
     """Search the reduced family for the least degree and deduplicate."""
     _require_normalized(cv)
-    loop_id, _, _ = canonicalize(cv)
+    loop_id = loop_class(cv)
     # depth-first branch and bound: the incumbent is the least degree of a
     # nondegenerate leaf so far; branches strictly above it are cut, so ties
     # survive and arrive in lexicographic counts order

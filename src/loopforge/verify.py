@@ -10,8 +10,7 @@ exhibiting exactly the analyzed defects or if any other entry acquires one.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -19,18 +18,17 @@ from . import catalog
 from .charvec import (
     CharVector,
     LoopClassId,
-    REPRESENTATIVES,
     canonicalize,
     char_vector_of,
     enumerate_nonassociative,
+    loop_class,
     nonassociative_count,
     orbit_representatives,
     pair_index,
     representative,
-    _orbit_table,
 )
 from .errors import LoopforgeError
-from .gf2 import WeightProfile, class_order, codes_equivalent, is_doubly_even, _gl_label_perms
+from .gf2 import WeightProfile, class_order, codes_equivalent, is_doubly_even
 from .loops import build_loop, is_moufang
 from .search import MinimalReport, assemble_representation, minimal_representations, solve_system
 
@@ -59,38 +57,26 @@ def minimal_report_for(loop: str) -> MinimalReport:
 
 
 def _claim_orbits(rank: int) -> ClaimResult:
-    name = f"rank{rank}-orbits"
     reps = orbit_representatives(rank)
     expected_total = nonassociative_count(rank)
     mismatches: list[str] = []
-    orbit_members: dict[int, int] = {}
-    rep_hits: dict[int, int] = {}
-    total = 0
-    for cv in enumerate_nonassociative(rank):
-        total += 1
-        class_id, _, _ = canonicalize(cv)
-        orbit_members[class_id.index] = orbit_members.get(class_id.index, 0) + 1
+    members = Counter(loop_class(cv).index for cv in enumerate_nonassociative(rank))
+    total = sum(members.values())
     if total != expected_total:
         mismatches.append(f"enumerated {total} vectors, expected {expected_total}")
-    if len(orbit_members) != len(reps):
-        mismatches.append(f"found {len(orbit_members)} orbits, expected {len(reps)}")
-    if sum(orbit_members.values()) != expected_total:
-        mismatches.append("orbit sizes do not sum to the vector count")
+    if len(members) != len(reps):
+        mismatches.append(f"found {len(members)} orbits, expected {len(reps)}")
+    # each representative is its own class's, with the identity witness
     for index, short in enumerate(reps, start=1):
         cv = CharVector.from_shorthand(rank, short)
         cid, rep, witness = canonicalize(cv)
-        rep_hits[cid.index] = rep_hits.get(cid.index, 0) + 1
-        if cid.index != index or rep != cv or witness.rows != tuple(
-            1 << i for i in range(rank)
-        ):
+        if cid.index != index or rep != cv or witness.rows != tuple(1 << i for i in range(rank)):
             mismatches.append(f"representative {short} does not canonicalize to itself")
-    if sorted(rep_hits) != list(range(1, len(reps) + 1)):
-        mismatches.append("orbits do not each contain exactly one representative")
-    sizes = " ".join(f"{i}:{orbit_members.get(i, 0)}" for i in range(1, len(reps) + 1))
+    sizes = " ".join(f"{i}:{members[i]}" for i in range(1, len(reps) + 1))
     return ClaimResult(
-        name,
+        f"rank{rank}-orbits",
         not mismatches,
-        f"{total} vectors in {len(orbit_members)} orbits ({sizes})",
+        f"{total} vectors in {len(members)} orbits ({sizes})",
         tuple(mismatches),
     )
 
@@ -128,7 +114,7 @@ def _check_reference_basis(entry: catalog.ReferenceEntry) -> list[str]:
     basis = entry.basis()
     if not is_doubly_even(basis):
         return [f"{entry.loop}: reference basis is not doubly even"]
-    class_id, _, _ = canonicalize(char_vector_of(basis))
+    class_id = loop_class(char_vector_of(basis))
     if str(class_id) != entry.loop:
         problems.append(f"{entry.loop}: classifies into {class_id}")
     if basis.length != entry.degree or not basis.covers:
@@ -166,7 +152,7 @@ def _published_defect(entry: catalog.ReferenceEntry) -> str:
             if t % 2
         ]
         return "; ".join(odd) or "not doubly even"
-    class_id, _, _ = canonicalize(char_vector_of(basis))
+    class_id = loop_class(char_vector_of(basis))
     return f"classifies into {class_id} at length {basis.length}"
 
 
@@ -299,24 +285,10 @@ def claim_ids() -> tuple[str, ...]:
     return tuple(CLAIMS)
 
 
-def _run_one(name: str) -> ClaimResult:
-    return CLAIMS[name]()
-
-
-def run_claims(only: str | None = None, jobs: int = 1) -> list[ClaimResult]:
+def run_claims(only: str | None = None) -> list[ClaimResult]:
     """Run the suite (or one claim); results come back in declaration order."""
     if only is not None:
         if only not in CLAIMS:
             raise ValueError(f"unknown claim {only!r}; known: {', '.join(CLAIMS)}")
-        names = [only]
-    else:
-        names = list(CLAIMS)
-    workers = min(jobs, len(names), os.cpu_count() or 1)
-    if workers > 1:
-        # warm shared caches so forked workers inherit them
-        for n in REPRESENTATIVES:
-            _orbit_table(n)
-            _gl_label_perms(n)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_one, names))
-    return [_run_one(name) for name in names]
+        return [CLAIMS[only]()]
+    return [claim() for claim in CLAIMS.values()]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
+
 import pytest
 
 from conftest import random_doubly_even_basis, random_gl, transform_basis
@@ -19,6 +22,7 @@ from loopforge.charvec import (
     eval_sigma,
     gl_group,
     gl_transform,
+    loop_class,
     nonassociative_count,
     normalize_rank4,
     orbit_representatives,
@@ -32,7 +36,7 @@ from loopforge.errors import (
     UnsupportedRank,
 )
 from loopforge.fileio import parse_lambda
-from loopforge.gf2 import CodeBasis
+from loopforge.gf2 import CodeBasis, gf2_rank
 
 V1_R3 = CodeBasis.from_positions(7, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7)])
 V5_R3 = CodeBasis.from_positions(
@@ -333,3 +337,83 @@ def test_unclassified_ranks_are_rejected_everywhere():
         with pytest.raises(UnsupportedRank):
             minimal_representations(cv)
         assert not cv.is_normalized
+
+
+# -- the orbit table and its witnesses against a full-group sweep -------------
+
+
+def old_gl_group(n: int) -> list[tuple[int, ...]]:
+    """Rows of GL(n,2) in the library's documented order, as it once built
+    them: every n*n bit pattern ascending, row i read from bits n*i.."""
+    found = []
+    for bits in range(1 << (n * n)):
+        rows = tuple((bits >> (n * i)) & ((1 << n) - 1) for i in range(n))
+        if gf2_rank(rows) == n:
+            found.append(rows)
+    return found
+
+
+@pytest.fixture(scope="module")
+def first_writer() -> dict[CharVector, tuple[int, tuple[int, ...]]]:
+    """Every nonassociative rank-3 and rank-4 vector mapped to its class index
+    and the rows of the first matrix of (identity,) + GL(n,2) that sends the
+    class representative to it: each representative's orbit swept over the
+    whole group, from dense tables of its forms, first writer wins."""
+    table: dict[CharVector, tuple[int, tuple[int, ...]]] = {}
+    for n, reps in REPRESENTATIVES.items():
+        size = 1 << n
+        pairs = tuple(combinations(range(n), 2))
+        triples = tuple(combinations(range(n), 3))
+        group = [GLMatrix.identity(n).rows] + old_gl_group(n)
+        for index, short in enumerate(reps, start=1):
+            rep = CharVector.from_shorthand(n, short)
+            S = [eval_sigma(rep, x) for x in range(size)]
+            B = [[eval_beta(rep, x, y) for y in range(size)] for x in range(size)]
+            A = [[[eval_alpha(rep, x, y, z) for z in range(size)] for y in range(size)] for x in range(size)]
+            for rows in group:
+                cv = CharVector(
+                    n,
+                    tuple(S[r] for r in rows),
+                    tuple(B[rows[i]][rows[j]] for i, j in pairs),
+                    tuple(A[rows[i]][rows[j]][rows[k]] for i, j, k in triples),
+                )
+                table.setdefault(cv, (index, rows))
+    assert len(table) == 64 + 15360
+    return table
+
+
+def test_canonicalize_matches_the_full_group_sweep(first_writer):
+    for cv, (index, rows) in first_writer.items():
+        cid, rep, witness = canonicalize(cv)
+        assert cid == LoopClassId(cv.rank, index)
+        assert rep == CharVector.from_shorthand(cv.rank, REPRESENTATIVES[cv.rank][index - 1])
+        assert witness.rows == GLMatrix(cv.rank, rows).inverse().rows
+
+
+def test_loop_class_is_the_class_of_canonicalize(first_writer):
+    for cv, (index, _) in first_writer.items():
+        assert loop_class(cv) == LoopClassId(cv.rank, index)
+    with pytest.raises(AssociativeLoop):
+        loop_class(CharVector(3, (1, 1, 1), (0, 0, 0), (0,)))
+    for cv in UNCLASSIFIED:
+        with pytest.raises(UnsupportedRank):
+            loop_class(cv)
+
+
+def test_alpha_radical_matches_a_scan(rng):
+    for n in (3, 4):
+        size = 1 << n
+        for _ in range(12):
+            bits = "".join(rng.choice("01") for _ in range(n + comb(n, 2) + comb(n, 3)))
+            cv = CharVector.from_bits(n, bits)
+            scan = {
+                x
+                for x in range(size)
+                if all(eval_alpha(cv, x, y, z) == 0 for y in range(size) for z in range(size))
+            }
+            assert alpha_radical(cv) == scan
+
+
+def test_gl_group_keeps_its_order():
+    for n in (3, 4):
+        assert [g.rows for g in gl_group(n)] == old_gl_group(n)

@@ -253,17 +253,6 @@ def test_byte_identical_reruns(capsys):
     assert a == b
 
 
-def test_jobs_env_default(monkeypatch):
-    from loopforge.cli import build_parser
-
-    monkeypatch.setenv("LOOPFORGE_JOBS", "3")
-    args = build_parser().parse_args(["verify-paper"])
-    assert args.jobs == 3
-    monkeypatch.setenv("LOOPFORGE_JOBS", "junk")
-    args = build_parser().parse_args(["verify-paper"])
-    assert args.jobs == 1
-
-
 def test_enumerate_infeasible_target_empty_stream(capsys):
     # with classes capped at 1 the all-zero vector has no reduced family
     code, out, _ = run(
@@ -284,3 +273,40 @@ def test_max_class_size_flag(capsys):
     assert records[-1]["summary"]["count"] == 1
     code, _, err = run(capsys, "enumerate", "--loop", "C3_1", "--max-class-size", "0")
     assert code == 1
+
+
+def _one_short_error_line(code: int, out: str, err: str) -> None:
+    assert code in (1, 2) and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) <= 300, err[:300]
+
+
+def test_huge_inputs_give_short_errors(capsys, tmp_path):
+    padding = "1," * 500_000
+    for name, text in (
+        ("positions.code", f"m=8 n=1\n{padding}x\n"),
+        ("bitstring.code", "m=1000000 n=1\nb:" + "2" * 1_000_000 + "\n"),
+        ("header.code", "m=8 " + "n" * 1_000_000 + "\n1,2,3,4\n"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        _one_short_error_line(*run(capsys, "classify", "--code", str(path)))
+    for option in ("--lambda", "--loop"):
+        _one_short_error_line(*run(capsys, "classify", option, "C" + "1" * 200_000))
+    _one_short_error_line(*run(capsys, "classify", "--code", str(tmp_path / ("x" * 100_000))))
+    _one_short_error_line(*run(capsys, "classify", "--rank", "3", "--loop", "C4_" + "0" * 4000 + "1"))
+
+
+def test_render_rejects_the_rank_before_partitioning(capsys, tmp_path, monkeypatch):
+    import loopforge.cli as cli
+
+    def forbidden(basis):
+        raise AssertionError("class_partition was called")
+
+    monkeypatch.setattr(cli, "class_partition", forbidden)
+    path = tmp_path / "rank16.code"  # 16 disjoint weight-4 blocks: doubly even, independent
+    rows = [",".join(str(4 * i + p) for p in (1, 2, 3, 4)) for i in range(16)]
+    path.write_text("m=64 n=16\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "render", "--code", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: UnsupportedRank: diagrams exist for ranks 3 and 4\n"

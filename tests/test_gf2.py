@@ -384,3 +384,19 @@ def test_equivalence_relation_properties(rng):
             for c in bases:
                 if codes_equivalent(a, b) and codes_equivalent(b, c):
                     assert codes_equivalent(a, c)
+
+
+def test_label_perms_keep_their_values():
+    # the definition: row masks r_i send label chi to the mask with bit i = parity(r_i & chi)
+    from loopforge.charvec import gl_group
+    from loopforge.gf2 import _gl_label_perms
+
+    for n in (3, 4):
+        direct = tuple(
+            tuple(
+                sum((((g.rows[i] & tau).bit_count() & 1) << i) for i in range(n))
+                for tau in range(1, 1 << n)
+            )
+            for g in gl_group(n)
+        )
+        assert _gl_label_perms(n) == direct

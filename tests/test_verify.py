@@ -104,56 +104,13 @@ def test_unknown_claim_rejected():
         run_claims(only="no-such-claim")
 
 
-def test_parallel_dispatch_preserves_order(monkeypatch):
+def test_run_claims_preserves_declaration_order(monkeypatch):
     import loopforge.verify as verify
 
-    def slow() -> ClaimResult:
-        import time
-
-        time.sleep(0.05)
-        return ClaimResult("slow", True, "ok")
-
-    def fast() -> ClaimResult:
-        return ClaimResult("fast", True, "ok")
-
-    monkeypatch.setattr(verify, "CLAIMS", {"slow": slow, "fast": fast})
-    serial = verify.run_claims(jobs=1)
-    assert [r.claim for r in serial] == ["slow", "fast"]
-    parallel = verify.run_claims(jobs=2)  # forked workers inherit the patch
-    assert [(r.claim, r.passed) for r in parallel] == [("slow", True), ("fast", True)]
-
-
-def test_worker_count_clamped_to_claims_and_cpus(monkeypatch):
-    import loopforge.verify as verify
-
-    requested = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
-    claims = {name: (lambda n=name: ClaimResult(n, True, "ok")) for name in "abc"}
+    claims = {name: (lambda n=name: ClaimResult(n, True, "ok")) for name in ("b", "a", "c")}
     monkeypatch.setattr(verify, "CLAIMS", claims)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    results = verify.run_claims(jobs=10**6)
-    assert [r.claim for r in results] == ["a", "b", "c"]
-    assert requested == [2]
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
-    verify.run_claims(jobs=10**6)
-    assert requested == [2, 3]
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-    verify.run_claims(jobs=10**6)
-    assert requested == [2, 3]  # one worker: no pool at all
+    assert [r.claim for r in verify.run_claims()] == ["b", "a", "c"]
+    assert [r.claim for r in verify.run_claims(only="a")] == ["a"]
 
 
 def test_expected_misprints_constant():
