@@ -5,12 +5,14 @@ of all squares (sigma part), commutators (beta part) and associators (alpha
 part).  For a doubly even code basis these are read off the meet weights:
 lambda_i = (t_i/4) mod 2, lambda_ij = (t_ij/2) mod 2, lambda_ijk = t_ijk mod 2.
 
-The three parts extend to arbitrary GF(2) coefficient vectors by
-polarization, derived from |u+v| = |u| + |v| - 2|u & v|:
+The three parts extend to arbitrary GF(2) coefficient vectors x.  The square
+form sigma(x) = |u_x|/4 mod 2 of the span's codeword u_x is cubic: by
+inclusion-exclusion it is the xor of the lambda_s over the nonempty s within x,
+|s| <= 3.  One table of it per vector gives the other two forms as its
+differences (from |u+v| = |u| + |v| - 2|u & v|):
 
-    sigma(x+y)   = sigma(x) + sigma(y) + beta(x, y)
-    beta(x+y, z) = beta(x, z) + beta(y, z) + alpha(x, y, z)
-    alpha        is trilinear and alternating.
+    beta(x, y)     = sigma(x+y) + sigma(x) + sigma(y)
+    alpha(x, y, z) = beta(x+y, z) + beta(x, z) + beta(y, z), trilinear.
 
 Changing the generating set by an invertible matrix pulls the three forms
 back along the row action, which is how the natural GL(n,2) action on
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
@@ -180,12 +182,9 @@ def char_vector_of(basis: CodeBasis) -> CharVector:
 
 
 # ---------------------------------------------------------------------------
-# Polarized evaluation at arbitrary coefficient vectors (int masks, bit i-1 = e_i)
+# The forms at arbitrary coefficient vectors (int masks, bit i-1 = e_i)
 
-
-@lru_cache(maxsize=1024)
-def _mask_bits(x: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if x >> i & 1)
+MAX_FORM_RANK = 10  # the square table of a vector has 2^rank entries
 
 
 def _check_mask(x: int, n: int) -> None:
@@ -193,72 +192,48 @@ def _check_mask(x: int, n: int) -> None:
         raise ValueError(f"coefficient mask {x} outside rank-{n} space")
 
 
-@lru_cache(maxsize=None)
-def _positions(n: int) -> dict[tuple[int, ...], int]:
-    """Where beta and alpha hold the coordinate of two or three distinct
-    generator indices, for every order of the indices."""
-    where: dict[tuple[int, ...], int] = {}
-    for size in (2, 3):
-        for pos, idx in enumerate(combinations(range(n), size)):
-            where.update(dict.fromkeys(permutations(idx), pos))
-    return where
+@lru_cache(maxsize=1024)
+def _squares(cv: CharVector) -> tuple[int, ...]:
+    """S[x] = sigma(x) for every mask x: the xor of the coordinates lambda_s
+    over the nonempty s within x, |s| <= 3, by one subset-sum pass."""
+    n = cv.rank
+    if n > MAX_FORM_RANK:
+        raise UnsupportedRank(f"forms are evaluated up to rank {MAX_FORM_RANK}, got {n}")
+    S = [0] * (1 << n)
+    subsets = (s for size in (1, 2, 3) for s in combinations(range(n), size))
+    for s, bit in zip(subsets, cv.sigma + cv.beta + cv.alpha):
+        S[sum(1 << i for i in s)] = bit
+    for b in (1 << i for i in range(n)):  # add in the value at x without b
+        S = [s ^ S[x ^ b] if x & b else s for x, s in enumerate(S)]
+    return tuple(S)
+
+
+def _beta(S: tuple[int, ...], x: int, y: int) -> int:
+    return S[x ^ y] ^ S[x] ^ S[y]
+
+
+def _alpha(S: tuple[int, ...], x: int, y: int, z: int) -> int:
+    return S[x ^ y ^ z] ^ S[x ^ y] ^ S[x ^ z] ^ S[y ^ z] ^ S[x] ^ S[y] ^ S[z]
 
 
 def eval_alpha(cv: CharVector, x: int, y: int, z: int) -> int:
-    """Trilinear alternating extension of the associator coordinates."""
-    n = cv.rank
+    """Associator form: the third difference of the square form."""
     for m in (x, y, z):
-        _check_mask(m, n)
-    where = _positions(n)
-    alpha = cv.alpha
-    total = 0
-    for i in _mask_bits(x, n):
-        for j in _mask_bits(y, n):
-            for k in _mask_bits(z, n):
-                if i != j and j != k and i != k:
-                    total ^= alpha[where[i, j, k]]
-    return total
+        _check_mask(m, cv.rank)
+    return _alpha(_squares(cv), x, y, z)
 
 
 def eval_beta(cv: CharVector, x: int, y: int) -> int:
-    """Commutator form; polarizes with alpha as its defect."""
-    n = cv.rank
-    _check_mask(x, n)
-    _check_mask(y, n)
-    where = _positions(n)
-    beta, alpha = cv.beta, cv.alpha
-    xs = _mask_bits(x, n)
-    ys = _mask_bits(y, n)
-    total = 0
-    for i in xs:
-        for j in ys:
-            if i != j:
-                total ^= beta[where[i, j]]
-    for i, j in combinations(xs, 2):
-        for k in ys:
-            if k != i and k != j:
-                total ^= alpha[where[i, j, k]]
-    for i in xs:
-        for j, k in combinations(ys, 2):
-            if i != j and i != k:
-                total ^= alpha[where[i, j, k]]
-    return total
+    """Commutator form: the second difference of the square form."""
+    _check_mask(x, cv.rank)
+    _check_mask(y, cv.rank)
+    return _beta(_squares(cv), x, y)
 
 
 def eval_sigma(cv: CharVector, x: int) -> int:
-    """Square form; polarizes with beta as its defect."""
-    n = cv.rank
-    _check_mask(x, n)
-    where = _positions(n)
-    xs = _mask_bits(x, n)
-    total = 0
-    for i in xs:
-        total ^= cv.sigma[i]
-    for i, j in combinations(xs, 2):
-        total ^= cv.beta[where[i, j]]
-    for i, j, k in combinations(xs, 3):
-        total ^= cv.alpha[where[i, j, k]]
-    return total
+    """Square form, cubic in x."""
+    _check_mask(x, cv.rank)
+    return _squares(cv)[x]
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +308,12 @@ def gl_transform(cv: CharVector, g: GLMatrix) -> CharVector:
     """Characteristic vector of the same loop w.r.t. the generating set g rows."""
     if g.rank != cv.rank:
         raise ValueError(f"rank mismatch: vector {cv.rank}, matrix {g.rank}")
-    n = cv.rank
+    S = _squares(cv)
     rows = g.rows
-    sigma = tuple(eval_sigma(cv, r) for r in rows)
-    beta = tuple(eval_beta(cv, rows[i], rows[j]) for i, j in combinations(range(n), 2))
-    alpha = tuple(
-        eval_alpha(cv, rows[i], rows[j], rows[k]) for i, j, k in combinations(range(n), 3)
-    )
-    return CharVector(n, sigma, beta, alpha)
+    sigma = tuple(S[r] for r in rows)
+    beta = tuple(_beta(S, x, y) for x, y in combinations(rows, 2))
+    alpha = tuple(_alpha(S, x, y, z) for x, y, z in combinations(rows, 3))
+    return CharVector(cv.rank, sigma, beta, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +386,17 @@ def _rep_tables(rep: CharVector) -> tuple[list[int], list[list[int]], list[list[
     """The nonzero masks r of a representative's space as bitmask sets, by
     sigma(r), by beta(r, y) for each y, and by alpha(r, y, z) for each y, z."""
     size = 1 << rep.rank
-    AM = _alpha_masks(rep)
+    S = _squares(rep)
     by_sigma = [0, 0]
     by_beta = [[0, 0] for _ in range(size)]
     by_alpha = [[[0, 0] for _ in range(size)] for _ in range(size)]
     for r in range(1, size):
         bit = 1 << r
-        by_sigma[eval_sigma(rep, r)] |= bit
+        by_sigma[S[r]] |= bit
         for y in range(size):
-            by_beta[y][eval_beta(rep, r, y)] |= bit
+            by_beta[y][_beta(S, r, y)] |= bit
             for z in range(size):
-                by_alpha[y][z][(AM[y][z] & r).bit_count() & 1] |= bit
+                by_alpha[y][z][_alpha(S, r, y, z)] |= bit
     return by_sigma, by_beta, by_alpha
 
 
@@ -433,17 +406,18 @@ def _first_matrix(rep: CharVector, cv: CharVector) -> GLMatrix:
     rows whose sigma, and beta and alpha with those rows, match cv's."""
     n = cv.rank
     by_sigma, by_beta, by_alpha = _rep_tables(rep)
-    where = _positions(n)
+    C = _squares(cv)  # cv's coordinates are its differences at unit vectors
     rows = [0] * n
 
     def place(i: int, span: list[int]) -> bool:
         if i < 0:
             return True
-        fits = by_sigma[cv.sigma[i]]
+        e = 1 << i
+        fits = by_sigma[C[e]]
         for j in range(i + 1, n):
-            fits &= by_beta[rows[j]][cv.beta[where[i, j]]]
+            fits &= by_beta[rows[j]][_beta(C, e, 1 << j)]
             for k in range(j + 1, n):
-                fits &= by_alpha[rows[j]][rows[k]][cv.alpha[where[i, j, k]]]
+                fits &= by_alpha[rows[j]][rows[k]][_alpha(C, e, 1 << j, 1 << k)]
         for x in span:
             fits &= ~(1 << x)
         while fits:  # ascending over the set bits
@@ -487,24 +461,12 @@ def canonicalize(cv: CharVector) -> tuple[LoopClassId, CharVector, GLMatrix]:
 # Associator radical and rank-4 normalization
 
 
-@lru_cache(maxsize=64)
-def _alpha_masks(cv: CharVector) -> list[list[int]]:
-    """AM[x][y], the n-bit mask with alpha(x, y, z) = parity(AM[x][y] & z),
-    extended bilinearly from the associator coordinates."""
-    n = cv.rank
-    basic = [[0] * n for _ in range(n)]  # AM[e_i][e_j]
-    for triple, a in zip(combinations(range(n), 3), cv.alpha):
-        for i, j, k in permutations(triple) if a else ():
-            basic[i][j] |= 1 << k
-    AM = [[0] * (1 << n)]
-    for row in map(_xor_span, basic):  # row[y] = AM[e_i][y]
-        AM += [[a ^ b for a, b in zip(prev, row)] for prev in AM]
-    return AM
-
-
 def alpha_radical(cv: CharVector) -> frozenset[int]:
-    """{x : alpha(x, y, z) = 0 for all y, z}, as a set of coefficient masks."""
-    return frozenset(x for x, row in enumerate(_alpha_masks(cv)) if not any(row))
+    """{x : alpha(x, y, z) = 0 for all y, z}, as a set of coefficient masks;
+    alpha is trilinear, so unit vectors y and z suffice."""
+    S = _squares(cv)
+    units = tuple(combinations([1 << i for i in range(cv.rank)], 2))
+    return frozenset(x for x in range(len(S)) if not any(_alpha(S, x, y, z) for y, z in units))
 
 
 def normalize_rank4(cv: CharVector) -> tuple[CharVector, GLMatrix]:

@@ -25,7 +25,7 @@ from .charvec import (
     orbit_sizes,
     representative,
 )
-from .errors import DomainError, ParseError, quoted
+from .errors import DomainError, ParseError, clipped, quoted
 from .gf2 import CodeBasis, class_partition
 from .loops import build_loop, is_moufang, loop_table_csv
 from .search import enumerate_reduced, minimal_representations
@@ -53,7 +53,7 @@ class CommandConfig:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage problems exit 1, not argparse's 2
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {clipped(message, 250)}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

@@ -5,6 +5,13 @@
 """
 
 
+def clipped(text: str, limit: int = 40) -> str:
+    """text itself; past ``limit`` characters, the first ``limit`` and the length."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 def quoted(text: str) -> str:
     """``repr`` of text; past 40 characters, the first 40 and the length."""
     if len(text) <= 40:

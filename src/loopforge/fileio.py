@@ -20,7 +20,7 @@ from math import comb
 from typing import Any
 
 from .charvec import REPRESENTATIVES, CharVector, GLMatrix, LoopClassId
-from .errors import ParseError, quoted
+from .errors import ParseError, clipped, quoted
 from .gf2 import CodeBasis, Codeword
 from .search import MinimalReport, ReducedRepresentation
 
@@ -37,13 +37,13 @@ def parse_code_text(text: str) -> CodeBasis:
     except (ValueError, KeyError):
         raise ParseError(f"bad header {quoted(lines[0])}; expected 'm=<int> n=<int>'") from None
     if len(lines) - 1 != n:
-        raise ParseError(f"expected {n} generator lines, found {len(lines) - 1}")
+        raise ParseError(f"expected {clipped(str(n))} generator lines, found {len(lines) - 1}")
     generators = []
     for ln in lines[1:]:
         if ln.startswith("b:"):
             bits = ln[2:]
             if len(bits) != m:
-                raise ParseError(f"bitstring length {len(bits)} != m={m}")
+                raise ParseError(f"bitstring length {len(bits)} != m={clipped(str(m))}")
             try:
                 generators.append(Codeword.from_bitstring(bits))
             except ValueError as exc:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations, compress, count
 from typing import Iterable, Sequence
 
-from .errors import DegenerateBasis, EmptyMeet, NotCovering, UnsupportedRank, quoted
+from .errors import DegenerateBasis, EmptyMeet, NotCovering, UnsupportedRank, clipped, quoted
 
 Sigma = tuple[int, ...]
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -46,7 +46,7 @@ class Codeword:
         bits = 0
         for p in positions:
             if not 1 <= p <= length:
-                raise ValueError(f"position {p} outside 1..{length}")
+                raise ValueError(f"position {clipped(str(p))} outside 1..{clipped(str(length))}")
             bits |= 1 << (p - 1)
         return cls(length, bits)
 
@@ -282,7 +282,7 @@ def class_partition(basis: CodeBasis) -> ClassPartition:
     missing = basis.length - basis.support.weight
     if missing:
         shown = _lowest_unset(basis.support.bits, min(missing, 10))
-        more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
+        more = f" and {clipped(str(missing - len(shown)))} more" if missing > len(shown) else ""
         raise NotCovering(f"positions not covered by any generator: {shown}{more}")
     masks = basis.masks
     blocks = tuple(

@@ -8,7 +8,9 @@ from math import comb
 import pytest
 
 from conftest import random_doubly_even_basis, random_gl, transform_basis
+from loopforge.catalog import ENTRIES
 from loopforge.charvec import (
+    MAX_FORM_RANK,
     CharVector,
     GLMatrix,
     LoopClassId,
@@ -36,7 +38,7 @@ from loopforge.errors import (
     UnsupportedRank,
 )
 from loopforge.fileio import parse_lambda
-from loopforge.gf2 import CodeBasis, gf2_rank
+from loopforge.gf2 import CodeBasis, gf2_rank, span
 
 V1_R3 = CodeBasis.from_positions(7, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7)])
 V5_R3 = CodeBasis.from_positions(
@@ -107,6 +109,42 @@ def test_polarization_identities_exhaustive():
                     assert eval_beta(cv, x ^ y, z) == (
                         eval_beta(cv, x, z) ^ eval_beta(cv, y, z) ^ eval_alpha(cv, x, y, z)
                     )
+
+
+def test_forms_are_the_weights_of_the_span(rng):
+    # sigma, beta and alpha read directly off the codewords u_x of the span,
+    # independent of how the forms are derived from one another
+    bases = [entry.basis() for entry in ENTRIES.values()]
+    for rank in (2, 3, 4, 5):
+        bases += [random_doubly_even_basis(rng, rank, rng.randrange(3 + 2 * rank, 25)) for _ in range(3)]
+    for basis in bases:
+        cv = char_vector_of(basis)
+        u = [w.bits for w in span(basis)]
+        for x, ux in enumerate(u):
+            assert eval_sigma(cv, x) == ux.bit_count() // 4 % 2
+            for y, uy in enumerate(u):
+                assert eval_beta(cv, x, y) == (ux & uy).bit_count() // 2 % 2
+                for z, uz in enumerate(u):
+                    assert eval_alpha(cv, x, y, z) == (ux & uy & uz).bit_count() % 2
+
+
+def test_forms_refuse_ranks_above_the_table_cap():
+    n = MAX_FORM_RANK
+    assert n >= 5
+    cv = CharVector(n, (1,) * n, (0,) * comb(n, 2), (0,) * comb(n, 3))
+    assert eval_sigma(cv, (1 << n) - 1) == n % 2
+    # at rank 40 a table of 2^40 entries could not be built: refusing is quick
+    for n in (MAX_FORM_RANK + 1, 40):
+        cv = CharVector(n, (0,) * n, (0,) * comb(n, 2), (1,) + (0,) * (comb(n, 3) - 1))
+        for call in (
+            lambda: eval_sigma(cv, 1),
+            lambda: eval_beta(cv, 1, 2),
+            lambda: eval_alpha(cv, 1, 2, 4),
+            lambda: gl_transform(cv, GLMatrix.identity(n)),
+            lambda: alpha_radical(cv),
+        ):
+            with pytest.raises(UnsupportedRank, match=f"got {n}$"):
+                call()
 
 
 def test_alpha_trilinear_exhaustive():

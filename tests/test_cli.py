@@ -8,6 +8,7 @@ import pathlib
 import jsonschema
 
 from loopforge.cli import main
+from loopforge.errors import clipped
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -295,6 +296,30 @@ def test_huge_inputs_give_short_errors(capsys, tmp_path):
         _one_short_error_line(*run(capsys, "classify", option, "C" + "1" * 200_000))
     _one_short_error_line(*run(capsys, "classify", "--code", str(tmp_path / ("x" * 100_000))))
     _one_short_error_line(*run(capsys, "classify", "--rank", "3", "--loop", "C4_" + "0" * 4000 + "1"))
+    huge = "x" * 100_000
+    for argv in (("--rank", huge), ("--format", huge), ("--max-class-size", huge), ("--" + huge,)):
+        _one_short_error_line(*run(capsys, "classify", *argv))
+    _one_short_error_line(*run(capsys, huge))
+    digits = "1" * 4000
+    for command, name, text in (
+        ("classify", "position.code", f"m=8 n=1\n{digits}\n"),
+        ("render", "length.code", f"m={digits} n=3\n1,2,3,4\n1,2,5,6\n1,3,5,7\n"),
+        ("classify", "count.code", f"m=8 n={digits}\n1,2,3,4\n"),
+        ("classify", "width.code", f"m={digits} n=1\nb:1111\n"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        _one_short_error_line(*run(capsys, command, "--code", str(path)))
+
+
+def test_usage_errors_are_clipped_only_when_long(capsys):
+    # the longest usage message the parser makes for a short value: whole
+    code, out, err = run(capsys, "verify-paper", "--only", "z" * 40)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.endswith(")\n") and "characters)" not in err
+    assert clipped("7" * 40) == "7" * 40
+    assert clipped("7" * 41) == "7" * 40 + "... (41 characters)"
+    assert clipped("x" * 250, 250) == "x" * 250
 
 
 def test_render_rejects_the_rank_before_partitioning(capsys, tmp_path, monkeypatch):
