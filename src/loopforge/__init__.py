@@ -51,9 +51,7 @@ from .search import (
     ClassSizes,
     MinimalReport,
     ReducedRepresentation,
-    ResidueSpec,
     assemble_representation,
-    congruence_targets,
     enumerate_reduced,
     minimal_representations,
     solve_system,

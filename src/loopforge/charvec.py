@@ -28,11 +28,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import AssociativeLoop, NotDoublyEven, NotInvertible, UnexpectedRadical
 from .errors import UnsupportedRank, quoted
-from .gf2 import CodeBasis, gf2_rank, is_doubly_even, _xor_span
+from .gf2 import CodeBasis, gf2_rank, meet_weights, _xor_span
 
 # Orbit representatives of the classified ranks, in the published class
 # order, as shorthand bitstrings (lambda_1..n, then lambda_ij in lexicographic
@@ -160,25 +160,29 @@ class CharVector:
         return cls(rank, bits[: counts[0]], bits[counts[0] : counts[0] + counts[1]], bits[counts[0] + counts[1] :])
 
 
-def char_vector_of(basis: CodeBasis) -> CharVector:
-    """Characteristic vector of a doubly even code basis, from meet weights."""
-    if not is_doubly_even(basis):
+def char_vector_of_meets(meets: Sequence[int]) -> CharVector:
+    """Characteristic vector of a basis from its meet weights, indexed by
+    coefficient mask as ``gf2.meet_weights`` gives them.
+
+    The code is doubly even iff every t_i = 0 mod 4 and every t_ij is even,
+    since |v_x| = sum of t_i - 2 * sum of t_ij mod 4 over the i, j in x.
+    """
+    units = [1 << i for i in range(len(meets).bit_length() - 1)]
+    pairs = [x | y for x, y in combinations(units, 2)]
+    if any(meets[x] % 4 for x in units) or any(meets[x] % 2 for x in pairs):
         raise NotDoublyEven("characteristic vectors require a doubly even code")
-    n = basis.rank
+    n = len(units)
     if n < 2:
         raise UnsupportedRank(f"characteristic vectors need rank at least 2, got {n}")
-    masks = basis.masks
+    sigma = tuple(meets[x] // 4 % 2 for x in units)
+    beta = tuple(meets[x] // 2 % 2 for x in pairs)
+    alpha = tuple(meets[x | y | z] % 2 for x, y, z in combinations(units, 3))
+    return CharVector(n, sigma, beta, alpha)
 
-    def meet(*idx: int) -> int:
-        bits = masks[idx[0]]
-        for i in idx[1:]:
-            bits &= masks[i]
-        return bits.bit_count()
 
-    sigma = [(meet(i) // 4) % 2 for i in range(n)]
-    beta = [(meet(i, j) // 2) % 2 for i, j in combinations(range(n), 2)]
-    alpha = [meet(i, j, k) % 2 for i, j, k in combinations(range(n), 3)]
-    return CharVector(n, tuple(sigma), tuple(beta), tuple(alpha))
+def char_vector_of(basis: CodeBasis) -> CharVector:
+    """Characteristic vector of a doubly even code basis, from meet weights."""
+    return char_vector_of_meets(meet_weights(basis.masks))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +196,16 @@ def _check_mask(x: int, n: int) -> None:
         raise ValueError(f"coefficient mask {x} outside rank-{n} space")
 
 
+def coordinates_by_mask(cv: CharVector) -> list[int]:
+    """Entry s is the coordinate lambda_s for 1 <= |s| <= 3, else 0."""
+    n = cv.rank
+    coords = [0] * (1 << n)
+    subsets = (s for size in (1, 2, 3) for s in combinations(range(n), size))
+    for s, bit in zip(subsets, cv.sigma + cv.beta + cv.alpha):
+        coords[sum(1 << i for i in s)] = bit
+    return coords
+
+
 @lru_cache(maxsize=1024)
 def _squares(cv: CharVector) -> tuple[int, ...]:
     """S[x] = sigma(x) for every mask x: the xor of the coordinates lambda_s
@@ -199,10 +213,7 @@ def _squares(cv: CharVector) -> tuple[int, ...]:
     n = cv.rank
     if n > MAX_FORM_RANK:
         raise UnsupportedRank(f"forms are evaluated up to rank {MAX_FORM_RANK}, got {n}")
-    S = [0] * (1 << n)
-    subsets = (s for size in (1, 2, 3) for s in combinations(range(n), size))
-    for s, bit in zip(subsets, cv.sigma + cv.beta + cv.alpha):
-        S[sum(1 << i for i in s)] = bit
+    S = coordinates_by_mask(cv)
     for b in (1 << i for i in range(n)):  # add in the value at x without b
         S = [s ^ S[x ^ b] if x & b else s for x, s in enumerate(S)]
     return tuple(S)
@@ -289,7 +300,6 @@ class GLMatrix:
         return tuple("".join(str(r >> j & 1) for j in range(self.rank)) for r in self.rows)
 
 
-@lru_cache(maxsize=None)
 def gl_group(n: int) -> tuple[GLMatrix, ...]:
     """All invertible n x n matrices over GF(2), ordered by their last row,
     then the row before it, and so on (each ascending as an int mask)."""

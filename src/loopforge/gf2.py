@@ -13,7 +13,7 @@ linearly, which is what ``codes_equivalent`` exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, compress, count
 from typing import Iterable, Sequence
@@ -292,13 +292,39 @@ def class_partition(basis: CodeBasis) -> ClassPartition:
     return ClassPartition(basis.length, basis.rank, blocks)
 
 
-def type_vector(partition: ClassPartition) -> tuple[int, ...]:
-    """Nondecreasing cardinalities of the nonempty blocks."""
-    return tuple(sorted(b.weight for _, b in partition.blocks if b.bits))
+def type_vector(sizes: Iterable[int]) -> tuple[int, ...]:
+    """Nondecreasing nonzero block sizes, e.g. of ``partition.sizes.values()``."""
+    return tuple(sorted(c for c in sizes if c))
 
 
 # ---------------------------------------------------------------------------
 # Weight profiles
+
+
+def superset_sums(values: Sequence[int], sign: int = 1) -> list[int]:
+    """Entry m becomes the sum of sign^|tau - m| * values[tau] over the masks
+    tau containing m: the subset zeta transform for sign 1 (class sizes to
+    meet weights) and its Moebius inverse for sign -1."""
+    out = list(values)
+    for b in (1 << i for i in range(len(out).bit_length() - 1)):
+        out = [v if x & b else v + sign * out[x | b] for x, v in enumerate(out)]
+    return out
+
+
+def meet_weights(masks: Sequence[int]) -> tuple[int, ...]:
+    """Entry m is the weight of the meet of the generators picked by the bits
+    of m; entry 0 counts the positions in any generator."""
+    support = 0
+    for mask in masks:
+        support |= mask
+    meets = [support]
+    for mask in masks:
+        meets += [x & mask for x in meets]
+    return tuple(x.bit_count() for x in meets)
+
+
+def _lex_masks(rank: int, size: int) -> list[int]:
+    return [sigma_mask(s) for s in combinations(range(1, rank + 1), size)]
 
 
 @dataclass(frozen=True)
@@ -307,6 +333,8 @@ class WeightProfile:
 
     ``singles``/``pairs``/``triples`` follow lexicographic index order;
     ``quad`` is the four-fold intersection weight (rank 4 only, else None).
+    ``weights`` holds them by coefficient mask, as ``meet_weights`` does
+    (entry 0 is left at 0).
     """
 
     rank: int
@@ -314,6 +342,7 @@ class WeightProfile:
     pairs: tuple[int, ...]
     triples: tuple[int, ...]
     quad: int | None = None
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rank not in (3, 4):
@@ -325,53 +354,39 @@ class WeightProfile:
             raise ValueError("wrong number of triple weights")
         if (self.quad is None) != (n == 3):
             raise ValueError("quad weight present iff rank is 4")
+        weights = [0] * (1 << n)
+        parts = (self.singles, self.pairs, self.triples, () if n == 3 else (self.quad,))
+        for size, part in enumerate(parts, 1):
+            for mask, t in zip(_lex_masks(n, size), part):
+                weights[mask] = t
+        object.__setattr__(self, "weights", tuple(weights))
 
     def t(self, *indices: int) -> int:
         """Weight of the meet of the generators with the given 1-based indices."""
-        idx = tuple(sorted(set(indices)))
-        try:
-            table = object.__getattribute__(self, "_lookup")
-        except AttributeError:
-            n = self.rank
-            table = {}
-            for i in range(1, n + 1):
-                table[(i,)] = self.singles[i - 1]
-            for pos, pair in enumerate(combinations(range(1, n + 1), 2)):
-                table[pair] = self.pairs[pos]
-            for pos, triple in enumerate(combinations(range(1, n + 1), 3)):
-                table[triple] = self.triples[pos]
-            if n == 4:
-                table[(1, 2, 3, 4)] = self.quad
-            object.__setattr__(self, "_lookup", table)
-        try:
-            return table[idx]
-        except KeyError:
-            raise ValueError(f"bad index set {indices}") from None
+        if not indices or not all(1 <= i <= self.rank for i in indices):
+            raise ValueError(f"bad index set {indices}")
+        return self.weights[sigma_mask(indices)]
 
 
 def profile_of(basis: CodeBasis) -> WeightProfile:
     n = basis.rank
     if n not in (3, 4):
         raise UnsupportedRank(f"weight profiles support ranks 3 and 4, got {n}")
-    masks = basis.masks
-    singles = tuple(_popcount(m) for m in masks)
-    pairs = tuple(_popcount(masks[i] & masks[j]) for i, j in combinations(range(n), 2))
-    triples = tuple(
-        _popcount(masks[i] & masks[j] & masks[k]) for i, j, k in combinations(range(n), 3)
-    )
-    quad = _popcount(masks[0] & masks[1] & masks[2] & masks[3]) if n == 4 else None
-    return WeightProfile(n, singles, pairs, triples, quad)
+    w = meet_weights(basis.masks)
+    singles, pairs, triples = (tuple(w[x] for x in _lex_masks(n, k)) for k in (1, 2, 3))
+    return WeightProfile(n, singles, pairs, triples, w[-1] if n == 4 else None)
 
 
 def pair_length(i: int, j: int, profile: WeightProfile) -> int:
-    """|v_i + v_j| = |v_i union v_j| by inclusion-exclusion."""
+    """|v_i union v_j| by inclusion-exclusion (not |v_i + v_j|, the
+    symmetric difference)."""
     if i == j:
         raise ValueError("indices must be distinct")
     return profile.t(i) + profile.t(j) - profile.t(i, j)
 
 
 def triple_length(i: int, j: int, k: int, profile: WeightProfile) -> int:
-    """|v_i + v_j + v_k| = |v_i union v_j union v_k|."""
+    """|v_i union v_j union v_k| by inclusion-exclusion (not |v_i + v_j + v_k|)."""
     if len({i, j, k}) != 3:
         raise ValueError("indices must be distinct")
     return (
@@ -397,7 +412,7 @@ def label_counts(basis: CodeBasis) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _gl_label_perms(n: int) -> tuple[tuple[int, ...], ...]:
+def _gl_label_perms(n: int) -> tuple[bytes, ...]:
     """For each GL(n,2) element, its action on nonzero label masks.
 
     A basis change with row masks r_i sends a position's label chi to the
@@ -410,7 +425,7 @@ def _gl_label_perms(n: int) -> tuple[tuple[int, ...], ...]:
     perms = []
     for g in gl_group(n):
         columns = [sum((r >> b & 1) << i for i, r in enumerate(g.rows)) for b in range(n)]
-        perms.append(tuple(_xor_span(columns)[1:]))
+        perms.append(bytes(_xor_span(columns)[1:]))
     return tuple(perms)
 
 

@@ -1,37 +1,36 @@
 """Exhaustive enumeration of reduced code representations of a loop.
 
-Fixing a normalized characteristic vector pins every meet weight of a
-candidate basis modulo a power of two: t_i mod 8, t_ij mod 4, t_ijk mod 2.
-Writing the weights in terms of position-class cardinalities x_sigma turns
-those congruences into residue constraints on the x's, so the whole reduced
-family (all classes of size at most 7, by default) is a finite tree:
+A representation is fixed by its class sizes x_sigma, and its meet weights
+are their superset sums t_m = sum of x_tau over tau containing m (the subset
+zeta transform, ``gf2.superset_sums``).  A normalized characteristic vector
+pins t_i mod 8, t_ij mod 4 and t_ijk mod 2, so once the strict supersets of
+sigma are sized, x_sigma is fixed mod 2^(4-|sigma|) and the reduced family
+(all classes of size at most 7, by default) is a finite tree:
 
   rank 3:  x_123 odd, each x_ij fixed mod 4, each x_i fixed mod 8   (32 leaves)
   rank 4:  x_1234 free, x_ijk fixed mod 2, x_ij mod 4, x_i mod 8    (2^17 leaves)
 
-The walk is a lazy depth-first generator that visits cells in the fixed
-labeling order (``gf2.class_order``) with ascending values, so the stream is
-deterministic and lexicographic in the counts.  Assembling a leaf lays out
-consecutive integer blocks per cell and takes unions; leaves whose
-generators come out empty or dependent are skipped.  Minimal
-representations come from a branch-and-bound pass over the same walk: the
-least degree of a valid leaf so far bounds the rest, and any branch whose
-partial degree already exceeds it is cut (class sizes are nonnegative, so
-a partial degree only grows).  The least-degree valid leaves are then
-deduplicated by code equivalence.
-
-The converse map, from the meet weights of a basis back to its class
-sizes, is one Moebius inversion over the subset lattice (``solve_system``),
-the same for both ranks.
+The walk is a lazy depth-first generator over the cells in the fixed labeling
+order (``gf2.class_order``) with ascending values, so the stream is
+lexicographic in the counts.  A leaf is decided from its counts alone: it is
+kept iff the labels of its nonempty classes span GF(2)^n (its generators are
+then nonzero and independent); its degree and type are their sum and sorted
+values, and its meet weights are checked against the vector.  Its code
+(consecutive position blocks per cell) is assembled only when read.  Minimal
+representations come from branch and bound over the same walk: any branch
+whose partial degree exceeds the least degree found so far is cut, and the
+least-degree leaves are assembled and deduplicated by code equivalence.
+``solve_system`` is the Moebius inverse of the transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property, lru_cache
 from typing import Iterator
 
-from .charvec import CharVector, LoopClassId, char_vector_of, loop_class, orbit_representatives
+from .charvec import CharVector, LoopClassId, char_vector_of_meets, coordinates_by_mask
+from .charvec import loop_class, orbit_representatives
 from .errors import (
     AssociativeLoop,
     InfeasibleProfile,
@@ -45,31 +44,13 @@ from .gf2 import (
     WeightProfile,
     canonical_code_signature,
     class_order,
-    class_partition,
+    gf2_rank,
+    sigma_mask,
+    superset_sums,
     type_vector,
 )
 
 REDUCED_MAX = 7
-
-
-@dataclass(frozen=True)
-class ResidueSpec:
-    """Residues every representation of a loop must satisfy."""
-
-    rank: int
-    singles_mod8: tuple[int, ...]
-    pairs_mod4: tuple[int, ...]
-    triples_mod2: tuple[int, ...]
-
-
-def congruence_targets(cv: CharVector) -> ResidueSpec:
-    """t_i mod 8, t_ij mod 4 and t_ijk mod 2 forced by a characteristic vector."""
-    return ResidueSpec(
-        cv.rank,
-        tuple(4 * b for b in cv.sigma),
-        tuple(2 * b for b in cv.beta),
-        tuple(cv.alpha),
-    )
 
 
 @dataclass(frozen=True)
@@ -107,19 +88,14 @@ def solve_system(profile: WeightProfile, max_size: int = REDUCED_MAX) -> ClassSi
     one above ``max_size``.
     """
     n = profile.rank
-    counts = []
-    for sigma in class_order(n):
-        rest = [i for i in range(1, n + 1) if i not in sigma]
-        x = 0
-        for r in range(len(rest) + 1):
-            for extra in combinations(rest, r):
-                x += (-1) ** r * profile.t(*(sigma + extra))
+    sizes = superset_sums(profile.weights, -1)
+    counts = tuple(sizes[sigma_mask(sigma)] for sigma in class_order(n))
+    for sigma, x in zip(class_order(n), counts):
         if x < 0:
             raise InfeasibleProfile(f"x_{''.join(map(str, sigma))} = {x} < 0")
         if x > max_size:
             raise NotReduced(f"x_{''.join(map(str, sigma))} = {x} > {max_size}")
-        counts.append(x)
-    return ClassSizes(n, tuple(counts))
+    return ClassSizes(n, counts)
 
 
 def assemble_representation(sizes: ClassSizes) -> CodeBasis:
@@ -147,9 +123,13 @@ class ReducedRepresentation:
     """One solved member of the reduced family of a loop."""
 
     sizes: ClassSizes
-    basis: CodeBasis
     degree: int
     type: tuple[int, ...]
+
+    @cached_property
+    def basis(self) -> CodeBasis:
+        """The code laid out from ``sizes``, assembled when first read."""
+        return assemble_representation(self.sizes)
 
 
 def _require_normalized(cv: CharVector) -> None:
@@ -170,32 +150,16 @@ def _walk_class_sizes(
     iterating: any branch whose partial degree already exceeds ``limit[0]``
     is cut, so only leaves of degree at most the current limit are yielded.
     """
-    n = cv.rank
-    spec = congruence_targets(cv)
-    order = class_order(n)
-    pair_pos = {p: i for i, p in enumerate(combinations(range(1, n + 1), 2))}
-    triple_pos = {t: i for i, t in enumerate(combinations(range(1, n + 1), 3))}
-    target = []
-    modulus = []
-    for sigma in order:
-        k = len(sigma)
-        if k == 1:
-            target.append(spec.singles_mod8[sigma[0] - 1])
-            modulus.append(8)
-        elif k == 2:
-            target.append(spec.pairs_mod4[pair_pos[sigma]])
-            modulus.append(4)
-        elif k == 3:
-            target.append(spec.triples_mod2[triple_pos[sigma]])
-            modulus.append(2)
-        else:
-            target.append(0)
-            modulus.append(1)
+    masks = [sigma_mask(sigma) for sigma in class_order(cv.rank)]
+    # t_sigma = lambda_sigma * 2^(3-|sigma|) mod 2^(4-|sigma|); lambda is 0 at |sigma| = 4
+    lam = coordinates_by_mask(cv)
+    target = [lam[m] * 8 >> m.bit_count() for m in masks]
+    modulus = [16 >> m.bit_count() for m in masks]
     # positions of earlier cells whose sigma strictly contains this one
     supersets = [
-        [q for q in range(p) if set(order[p]) < set(order[q])] for p in range(len(order))
+        [q for q in range(p) if masks[q] & masks[p] == masks[p]] for p in range(len(masks))
     ]
-    end = len(order)
+    end = len(masks)
     if limit is None:
         limit = [max_size * end]
     values = [0] * end
@@ -221,6 +185,24 @@ def _walk_class_sizes(
             values[pos] = first(pos)
 
 
+def _representations(
+    cv: CharVector, max_size: int, limit: list[int] | None = None
+) -> Iterator[ReducedRepresentation]:
+    """The nondegenerate leaves of the walk, each decided, typed and checked
+    from its counts; ``limit`` is passed through to the walk."""
+    n = cv.rank
+    masks = [sigma_mask(sigma) for sigma in class_order(n)]
+    position = sorted(range(len(masks)), key=masks.__getitem__)  # [m - 1]: the cell of label m
+    spanning = lru_cache(maxsize=None)(lambda labels: gf2_rank(labels) == n)  # per zero pattern
+    for counts in _walk_class_sizes(cv, max_size, limit):
+        if not spanning(tuple(m for m, c in zip(masks, counts) if c)):
+            continue
+        sizes = [0] + [counts[p] for p in position]
+        if char_vector_of_meets(superset_sums(sizes)) != cv:
+            raise RuntimeError(f"leaf {counts} assembles a code of another vector")
+        yield ReducedRepresentation(ClassSizes(n, counts), sum(counts), type_vector(counts))
+
+
 def enumerate_reduced(
     cv: CharVector, max_class_size: int = REDUCED_MAX
 ) -> Iterator[ReducedRepresentation]:
@@ -232,15 +214,7 @@ def enumerate_reduced(
     _require_normalized(cv)
     if max_class_size < 1:
         raise ValueError("max_class_size must be at least 1")
-    for counts in _walk_class_sizes(cv, max_class_size):
-        sizes = ClassSizes(cv.rank, counts)
-        try:
-            basis = assemble_representation(sizes)
-        except DegenerateBasis:
-            continue
-        if char_vector_of(basis) != cv:
-            raise RuntimeError(f"leaf {counts} assembles a code of another vector")
-        yield ReducedRepresentation(sizes, basis, sizes.degree, type_vector(class_partition(basis)))
+    yield from _representations(cv, max_class_size)
 
 
 @dataclass(frozen=True)
@@ -276,21 +250,12 @@ def minimal_representations(
     # survive and arrive in lexicographic counts order
     limit = [max_class_size * ((1 << cv.rank) - 1)]
     best: list[ReducedRepresentation] = []
-    best_degree: int | None = None
-    for counts in _walk_class_sizes(cv, max_class_size, limit):
-        sizes = ClassSizes(cv.rank, counts)
-        try:
-            basis = assemble_representation(sizes)
-        except DegenerateBasis:
-            continue
-        degree = sizes.degree
-        if best_degree is None or degree < best_degree:
-            best, best_degree = [], degree
-            limit[0] = degree
-        best.append(
-            ReducedRepresentation(sizes, basis, degree, type_vector(class_partition(basis)))
-        )
-    if best_degree is None:
+    for rep in _representations(cv, max_class_size, limit):
+        if best and rep.degree < best[0].degree:
+            best = []
+        limit[0] = rep.degree
+        best.append(rep)
+    if not best:
         raise InfeasibleProfile("no nondegenerate reduced representation exists")
     unique: dict[tuple[int, ...], ReducedRepresentation] = {}
     for rep in best:
@@ -300,4 +265,4 @@ def minimal_representations(
         unique.values(),
         key=lambda r: (r.type, tuple(g.positions for g in r.basis.generators)),
     )
-    return MinimalReport(loop_id, best_degree, tuple(ordered), max_class_size)
+    return MinimalReport(loop_id, best[0].degree, tuple(ordered), max_class_size)

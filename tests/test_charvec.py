@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import random_doubly_even_basis, random_gl, transform_basis
+from conftest import random_covering_basis, random_doubly_even_basis, random_gl, transform_basis
 from loopforge.catalog import ENTRIES
 from loopforge.charvec import (
     MAX_FORM_RANK,
@@ -38,7 +38,7 @@ from loopforge.errors import (
     UnsupportedRank,
 )
 from loopforge.fileio import parse_lambda
-from loopforge.gf2 import CodeBasis, gf2_rank, span
+from loopforge.gf2 import CodeBasis, gf2_rank, is_doubly_even, span
 
 V1_R3 = CodeBasis.from_positions(7, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7)])
 V5_R3 = CodeBasis.from_positions(
@@ -69,6 +69,25 @@ def test_char_vector_disjoint_blocks_rank2():
 def test_char_vector_requires_doubly_even():
     with pytest.raises(NotDoublyEven):
         char_vector_of(CodeBasis.from_positions(4, [(1, 2)]))
+
+
+def test_doubly_even_check_from_meets_matches_the_span(rng):
+    # t_i = 0 mod 4 and t_ij even for all i, j iff every span weight is 0 mod 4
+    cases = [random_doubly_even_basis(rng, rng.choice((2, 3, 4)), 16) for _ in range(20)]
+    cases += [random_covering_basis(rng, rng.choice((2, 3, 4, 5)), rng.randrange(6, 14)) for _ in range(200)]
+    cases += [CodeBasis.from_positions(4, [(1, 2)]), CodeBasis.from_positions(4, [(1, 2, 3, 4)])]
+    verdicts = set()
+    for basis in cases:
+        try:
+            char_vector_of(basis)
+            verdict = True
+        except NotDoublyEven:
+            verdict = False
+        except UnsupportedRank:  # rank 1, after the doubly even check passed
+            verdict = basis.rank == 1
+        assert verdict == is_doubly_even(basis)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_eval_basis_cases():

@@ -18,9 +18,11 @@ from loopforge.gf2 import (
     is_doubly_even,
     label_counts,
     meet_weight,
+    meet_weights,
     pair_length,
     profile_of,
     span,
+    superset_sums,
     triple_length,
     type_vector,
     weight,
@@ -123,7 +125,7 @@ def test_is_doubly_even():
 
 def test_class_partition_v1_singletons():
     part = class_partition(V1_R3)
-    assert type_vector(part) == (1,) * 7
+    assert type_vector(part.sizes.values()) == (1,) * 7
     assert len(part.nonempty()) == 7
 
 
@@ -141,7 +143,7 @@ def test_single_generator_single_class():
 
 def test_class_partition_v3_rank4():
     part = class_partition(V3_R4)
-    assert type_vector(part) == (1, 1, 1, 1, 1, 1, 1, 1, 4)
+    assert type_vector(part.sizes.values()) == (1, 1, 1, 1, 1, 1, 1, 1, 4)
 
 
 def test_class_partition_requires_covering():
@@ -223,9 +225,9 @@ def test_label_counts_match_a_position_scan(rng):
 
 
 def test_type_vector_examples():
-    assert type_vector(class_partition(V2_R3)) == (1, 1, 1, 1, 3, 3, 3)
-    assert type_vector(class_partition(V1_R3)) == (1,) * 7
-    assert type_vector(class_partition(V14_R4)) == (1, 1, 1, 1, 1, 1, 2, 2, 3)
+    assert type_vector(class_partition(V2_R3).sizes.values()) == (1, 1, 1, 1, 3, 3, 3)
+    assert type_vector(class_partition(V1_R3).sizes.values()) == (1,) * 7
+    assert type_vector(class_partition(V14_R4).sizes.values()) == (1, 1, 1, 1, 1, 1, 2, 2, 3)
 
 
 def test_lemma_blocks_partition_index_set(rng):
@@ -280,6 +282,36 @@ def test_profile_lengths():
     assert triple_length(1, 2, 3, profile) == 13
     with pytest.raises(ValueError):
         pair_length(2, 2, profile)
+
+
+def test_profile_t_reads_index_sets():
+    for profile in (profile_of(V2_R3), profile_of(V14_R4)):
+        n = profile.rank
+        assert profile.t(2, 1) == profile.t(1, 2)
+        assert profile.t(1, 1) == profile.t(1)
+        assert profile.t(*range(1, n + 1)) == (profile.quad if n == 4 else profile.triples[0])
+        for bad in ((), (0,), (n + 1,), (1, n + 1)):
+            with pytest.raises(ValueError):
+                profile.t(*bad)
+
+
+def test_superset_sums_invert_each_other(rng):
+    for n in range(1, 6):
+        for _ in range(20):
+            values = [rng.randrange(-9, 10) for _ in range(1 << n)]
+            assert superset_sums(superset_sums(values), -1) == values
+            assert superset_sums(superset_sums(values, -1)) == values
+
+
+def test_meet_weights_are_zeta_of_label_counts(rng):
+    for _ in range(30):
+        basis = random_covering_basis(rng, rng.choice((2, 3, 4, 5)), rng.randrange(6, 20))
+        weights = meet_weights(basis.masks)
+        assert superset_sums((0,) + label_counts(basis)) == list(weights)
+        for x in range(1, 1 << basis.rank):
+            assert weights[x] == meet_weight([g for i, g in enumerate(basis.generators) if x >> i & 1])
+        if basis.rank in (3, 4):
+            assert profile_of(basis).weights[1:] == weights[1:]
 
 
 def test_pair_length_identical_vectors():
@@ -399,4 +431,4 @@ def test_label_perms_keep_their_values():
             )
             for g in gl_group(n)
         )
-        assert _gl_label_perms(n) == direct
+        assert tuple(map(tuple, _gl_label_perms(n))) == direct

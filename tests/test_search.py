@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import loopforge.search as search
 from conftest import random_doubly_even_basis
 from loopforge.catalog import (
     ENTRIES,
@@ -19,9 +20,16 @@ from loopforge.charvec import (
     LoopClassId,
     canonicalize,
     char_vector_of,
+    char_vector_of_meets,
     representative,
 )
-from loopforge.errors import DegenerateBasis, InfeasibleProfile, NotReduced, UnsupportedRank
+from loopforge.errors import (
+    DegenerateBasis,
+    InfeasibleProfile,
+    NotDoublyEven,
+    NotReduced,
+    UnsupportedRank,
+)
 from loopforge.gf2 import (
     Sigma,
     WeightProfile,
@@ -29,6 +37,8 @@ from loopforge.gf2 import (
     class_order,
     class_partition,
     profile_of,
+    sigma_mask,
+    superset_sums,
     type_vector,
 )
 from loopforge.search import (
@@ -36,7 +46,6 @@ from loopforge.search import (
     MinimalReport,
     ReducedRepresentation,
     assemble_representation,
-    congruence_targets,
     enumerate_reduced,
     minimal_representations,
     solve_system,
@@ -80,19 +89,6 @@ def profile_from_sizes(sizes: ClassSizes) -> WeightProfile:
 def worked_profile() -> WeightProfile:
     u = WORKED_EXAMPLE_U
     return WeightProfile(4, singles=u[11:15], pairs=u[5:11], triples=u[1:5], quad=u[0])
-
-
-def test_congruence_targets_rank3():
-    spec = congruence_targets(CharVector.from_shorthand(3, "111111"))
-    assert spec.singles_mod8 == (4, 4, 4)
-    assert spec.pairs_mod4 == (2, 2, 2)
-    assert spec.triples_mod2 == (1,)
-    spec = congruence_targets(CharVector.from_shorthand(3, "000000"))
-    assert spec.singles_mod8 == (0, 0, 0)
-    assert spec.pairs_mod4 == (0, 0, 0)
-    spec = congruence_targets(CharVector.from_shorthand(3, "100000"))
-    assert spec.singles_mod8 == (4, 0, 0)
-    assert spec.pairs_mod4 == (0, 0, 0)
 
 
 def test_solve_rank3_all_singletons():
@@ -273,6 +269,122 @@ def test_remark_exclusions_hold_in_rank3_outputs():
                     assert masks[i] | masks[j] != masks[j], "generator contained in another"
 
 
+def _meets(rank: int, counts: tuple[int, ...]) -> list[int]:
+    sizes = [0] * (1 << rank)
+    for sigma, count in zip(class_order(rank), counts):
+        sizes[sigma_mask(sigma)] = count
+    return superset_sums(sizes)
+
+
+@pytest.mark.parametrize(
+    "loop, bound", [(LoopClassId(3, 1), 3), (LoopClassId(3, 2), 3), (LoopClassId(4, 1), 1)], ids=str
+)
+def test_walk_yields_exactly_the_counts_of_the_vector(loop, bound):
+    # every count tuple within the bound whose meet weights carry the vector,
+    # at small bounds where these walks are not empty
+    cv = representative(loop)
+    wanted = []
+    for counts in product(range(bound + 1), repeat=(1 << loop.rank) - 1):
+        try:
+            if char_vector_of_meets(_meets(loop.rank, counts)) == cv:
+                wanted.append(counts)
+        except NotDoublyEven:
+            pass
+    assert list(_walk_class_sizes(cv, bound)) == wanted
+
+
+def test_zero_patterns_decide_degeneracy(monkeypatch):
+    # a leaf is kept exactly when its basis assembles; only which counts are
+    # zero matters, so the 0/1 patterns are all the cases
+    degenerate = 0
+    for rank in (3, 4):
+        cv = representative(LoopClassId(rank, 1))
+        patterns = [c for c in product((0, 1), repeat=(1 << rank) - 1) if any(c)]
+        monkeypatch.setattr(search, "_walk_class_sizes", lambda *_: iter(patterns))
+        monkeypatch.setattr(search, "char_vector_of_meets", lambda _meets: cv)
+        kept = {rep.sizes.counts for rep in search._representations(cv, 1)}
+        for counts in patterns:
+            try:
+                assemble_representation(ClassSizes(rank, counts))
+            except DegenerateBasis:
+                degenerate += 1
+                assert counts not in kept
+            else:
+                assert counts in kept
+    assert degenerate == 1570
+
+
+@pytest.mark.parametrize("loop", ALL_LOOPS, ids=str)
+def test_kept_leaves_agree_with_their_assembled_code(loop):
+    cv = representative(loop)
+    bound = 7 if loop.rank == 3 else 4
+    reps = {rep.sizes.counts: rep for rep in enumerate_reduced(cv, bound)}
+    for counts in _walk_class_sizes(cv, bound):
+        try:
+            basis = assemble_representation(ClassSizes(loop.rank, counts))
+        except DegenerateBasis:
+            assert counts not in reps
+            continue
+        rep = reps.pop(counts)
+        assert rep.degree == rep.basis.length == basis.length
+        assert rep.type == type_vector(class_partition(rep.basis).sizes.values())
+        assert char_vector_of(rep.basis) == cv
+    assert reps == {}
+
+
+def _foreign_walk(leaf: tuple[int, ...]):
+    return lambda cv, max_size, limit=None: iter([leaf])
+
+
+def test_leaf_self_check_rejects_a_leaf_of_another_loop(monkeypatch):
+    cv = representative(LoopClassId(4, 1))
+    leaf = next(enumerate_reduced(representative(LoopClassId(4, 2)))).sizes.counts
+    monkeypatch.setattr(search, "_walk_class_sizes", _foreign_walk(leaf))
+    with pytest.raises(RuntimeError):
+        next(enumerate_reduced(cv))
+    with pytest.raises(RuntimeError):
+        minimal_representations(cv)
+
+
+def test_leaf_self_check_rejects_a_code_that_is_not_doubly_even(monkeypatch):
+    # x_1 = 3 makes t_1 = 6 = 2 mod 4
+    leaf = (1, 1, 1, 3, 1, 1, 1)
+    assert _meets(3, leaf)[1] % 4 == 2
+    monkeypatch.setattr(search, "_walk_class_sizes", _foreign_walk(leaf))
+    cv = representative(LoopClassId(3, 1))
+    with pytest.raises(NotDoublyEven):
+        next(enumerate_reduced(cv))
+    with pytest.raises(NotDoublyEven):
+        minimal_representations(cv)
+
+
+def _count_assemblies(monkeypatch) -> list[ClassSizes]:
+    calls: list[ClassSizes] = []
+
+    def counted(sizes: ClassSizes):
+        calls.append(sizes)
+        return assemble_representation(sizes)
+
+    monkeypatch.setattr(search, "assemble_representation", counted)
+    return calls
+
+
+def test_stream_assembles_no_basis_unless_read(monkeypatch):
+    calls = _count_assemblies(monkeypatch)
+    reps = list(enumerate_reduced(representative(LoopClassId(4, 1)), max_class_size=5))
+    assert len(reps) == 5041 and calls == []
+    assert reps[0].basis is reps[0].basis
+    assert calls == [reps[0].sizes]
+
+
+@pytest.mark.parametrize("loop", ALL_LOOPS, ids=str)
+def test_minimal_assembles_only_least_degree_leaves(monkeypatch, loop):
+    calls = _count_assemblies(monkeypatch)
+    report = minimal_representations(representative(loop))
+    assert len(calls) >= len(report.representations)
+    assert {sizes.degree for sizes in calls} == {report.degree}
+
+
 def test_solve_round_trip_on_enumerated_representations():
     # solving the weight system of an emitted basis recovers its class sizes
     cv3 = representative(LoopClassId(3, 4))
@@ -325,7 +437,7 @@ def _minimal_by_sorting(cv: CharVector, max_class_size: int) -> MinimalReport:
             continue
         best_degree = degree
         best.append(
-            ReducedRepresentation(sizes, basis, degree, type_vector(class_partition(basis)))
+            ReducedRepresentation(sizes, degree, type_vector(class_partition(basis).sizes.values()))
         )
     if best_degree is None:
         raise InfeasibleProfile("no nondegenerate reduced representation exists")
