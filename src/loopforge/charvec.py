@@ -28,11 +28,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import AssociativeLoop, NotDoublyEven, NotInvertible, UnexpectedRadical
 from .errors import UnsupportedRank, quoted
-from .gf2 import CodeBasis, gf2_rank, meet_weights, _xor_span
+from .gf2 import CodeBasis, gf2_rank, _xor_span
 
 # Orbit representatives of the classified ranks, in the published class
 # order, as shorthand bitstrings (lambda_1..n, then lambda_ij in lexicographic
@@ -167,11 +167,15 @@ def char_vector_of_meets(meets: Sequence[int]) -> CharVector:
     The code is doubly even iff every t_i = 0 mod 4 and every t_ij is even,
     since |v_x| = sum of t_i - 2 * sum of t_ij mod 4 over the i, j in x.
     """
-    units = [1 << i for i in range(len(meets).bit_length() - 1)]
+    return _char_vector(len(meets).bit_length() - 1, meets)
+
+
+def _char_vector(n: int, meets: Mapping[int, int] | Sequence[int]) -> CharVector:
+    """``char_vector_of_meets`` at rank n; only the meets[x] with 1 <= |x| <= 3 are read."""
+    units = [1 << i for i in range(n)]
     pairs = [x | y for x, y in combinations(units, 2)]
     if any(meets[x] % 4 for x in units) or any(meets[x] % 2 for x in pairs):
         raise NotDoublyEven("characteristic vectors require a doubly even code")
-    n = len(units)
     if n < 2:
         raise UnsupportedRank(f"characteristic vectors need rank at least 2, got {n}")
     sigma = tuple(meets[x] // 4 % 2 for x in units)
@@ -181,8 +185,11 @@ def char_vector_of_meets(meets: Sequence[int]) -> CharVector:
 
 
 def char_vector_of(basis: CodeBasis) -> CharVector:
-    """Characteristic vector of a doubly even code basis, from meet weights."""
-    return char_vector_of_meets(meet_weights(basis.masks))
+    """Characteristic vector of a doubly even code basis, from meets of at most 3 generators."""
+    meets = {0: -1}  # the empty meet: every position
+    for i, mask in enumerate(basis.masks):
+        meets.update([(x | 1 << i, bits & mask) for x, bits in meets.items() if x.bit_count() < 3])
+    return _char_vector(basis.rank, {x: bits.bit_count() for x, bits in meets.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def representation_record(loop: LoopClassId | str, rep: ReducedRepresentation) -
         "degree": rep.degree,
         "type": list(rep.type),
         "sizes": rep.sizes.as_dict(),
-        "generators": [list(g.positions) for g in rep.basis.generators],
+        "generators": [[p for r in blocks for p in r] for blocks in rep.sizes.generator_blocks()],
     }
 
 

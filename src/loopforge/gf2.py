@@ -294,7 +294,7 @@ def class_partition(basis: CodeBasis) -> ClassPartition:
 
 def type_vector(sizes: Iterable[int]) -> tuple[int, ...]:
     """Nondecreasing nonzero block sizes, e.g. of ``partition.sizes.values()``."""
-    return tuple(sorted(c for c in sizes if c))
+    return tuple(sorted(filter(None, sizes)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ order (``gf2.class_order``) with ascending values, so the stream is
 lexicographic in the counts.  A leaf is decided from its counts alone: it is
 kept iff the labels of its nonempty classes span GF(2)^n (its generators are
 then nonzero and independent); its degree and type are their sum and sorted
-values, and its meet weights are checked against the vector.  Its code
-(consecutive position blocks per cell) is assembled only when read.  Minimal
+values, and its meet weights are checked against the vector by one packed dot
+product (one int digit per t_m) and one mask compare.  Its code (consecutive
+position blocks per cell) is assembled only when read.  Minimal
 representations come from branch and bound over the same walk: any branch
 whose partial degree exceeds the least degree found so far is cut, and the
 least-degree leaves are assembled and deduplicated by code equivalence.
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate, compress
+from operator import mul
 from typing import Iterator
 
 from .charvec import CharVector, LoopClassId, char_vector_of_meets, coordinates_by_mask
@@ -63,7 +66,7 @@ class ClassSizes:
     def __post_init__(self) -> None:
         if len(self.counts) != (1 << self.rank) - 1:
             raise ValueError("one count per nonempty subset required")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts, default=0) < 0:
             raise ValueError("counts must be nonnegative")
 
     def __getitem__(self, sigma: Sigma) -> int:
@@ -72,6 +75,13 @@ class ClassSizes:
     @property
     def degree(self) -> int:
         return sum(self.counts)
+
+    def generator_blocks(self) -> list[list[range]]:
+        """Per generator i, the 1-based position ranges of the classes holding
+        i, each class one consecutive block in the labeling order."""
+        cells = zip(class_order(self.rank), self.counts, accumulate(self.counts, initial=1))
+        blocks = [(sigma, range(start, start + count)) for sigma, count, start in cells]
+        return [[block for sigma, block in blocks if i in sigma] for i in range(1, self.rank + 1)]
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -99,22 +109,16 @@ def solve_system(profile: WeightProfile, max_size: int = REDUCED_MAX) -> ClassSi
 
 
 def assemble_representation(sizes: ClassSizes) -> CodeBasis:
-    """Lay out consecutive position blocks per class and take generator unions.
+    """Take the generators as unions of their blocks, ``sizes.generator_blocks()``.
 
     Blocks follow the fixed labeling order, so equal sizes always rebuild the
     identical basis.  Empty or dependent generators raise DegenerateBasis.
     """
-    n = sizes.rank
     length = sizes.degree
     if length == 0:
         raise DegenerateBasis("empty representation")
-    gen_bits = [0] * n
-    position = 0
-    for sigma, count in zip(class_order(n), sizes.counts):
-        block = ((1 << count) - 1) << position
-        position += count
-        for i in sigma:
-            gen_bits[i - 1] |= block
+    blocks = sizes.generator_blocks()
+    gen_bits = [sum((1 << len(b)) - 1 << b.start - 1 for b in ranges) for ranges in blocks]
     return CodeBasis(length, tuple(Codeword(length, b) for b in gen_bits))
 
 
@@ -166,7 +170,7 @@ def _walk_class_sizes(
     partial = [0] * end  # partial[p] = sum(values[:p])
 
     def first(pos: int) -> int:
-        return (target[pos] - sum(values[q] for q in supersets[pos])) % modulus[pos]
+        return (target[pos] - sum(map(values.__getitem__, supersets[pos]))) % modulus[pos]
 
     pos = 0
     values[0] = first(0)
@@ -194,13 +198,22 @@ def _representations(
     masks = [sigma_mask(sigma) for sigma in class_order(n)]
     position = sorted(range(len(masks)), key=masks.__getitem__)  # [m - 1]: the cell of label m
     spanning = lru_cache(maxsize=None)(lambda labels: gf2_rank(labels) == n)  # per zero pattern
+    # digit m of sum(counts[p] * spread[p]) is t_m while the counts are nonnegative and the
+    # degree fits in a digit; ``low`` keeps t_i mod 8, t_ij mod 4 and t_ijk mod 2
+    width = (max_size * len(masks)).bit_length() + 1
+    spread = [sum(1 << width * m for m in masks if m & s == m) for s in masks]
+    low = sum((16 >> m.bit_count()) - 1 << width * m for m in masks)
+    want = sum(bit * 8 >> m.bit_count() << width * m for m, bit in enumerate(coordinates_by_mask(cv)))
     for counts in _walk_class_sizes(cv, max_size, limit):
-        if not spanning(tuple(m for m, c in zip(masks, counts) if c)):
+        if not spanning(tuple(compress(masks, counts))):
             continue
-        sizes = [0] + [counts[p] for p in position]
-        if char_vector_of_meets(superset_sums(sizes)) != cv:
-            raise RuntimeError(f"leaf {counts} assembles a code of another vector")
-        yield ReducedRepresentation(ClassSizes(n, counts), sum(counts), type_vector(counts))
+        degree = sum(counts)
+        exact = len(counts) == len(masks) and min(counts) >= 0 and not degree >> width
+        if not exact or sum(map(mul, counts, spread)) & low != want:  # the transform decides
+            sizes = [0] + [counts[p] for p in position]
+            if char_vector_of_meets(superset_sums(sizes)) != cv:
+                raise RuntimeError(f"leaf {counts} assembles a code of another vector")
+        yield ReducedRepresentation(ClassSizes(n, counts), degree, type_vector(counts))
 
 
 def enumerate_reduced(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 from math import comb
 
@@ -18,6 +19,7 @@ from loopforge.charvec import (
     alpha_radical,
     canonicalize,
     char_vector_of,
+    char_vector_of_meets,
     enumerate_nonassociative,
     eval_alpha,
     eval_beta,
@@ -38,7 +40,7 @@ from loopforge.errors import (
     UnsupportedRank,
 )
 from loopforge.fileio import parse_lambda
-from loopforge.gf2 import CodeBasis, gf2_rank, is_doubly_even, span
+from loopforge.gf2 import CodeBasis, gf2_rank, is_doubly_even, meet_weights, span
 
 V1_R3 = CodeBasis.from_positions(7, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7)])
 V5_R3 = CodeBasis.from_positions(
@@ -88,6 +90,23 @@ def test_doubly_even_check_from_meets_matches_the_span(rng):
         assert verdict == is_doubly_even(basis)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_vector_of_a_code_reads_only_small_meets(rng):
+    # the full meet table is the reference; char_vector_of builds only the
+    # meets of at most three generators, so it also runs at rank 24
+    cases = [random_doubly_even_basis(rng, n, 24) for n in (2, 3, 4, 5, 6) for _ in range(6)]
+    cases += [random_covering_basis(rng, rng.choice((1, 2, 3, 4, 5)), rng.randrange(6, 14)) for _ in range(60)]
+    for basis in cases:
+        try:
+            expected = char_vector_of_meets(meet_weights(basis.masks))
+        except (NotDoublyEven, UnsupportedRank) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                char_vector_of(basis)
+        else:
+            assert char_vector_of(basis) == expected
+    wide = CodeBasis.from_positions(96, [range(4 * i + 1, 4 * i + 5) for i in range(24)])
+    assert char_vector_of(wide) == CharVector(24, (1,) * 24, (0,) * comb(24, 2), (0,) * comb(24, 3))
 
 
 def test_eval_basis_cases():

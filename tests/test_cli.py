@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import time
 
 import jsonschema
 
@@ -71,6 +72,19 @@ def test_classify_rank1_code_file_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "classify", "--code", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: UnsupportedRank") and err.count("\n") == 1
+
+
+def test_high_rank_code_file_is_rejected_without_its_meet_table(capsys, tmp_path):
+    # 24 disjoint weight-4 generators: doubly even, and 2^24 generator meets
+    path = tmp_path / "r24.code"
+    rows = [",".join(str(4 * i + p) for p in (1, 2, 3, 4)) for i in range(24)]
+    path.write_text("m=96 n=24\n" + "\n".join(rows) + "\n")
+    for command in ("classify", "minimal", "enumerate"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--code", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == "error: UnsupportedRank: classified loops have rank 3 or 4, got 24\n"
 
 
 def test_classify_requires_one_target(capsys):

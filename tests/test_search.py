@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -36,6 +38,7 @@ from loopforge.gf2 import (
     canonical_code_signature,
     class_order,
     class_partition,
+    gf2_rank,
     profile_of,
     sigma_mask,
     superset_sums,
@@ -295,14 +298,15 @@ def test_walk_yields_exactly_the_counts_of_the_vector(loop, bound):
 
 def test_zero_patterns_decide_degeneracy(monkeypatch):
     # a leaf is kept exactly when its basis assembles; only which counts are
-    # zero matters, so the 0/1 patterns are all the cases
+    # zero matters, so the 0/1 patterns are all the cases.  Scaled by 8, every
+    # pattern has all meet weights 0 mod 8 and so passes the real leaf check
+    # of the zero vector.
     degenerate = 0
     for rank in (3, 4):
-        cv = representative(LoopClassId(rank, 1))
-        patterns = [c for c in product((0, 1), repeat=(1 << rank) - 1) if any(c)]
+        cv = CharVector(rank, (0,) * rank, (0,) * comb(rank, 2), (0,) * comb(rank, 3))
+        patterns = [c for c in product((0, 8), repeat=(1 << rank) - 1) if any(c)]
         monkeypatch.setattr(search, "_walk_class_sizes", lambda *_: iter(patterns))
-        monkeypatch.setattr(search, "char_vector_of_meets", lambda _meets: cv)
-        kept = {rep.sizes.counts for rep in search._representations(cv, 1)}
+        kept = {rep.sizes.counts for rep in search._representations(cv, 8)}
         for counts in patterns:
             try:
                 assemble_representation(ClassSizes(rank, counts))
@@ -356,6 +360,119 @@ def test_leaf_self_check_rejects_a_code_that_is_not_doubly_even(monkeypatch):
         next(enumerate_reduced(cv))
     with pytest.raises(NotDoublyEven):
         minimal_representations(cv)
+
+
+LEAF_ERRORS = (IndexError, NotDoublyEven, RuntimeError, ValueError)
+
+
+def _leaf_by_transform(cv: CharVector, counts: tuple[int, ...]):
+    """Reference for one walk leaf, step by step: skipped unless its nonzero
+    counts span, then the vector of its superset sums, then ``ClassSizes``."""
+    n = cv.rank
+    masks = [sigma_mask(s) for s in class_order(n)]
+    if gf2_rank([m for m, c in zip(masks, counts) if c]) != n:
+        return "skipped"
+    sizes = [0] * (1 << n)
+    try:
+        for p, m in enumerate(masks):
+            sizes[m] = counts[p]
+        if char_vector_of_meets(superset_sums(sizes)) != cv:
+            return RuntimeError
+        ClassSizes(n, counts)
+    except LEAF_ERRORS as exc:
+        return type(exc)
+    return "kept"
+
+
+def _leaf_by_search(monkeypatch, cv: CharVector, bound: int, counts: tuple[int, ...]):
+    monkeypatch.setattr(search, "_walk_class_sizes", _foreign_walk(counts))
+    try:
+        return "kept" if list(search._representations(cv, bound)) else "skipped"
+    except LEAF_ERRORS as exc:
+        return type(exc)
+
+
+def _count_transforms(monkeypatch) -> list[int]:
+    calls: list[int] = []
+
+    def counted(values, sign=1):
+        calls.append(sign)
+        return superset_sums(values, sign)
+
+    monkeypatch.setattr(search, "superset_sums", counted)
+    return calls
+
+
+# tuples whose packed sums would pass the check: with a negative count a digit
+# borrows from the next, past the width one carries into it
+PACKED_LOOKALIKES = [
+    ("C3_1", 6, (-14, 1, 1, 0, 1, 1, 1)),
+    ("C3_1", 6, (-23, 1, 1, 1, 34, 1, 1)),
+    ("C4_12", 4, (-31, 1, 0, 0, 3, 3, 2, 6, 0, 1, 0, 3, 0, 3, 6)),
+    ("C4_4", 5, (-23, 1, 0, 0, 16, 3, 0, 3, 0, 3, 0, 3, 0, 5, 0)),
+    ("C3_5", 3, (1, 3, 3, 69, 3, 40, 1)),
+    ("C4_14", 4, (0, 1, 0, 0, 3, 3, 2, 119, 0, 1, 0, 82, 0, 3, 2)),
+]
+
+
+def test_packed_leaf_check_agrees_with_the_transform(monkeypatch):
+    # the leaf check, on tuples no correct walk yields too: counts above the
+    # bound (past the digit width at small bounds), negative counts, the
+    # all-zero tuple, a count too few or too many, and leaves of the right
+    # vector shifted by 8 per cell
+    rng = random.Random(8)
+    transforms = _count_transforms(monkeypatch)
+    for loop, bound, counts in PACKED_LOOKALIKES:
+        cv = representative(LoopClassId.parse(loop))
+        assert _leaf_by_search(monkeypatch, cv, bound, counts) == _leaf_by_transform(cv, counts)
+    first = {loop: next(_walk_class_sizes(representative(loop), 7)) for loop in ALL_LOOPS}
+    outcomes, packed_only = set(), 0
+    for trial in range(3000):
+        loop = rng.choice(ALL_LOOPS)
+        cv, cells, bound = representative(loop), (1 << loop.rank) - 1, rng.randint(1, 40)
+        counts = [c + 8 * rng.randint(0, max(bound - c, 0) // 8) for c in first[loop]]
+        kind = trial % 8
+        if kind == 1:
+            counts[rng.randrange(cells)] += rng.choice((-3, -2, -1, 1, 2, 3, 4))
+        elif kind == 2:
+            counts[rng.randrange(cells)] -= 8 * rng.randint(1, 4)
+        elif kind == 3:
+            counts[rng.randrange(cells)] = -rng.randint(1, 9)
+        elif kind == 4:
+            counts = [rng.randint(0, bound) for _ in range(cells)]
+        elif kind == 5:
+            counts = [c + 8 * rng.randint(0, 40) for c in counts]
+        elif kind == 6:
+            counts = counts[:-1]
+        elif kind == 7:
+            counts.append(rng.randint(0, 8))
+        counts = tuple(counts) if trial % 500 else (0,) * cells
+        del transforms[:]
+        outcome = _leaf_by_search(monkeypatch, cv, bound, counts)
+        assert outcome == _leaf_by_transform(cv, counts), (loop, bound, counts)
+        if outcome == "kept" and max(counts) <= bound:
+            assert transforms == []  # decided by the packed check alone
+            packed_only += 1
+        outcomes.add(outcome)
+    assert outcomes == {"kept", "skipped", IndexError, NotDoublyEven, RuntimeError, ValueError}
+    assert packed_only > 100
+
+
+def test_large_bound_stream_is_checked_leaf_by_leaf(monkeypatch):
+    # degrees up to 105 at bound 15: a digit narrower than the check's width
+    # would carry into its neighbour
+    cv = representative(LoopClassId(3, 1))
+    leaves = list(_walk_class_sizes(cv, 15))
+    assert len(leaves) == 4096
+    transforms = _count_transforms(monkeypatch)
+    kept = {rep.sizes.counts for rep in enumerate_reduced(cv, 15)}
+    assert transforms == []
+    for i, counts in enumerate(leaves):
+        assert char_vector_of_meets(_meets(3, counts)) == cv
+        assert (counts in kept) == (_leaf_by_transform(cv, counts) == "kept")
+        cell, step = i % 7, (1, 2, 4)[i // 7 % 3]  # one count off by 1, 2 or 4 breaks a congruence
+        wrong = counts[:cell] + (counts[cell] + step,) + counts[cell + 1 :]
+        assert _leaf_by_search(monkeypatch, cv, 15, wrong) == _leaf_by_transform(cv, wrong)
 
 
 def _count_assemblies(monkeypatch) -> list[ClassSizes]:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "loopforge").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "loopforge").glob("*.py"))
 
 
 def test_sources_are_found():
@@ -21,3 +24,11 @@ def test_no_assert_statements_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_tracer_finds_every_function_it_wraps():
+    # perfbench/tracer.py wraps library functions by module and name, so a
+    # rename in src/ must fail here, not only in a traced benchmark run
+    code = "import sys; sys.path[:0] = ['perfbench', 'src']; from tracer import Tracer; Tracer().install()"
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
