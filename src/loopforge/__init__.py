@@ -27,15 +27,12 @@ from .gf2 import (
     ClassPartition,
     CodeBasis,
     Codeword,
-    WeightProfile,
     class_partition,
     codes_equivalent,
     is_doubly_even,
     meet_weight,
-    pair_length,
-    profile_of,
+    meet_weights,
     span,
-    triple_length,
     type_vector,
     weight,
 )

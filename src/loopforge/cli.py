@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import fileio, render
 from .catalog import ENTRIES
@@ -37,20 +37,6 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 
 
-@dataclass
-class CommandConfig:
-    command: str
-    rank: int | None = None
-    loop: str | None = None
-    lam: str | None = None
-    code: str | None = None
-    format: str = "text"
-    style: str = "ascii"
-    max_class_size: int = 7
-    only: str | None = None
-    output: str | None = None
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage problems exit 1, not argparse's 2
         print(f"error: {clipped(message, 250)}", file=sys.stderr)
@@ -61,7 +47,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="loopforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: _Parser, target: bool = True) -> None:
+    def add_common(p: _Parser, run, target: bool = True) -> None:
+        p.set_defaults(run=run)
         if target:
             p.add_argument("--rank", type=int, choices=tuple(REPRESENTATIVES))
             p.add_argument("--loop", help="loop id such as C3_1 or C4_16")
@@ -71,46 +58,37 @@ def build_parser() -> _Parser:
         p.add_argument("--max-class-size", type=int, default=7)
         p.add_argument("--output", help="write primary output to this path")
 
-    add_common(sub.add_parser("classify", help="name the loop of a vector or code"))
+    add_common(sub.add_parser("classify", help="name the loop of a vector or code"), cmd_classify)
     p_orbits = sub.add_parser("orbits", help="orbit table for one rank")
     p_orbits.add_argument("--rank", type=int, choices=tuple(REPRESENTATIVES), required=True)
-    add_common(p_orbits, target=False)
-    add_common(sub.add_parser("enumerate", help="stream every reduced representation"))
-    add_common(sub.add_parser("minimal", help="minimal representations of a loop"))
-    add_common(sub.add_parser("loop", help="build the explicit loop of a code"))
+    add_common(p_orbits, cmd_orbits, target=False)
+    add_common(sub.add_parser("enumerate", help="stream every reduced representation"), cmd_enumerate)
+    add_common(sub.add_parser("minimal", help="minimal representations of a loop"), cmd_minimal)
+    add_common(sub.add_parser("loop", help="build the explicit loop of a code"), cmd_loop)
     p_render = sub.add_parser("render", help="class diagram of a representation")
     p_render.add_argument("--style", choices=("ascii", "svg"), default="ascii")
-    add_common(p_render)
+    add_common(p_render, cmd_render)
     p_verify = sub.add_parser("verify-paper", help="run the golden verification suite")
     p_verify.add_argument("--only", choices=claim_ids())
-    add_common(p_verify, target=False)
+    add_common(p_verify, cmd_verify, target=False)
     return parser
 
 
-def _config(args: argparse.Namespace) -> CommandConfig:
-    cfg = CommandConfig(command=args.command)
-    for field in (
-        "rank", "loop", "lam", "code", "format", "style",
-        "max_class_size", "only", "output",
-    ):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    if cfg.max_class_size < 1:
-        raise ParseError("--max-class-size must be at least 1")
-    return cfg
-
-
-def _resolve_vector(cfg: CommandConfig) -> CharVector:
-    """Characteristic vector from exactly one of --loop/--lambda/--code."""
-    given = [name for name, v in (("--loop", cfg.loop), ("--lambda", cfg.lam), ("--code", cfg.code)) if v]
+def _require_one_target(args: argparse.Namespace) -> None:
+    given = [name for name, v in (("--loop", args.loop), ("--lambda", args.lam), ("--code", args.code)) if v]
     if len(given) != 1:
         raise ParseError(f"exactly one of --loop/--lambda/--code is required (got {given or 'none'})")
-    if cfg.loop:
-        class_id = _parse_loop_id(cfg.loop, cfg.rank)
+
+
+def _resolve_vector(args: argparse.Namespace) -> CharVector:
+    """Characteristic vector from exactly one of --loop/--lambda/--code."""
+    _require_one_target(args)
+    if args.loop:
+        class_id = _parse_loop_id(args.loop, args.rank)
         return representative(class_id)
-    if cfg.lam:
-        return fileio.parse_lambda(cfg.lam, cfg.rank)
-    return char_vector_of(_load_code(cfg))
+    if args.lam:
+        return fileio.parse_lambda(args.lam, args.rank)
+    return char_vector_of(_load_code(args))
 
 
 def _parse_loop_id(text: str, rank: int | None) -> LoopClassId:
@@ -123,27 +101,25 @@ def _parse_loop_id(text: str, rank: int | None) -> LoopClassId:
     return class_id
 
 
-def _load_code(cfg: CommandConfig) -> CodeBasis:
+def _load_code(args: argparse.Namespace) -> CodeBasis:
     try:
-        basis = fileio.load_code(cfg.code)
+        basis = fileio.load_code(args.code)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {quoted(cfg.code)}: {getattr(exc, 'strerror', exc)}") from None
-    if cfg.rank is not None and basis.rank != cfg.rank:
-        raise ParseError(f"--rank {cfg.rank} does not match code rank {basis.rank}")
+        raise ParseError(f"cannot read {quoted(args.code)}: {getattr(exc, 'strerror', exc)}") from None
+    if args.rank is not None and basis.rank != args.rank:
+        raise ParseError(f"--rank {args.rank} does not match code rank {basis.rank}")
     return basis
 
 
-def _resolve_basis(cfg: CommandConfig) -> CodeBasis:
+def _resolve_basis(args: argparse.Namespace) -> CodeBasis:
     """Explicit code from --code, or the reference basis of a loop id / vector."""
-    given = [name for name, v in (("--loop", cfg.loop), ("--lambda", cfg.lam), ("--code", cfg.code)) if v]
-    if len(given) != 1:
-        raise ParseError(f"exactly one of --loop/--lambda/--code is required (got {given or 'none'})")
-    if cfg.code:
-        return _load_code(cfg)
-    if cfg.loop:
-        class_id = _parse_loop_id(cfg.loop, cfg.rank)
+    _require_one_target(args)
+    if args.code:
+        return _load_code(args)
+    if args.loop:
+        class_id = _parse_loop_id(args.loop, args.rank)
     else:
-        class_id = loop_class(fileio.parse_lambda(cfg.lam, cfg.rank))
+        class_id = loop_class(fileio.parse_lambda(args.lam, args.rank))
     return ENTRIES[str(class_id)].basis()
 
 
@@ -156,13 +132,13 @@ def _normalized(cv: CharVector) -> CharVector:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_classify(cfg: CommandConfig) -> str:
-    cv = _resolve_vector(cfg)
+def cmd_classify(args: argparse.Namespace) -> str:
+    cv = _resolve_vector(args)
     class_id, rep, witness = canonicalize(cv)
     record = fileio.classify_record(cv, class_id, rep, witness)
-    if cfg.format == "json":
+    if args.format == "json":
         return fileio.dumps(record)
-    if cfg.format == "csv":
+    if args.format == "csv":
         return fileio.csv_text(
             [["loop", "lambda", "representative"], [record["loop"], record["lambda"], record["representative"]]]
         )
@@ -175,17 +151,17 @@ def cmd_classify(cfg: CommandConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_orbits(cfg: CommandConfig) -> str:
-    sizes = orbit_sizes(cfg.rank)
+def cmd_orbits(args: argparse.Namespace) -> str:
+    sizes = orbit_sizes(args.rank)
     rows = [
         [str(cid), representative(cid).shorthand(), size]
         for cid, size in sizes.items()
     ]
     total = sum(size for _, _, size in rows)
-    if cfg.format == "json":
+    if args.format == "json":
         return fileio.dumps(
             {
-                "rank": cfg.rank,
+                "rank": args.rank,
                 "total": total,
                 "orbits": [
                     {"loop": loop, "representative": rep, "size": size}
@@ -193,7 +169,7 @@ def cmd_orbits(cfg: CommandConfig) -> str:
                 ],
             }
         )
-    if cfg.format == "csv":
+    if args.format == "csv":
         return fileio.csv_text([["loop", "representative", "size"]] + rows)
     width = max(len(r[1]) for r in rows)
     lines = [f"{loop:<6} {rep:<{width}} {size:>6}" for loop, rep, size in rows]
@@ -201,22 +177,22 @@ def cmd_orbits(cfg: CommandConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_enumerate(cfg: CommandConfig):
+def cmd_enumerate(args: argparse.Namespace):
     """Streamed: yields one chunk per representation, then a summary record."""
-    cv = _normalized(_resolve_vector(cfg))
+    cv = _normalized(_resolve_vector(args))
     class_id = loop_class(cv)
 
     def stream():
         count = 0
         min_degree: int | None = None
-        for rep in enumerate_reduced(cv, max_class_size=cfg.max_class_size):
+        for rep in enumerate_reduced(cv, max_class_size=args.max_class_size):
             count += 1
             if min_degree is None or rep.degree < min_degree:
                 min_degree = rep.degree
             record = fileio.representation_record(class_id, rep)
-            if cfg.format == "json":
+            if args.format == "json":
                 yield fileio.dumps(record)
-            elif cfg.format == "csv":
+            elif args.format == "csv":
                 yield fileio.csv_text(
                     [[record["loop"], record["degree"], "".join(map(str, record["type"]))]]
                 )
@@ -227,7 +203,7 @@ def cmd_enumerate(cfg: CommandConfig):
                     f"type=({''.join(map(str, record['type']))}) generators: {gens}\n"
                 )
         summary = {"loop": str(class_id), "count": count, "min_degree": min_degree}
-        if cfg.format == "json":
+        if args.format == "json":
             yield fileio.dumps({"summary": summary})
         else:
             yield f"# count={count} min_degree={min_degree}\n"
@@ -235,13 +211,13 @@ def cmd_enumerate(cfg: CommandConfig):
     return stream()
 
 
-def cmd_minimal(cfg: CommandConfig) -> str:
-    cv = _normalized(_resolve_vector(cfg))
-    report = minimal_representations(cv, max_class_size=cfg.max_class_size)
+def cmd_minimal(args: argparse.Namespace) -> str:
+    cv = _normalized(_resolve_vector(args))
+    report = minimal_representations(cv, max_class_size=args.max_class_size)
     record = fileio.minimal_report_record(report)
-    if cfg.format == "json":
+    if args.format == "json":
         return fileio.dumps(record)
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = [["loop", "degree", "type"]]
         for rep in record["representations"]:
             rows.append([record["loop"], record["degree"], "".join(map(str, rep["type"]))])
@@ -258,10 +234,10 @@ def cmd_minimal(cfg: CommandConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_loop(cfg: CommandConfig) -> str:
-    basis = _resolve_basis(cfg)
+def cmd_loop(args: argparse.Namespace) -> str:
+    basis = _resolve_basis(args)
     loop = build_loop(basis)
-    if cfg.format == "csv":
+    if args.format == "csv":
         return loop_table_csv(loop)
     cv = char_vector_of(basis)
     class_id = loop_class(cv) if cv.nonassociative else None
@@ -272,7 +248,7 @@ def cmd_loop(cfg: CommandConfig) -> str:
         "center_size": len(loop.center()),
         "loop": str(class_id) if class_id else None,
     }
-    if cfg.format == "json":
+    if args.format == "json":
         return fileio.dumps(record)
     lines = [
         f"order: {record['order']}",
@@ -284,19 +260,19 @@ def cmd_loop(cfg: CommandConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_render(cfg: CommandConfig) -> str:
-    basis = _resolve_basis(cfg)
+def cmd_render(args: argparse.Namespace) -> str:
+    basis = _resolve_basis(args)
     render.check_rank(basis.rank)  # before the 2^n - 1 blocks of the partition
     partition = class_partition(basis)
-    if cfg.style == "svg":
+    if args.style == "svg":
         return render.render_svg(partition)
     return render.render_ascii(partition)
 
 
-def cmd_verify(cfg: CommandConfig) -> tuple[str, int]:
-    results = run_claims(only=cfg.only)
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    results = run_claims(only=args.only)
     code = EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
-    if cfg.format == "json":
+    if args.format == "json":
         return fileio.dumps([asdict(res) for res in results]), code
     lines = []
     for res in results:
@@ -314,25 +290,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config(args)
-        code = EXIT_OK
-        if cfg.command == "classify":
-            text = cmd_classify(cfg)
-        elif cfg.command == "orbits":
-            text = cmd_orbits(cfg)
-        elif cfg.command == "enumerate":
-            text = cmd_enumerate(cfg)
-        elif cfg.command == "minimal":
-            text = cmd_minimal(cfg)
-        elif cfg.command == "loop":
-            text = cmd_loop(cfg)
-        elif cfg.command == "render":
-            text = cmd_render(cfg)
-        else:
-            text, code = cmd_verify(cfg)
+        if args.max_class_size < 1:
+            raise ParseError("--max-class-size must be at least 1")
+        result = args.run(args)  # verify-paper also returns its exit code
+        text, code = result if isinstance(result, tuple) else (result, EXIT_OK)
         chunks = (text,) if isinstance(text, str) else text
-        if cfg.output:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 for chunk in chunks:
                     fh.write(chunk)
         else:

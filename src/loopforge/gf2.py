@@ -13,7 +13,7 @@ linearly, which is what ``codes_equivalent`` exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, count
 from typing import Iterable, Sequence
@@ -298,7 +298,7 @@ def type_vector(sizes: Iterable[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Weight profiles
+# Meet weights and class sizes by coefficient mask
 
 
 def superset_sums(values: Sequence[int], sign: int = 1) -> list[int]:
@@ -321,79 +321,6 @@ def meet_weights(masks: Sequence[int]) -> tuple[int, ...]:
     for mask in masks:
         meets += [x & mask for x in meets]
     return tuple(x.bit_count() for x in meets)
-
-
-def _lex_masks(rank: int, size: int) -> list[int]:
-    return [sigma_mask(s) for s in combinations(range(1, rank + 1), size)]
-
-
-@dataclass(frozen=True)
-class WeightProfile:
-    """The weights of all generator meets of a rank-3 or rank-4 basis.
-
-    ``singles``/``pairs``/``triples`` follow lexicographic index order;
-    ``quad`` is the four-fold intersection weight (rank 4 only, else None).
-    ``weights`` holds them by coefficient mask, as ``meet_weights`` does
-    (entry 0 is left at 0).
-    """
-
-    rank: int
-    singles: tuple[int, ...]
-    pairs: tuple[int, ...]
-    triples: tuple[int, ...]
-    quad: int | None = None
-    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.rank not in (3, 4):
-            raise UnsupportedRank(f"weight profiles support ranks 3 and 4, got {self.rank}")
-        n = self.rank
-        if len(self.singles) != n or len(self.pairs) != n * (n - 1) // 2:
-            raise ValueError("wrong number of weights")
-        if len(self.triples) != (1 if n == 3 else 4):
-            raise ValueError("wrong number of triple weights")
-        if (self.quad is None) != (n == 3):
-            raise ValueError("quad weight present iff rank is 4")
-        weights = [0] * (1 << n)
-        parts = (self.singles, self.pairs, self.triples, () if n == 3 else (self.quad,))
-        for size, part in enumerate(parts, 1):
-            for mask, t in zip(_lex_masks(n, size), part):
-                weights[mask] = t
-        object.__setattr__(self, "weights", tuple(weights))
-
-    def t(self, *indices: int) -> int:
-        """Weight of the meet of the generators with the given 1-based indices."""
-        if not indices or not all(1 <= i <= self.rank for i in indices):
-            raise ValueError(f"bad index set {indices}")
-        return self.weights[sigma_mask(indices)]
-
-
-def profile_of(basis: CodeBasis) -> WeightProfile:
-    n = basis.rank
-    if n not in (3, 4):
-        raise UnsupportedRank(f"weight profiles support ranks 3 and 4, got {n}")
-    w = meet_weights(basis.masks)
-    singles, pairs, triples = (tuple(w[x] for x in _lex_masks(n, k)) for k in (1, 2, 3))
-    return WeightProfile(n, singles, pairs, triples, w[-1] if n == 4 else None)
-
-
-def pair_length(i: int, j: int, profile: WeightProfile) -> int:
-    """|v_i union v_j| by inclusion-exclusion (not |v_i + v_j|, the
-    symmetric difference)."""
-    if i == j:
-        raise ValueError("indices must be distinct")
-    return profile.t(i) + profile.t(j) - profile.t(i, j)
-
-
-def triple_length(i: int, j: int, k: int, profile: WeightProfile) -> int:
-    """|v_i union v_j union v_k| by inclusion-exclusion (not |v_i + v_j + v_k|)."""
-    if len({i, j, k}) != 3:
-        raise ValueError("indices must be distinct")
-    return (
-        profile.t(i) + profile.t(j) + profile.t(k)
-        - (profile.t(i, j) + profile.t(i, k) + profile.t(j, k))
-        + profile.t(i, j, k)
-    )
 
 
 # ---------------------------------------------------------------------------

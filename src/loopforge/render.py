@@ -39,26 +39,32 @@ def check_rank(rank: int) -> None:
         raise UnsupportedRank("diagrams exist for ranks 3 and 4")
 
 
+# rank-4 band grid, one tuple per row: rows 1-3 lie in v1, v1&v3 and v3 and
+# columns 1-3 in v2, v2&v4 and v4; row and column 0 lie outside them
+_ROW_NAMES = ("v1", "v1&v3", "v3")
+_COL_NAMES = ("v2", "v2&v4", "v4")
+_GRID_CELLS: tuple[tuple[Sigma | None, ...], ...] = (
+    (None, (2,), (2, 4), (4,)),
+    ((1,), (1, 2), (1, 2, 4), (1, 4)),
+    ((1, 3), (1, 2, 3), (1, 2, 3, 4), (1, 3, 4)),
+    ((3,), (2, 3), (2, 3, 4), (3, 4)),
+)
+
+
 def render_ascii(partition: ClassPartition) -> str:
     check_rank(partition.rank)
     return _ascii_rank3(partition) if partition.rank == 3 else _ascii_rank4(partition)
 
 
 def _ascii_rank3(partition: ClassPartition) -> str:
-    s = partition.sizes
-    w = max(len(_label(sig, n)) for sig, n in s.items()) + 2
+    labels = [_label(sigma, n) for sigma, n in partition.sizes.items()]
+    w = max(map(len, labels)) + 2
 
     def c(text: str) -> str:
         return text.center(w)
 
     blank = c("")
-    x1 = c(_label((1,), s[(1,)]))
-    x12 = c(_label((1, 2), s[(1, 2)]))
-    x13 = c(_label((1, 3), s[(1, 3)]))
-    x123 = c(_label((1, 2, 3), s[(1, 2, 3)]))
-    x2 = c(_label((2,), s[(2,)]))
-    x23 = c(_label((2, 3), s[(2, 3)]))
-    x3 = c(_label((3,), s[(3,)]))
+    x123, x12, x13, x1, x23, x2, x3 = map(c, labels)  # class_order(3)
     bar = "-" * w
     pad = " " * (w + 1)
     lines = [
@@ -80,34 +86,11 @@ def _ascii_rank3(partition: ClassPartition) -> str:
 
 def _ascii_rank4(partition: ClassPartition) -> str:
     s = partition.sizes
-    grid: list[list[str]] = [
-        ["", _label((2,), s[(2,)]), _label((2, 4), s[(2, 4)]), _label((4,), s[(4,)])],
-        [
-            _label((1,), s[(1,)]),
-            _label((1, 2), s[(1, 2)]),
-            _label((1, 2, 4), s[(1, 2, 4)]),
-            _label((1, 4), s[(1, 4)]),
-        ],
-        [
-            _label((1, 3), s[(1, 3)]),
-            _label((1, 2, 3), s[(1, 2, 3)]),
-            _label((1, 2, 3, 4), s[(1, 2, 3, 4)]),
-            _label((1, 3, 4), s[(1, 3, 4)]),
-        ],
-        [
-            _label((3,), s[(3,)]),
-            _label((2, 3), s[(2, 3)]),
-            _label((2, 3, 4), s[(2, 3, 4)]),
-            _label((3, 4), s[(3, 4)]),
-        ],
-    ]
-    width = max(max(len(cell) for cell in row) for row in grid) + 2
-    row_names = ["", "v1", "v1&v3", "v3"]
-    name_w = max(len(r) for r in row_names) + 1
-    header = (
-        " " * (name_w + 1)
-        + "".join(h.center(width + 1) for h in ["", "v2", "v2&v4", "v4"])
-    )
+    grid = [["" if sigma is None else _label(sigma, s[sigma]) for sigma in row] for row in _GRID_CELLS]
+    width = max(len(cell) for row in grid for cell in row) + 2
+    row_names = ("", *_ROW_NAMES)
+    name_w = max(map(len, row_names)) + 1
+    header = " " * (name_w + 1) + "".join(h.center(width + 1) for h in ("", *_COL_NAMES))
     rule = " " * name_w + "+" + "+".join("-" * width for _ in range(4)) + "+"
     lines = [header, rule]
     for name, row in zip(row_names, grid):
@@ -176,14 +159,6 @@ def _svg_rank3(partition: ClassPartition) -> str:
     return "\n".join(parts) + "\n"
 
 
-_GRID_CELLS: dict[tuple[int, int], Sigma | None] = {
-    (0, 0): None, (1, 0): (2,), (2, 0): (2, 4), (3, 0): (4,),
-    (0, 1): (1,), (1, 1): (1, 2), (2, 1): (1, 2, 4), (3, 1): (1, 4),
-    (0, 2): (1, 3), (1, 2): (1, 2, 3), (2, 2): (1, 2, 3, 4), (3, 2): (1, 3, 4),
-    (0, 3): (3,), (1, 3): (2, 3), (2, 3): (2, 3, 4), (3, 3): (3, 4),
-}
-
-
 def _svg_rank4(partition: ClassPartition) -> str:
     s = partition.sizes
     cw, ch, ox, oy = 110, 70, 70, 50
@@ -201,19 +176,20 @@ def _svg_rank4(partition: ClassPartition) -> str:
     for i, color in enumerate(hcolors, start=1):
         y = oy + i * ch
         parts.append(f'<line x1="{ox}" y1="{y}" x2="{ox + 4 * cw}" y2="{y}" stroke="{color}"/>')
-    for text, col in (("v2", 1), ("v2&v4", 2), ("v4", 3)):
+    for col, text in enumerate(_COL_NAMES, start=1):
         parts.append(_svg_text(ox + col * cw + cw / 2, oy - 12, text))
-    for text, row in (("v1", 1), ("v1&v3", 2), ("v3", 3)):
+    for row, text in enumerate(_ROW_NAMES, start=1):
         parts.append(_svg_text(ox - 38, oy + row * ch + ch / 2, text, size=11))
-    for (col, row), sigma in _GRID_CELLS.items():
-        if sigma is None:
-            continue
-        x = ox + col * cw + cw / 2
-        y = oy + row * ch + ch / 2
-        parts.append(_svg_text(x, y, _label(sigma, s[sigma]), size=11))
-        pts = _positions_text(partition, sigma)
-        if pts:
-            parts.append(_svg_text(x, y + 13, pts, size=8))
+    for row, cells in enumerate(_GRID_CELLS):
+        for col, sigma in enumerate(cells):
+            if sigma is None:
+                continue
+            x = ox + col * cw + cw / 2
+            y = oy + row * ch + ch / 2
+            parts.append(_svg_text(x, y, _label(sigma, s[sigma]), size=11))
+            pts = _positions_text(partition, sigma)
+            if pts:
+                parts.append(_svg_text(x, y + 13, pts, size=8))
     parts.append(_svg_text(270, 385, _summary(partition), size=10))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from operator import mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .charvec import CharVector, LoopClassId, char_vector_of_meets, coordinates_by_mask
 from .charvec import loop_class, orbit_representatives
@@ -44,7 +44,6 @@ from .gf2 import (
     CodeBasis,
     Codeword,
     Sigma,
-    WeightProfile,
     canonical_code_signature,
     class_order,
     gf2_rank,
@@ -90,15 +89,19 @@ class ClassSizes:
         }
 
 
-def solve_system(profile: WeightProfile, max_size: int = REDUCED_MAX) -> ClassSizes:
-    """Class cardinalities of a weight profile, by Moebius inversion:
+def solve_system(weights: Sequence[int], max_size: int = REDUCED_MAX) -> ClassSizes:
+    """Class cardinalities from meet weights by coefficient mask (as
+    ``gf2.meet_weights`` gives them, entry 0 unread), by Moebius inversion:
     x_sigma = sum over supersets tau of (-1)^|tau - sigma| t_tau.
 
     Raises InfeasibleProfile for a negative cardinality and NotReduced for
     one above ``max_size``.
     """
-    n = profile.rank
-    sizes = superset_sums(profile.weights, -1)
+    n = len(weights).bit_length() - 1
+    if n < 1 or len(weights) != 1 << n:
+        raise ValueError(f"need 2^n meet weights with n >= 1, got {len(weights)}")
+    orbit_representatives(n)  # rejects unclassified ranks
+    sizes = superset_sums(weights, -1)  # entry 0 reaches no nonzero mask
     counts = tuple(sizes[sigma_mask(sigma)] for sigma in class_order(n))
     for sigma, x in zip(class_order(n), counts):
         if x < 0:

@@ -28,7 +28,7 @@ from .charvec import (
     representative,
 )
 from .errors import LoopforgeError
-from .gf2 import WeightProfile, class_order, codes_equivalent, is_doubly_even
+from .gf2 import class_order, codes_equivalent, is_doubly_even, sigma_mask
 from .loops import build_loop, is_moufang
 from .search import MinimalReport, assemble_representation, minimal_representations, solve_system
 
@@ -178,16 +178,15 @@ def claim_published_misprints() -> ClaimResult:
 
 
 def claim_worked_example() -> ClaimResult:
-    u = catalog.WORKED_EXAMPLE_U
-    profile = WeightProfile(
-        4, singles=tuple(u[11:15]), pairs=tuple(u[5:11]), triples=tuple(u[1:5]), quad=u[0]
-    )
+    # the published u and solution v list the subsets of I_4 larger first,
+    # then lexicographically; v omits I_4 itself
+    published = sorted(class_order(4), key=lambda sigma: (-len(sigma), sigma))
+    weights = [0] * 16
+    for sigma, t in zip(published, catalog.WORKED_EXAMPLE_U):
+        weights[sigma_mask(sigma)] = t
     mismatches: list[str] = []
-    sizes = solve_system(profile)
-    # the published solution lists x_sigma for the proper subsets sigma of
-    # I_4, larger subsets first, then lexicographically
-    published = sorted(class_order(4), key=lambda sigma: (-len(sigma), sigma))[1:]
-    solution = tuple(sizes[sigma] for sigma in published)
+    sizes = solve_system(weights)
+    solution = tuple(sizes[sigma] for sigma in published[1:])
     if solution != catalog.WORKED_EXAMPLE_V:
         mismatches.append(f"solution {solution} != expected {catalog.WORKED_EXAMPLE_V}")
     basis = assemble_representation(sizes)

@@ -214,13 +214,14 @@ def test_criterion_5_summary():
 
 def test_criterion_6_worked_example_byte_exact():
     from loopforge.fileio import format_code
-    from loopforge.gf2 import WeightProfile
     from loopforge.search import assemble_representation, solve_system
 
-    u = (0, 1, 0, 2, 0, 2, 6, 2, 6, 0, 4, 8, 8, 16, 4)
+    # the published u = (t1234, t123, t124, t134, t234, t12, t13, t14, t23,
+    # t24, t34, t1, t2, t3, t4) = (0, 1, 0, 2, 0, 2, 6, 2, 6, 0, 4, 8, 8, 16, 4)
+    # placed by coefficient mask: entry m is the meet of the generators in m
+    u = (0, 8, 8, 2, 16, 6, 6, 1, 4, 2, 0, 0, 4, 2, 0, 0)
     expected_solution = (1, 0, 2, 0, 1, 3, 0, 5, 0, 2, 1, 1, 3, 0)
-    profile = WeightProfile(4, singles=u[11:15], pairs=u[5:11], triples=u[1:5], quad=u[0])
-    sizes = solve_system(profile)
+    sizes = solve_system(u)
     solution = (
         sizes[(1, 2, 3)], sizes[(1, 2, 4)], sizes[(1, 3, 4)], sizes[(2, 3, 4)],
         sizes[(1, 2)], sizes[(1, 3)], sizes[(1, 4)], sizes[(2, 3)], sizes[(2, 4)],

@@ -19,11 +19,9 @@ from loopforge.gf2 import (
     label_counts,
     meet_weight,
     meet_weights,
-    pair_length,
-    profile_of,
+    sigma_mask,
     span,
     superset_sums,
-    triple_length,
     type_vector,
     weight,
 )
@@ -276,23 +274,24 @@ def test_weight_xor_identity(rng):
 
 
 def test_profile_lengths():
-    profile = profile_of(V2_R3)
-    assert profile.singles == (8, 8, 8)
-    assert pair_length(1, 2, profile) == 12
-    assert triple_length(1, 2, 3, profile) == 13
-    with pytest.raises(ValueError):
-        pair_length(2, 2, profile)
+    # unions by inclusion-exclusion over the meet weights, entry m the meet of
+    # the generators in m (not |v_i + v_j|, the symmetric difference)
+    w = meet_weights(V2_R3.masks)
+    assert (w[1], w[2], w[4]) == (8, 8, 8)
+    v1, v2, v3 = V2_R3.generators
+    assert w[1] + w[2] - w[3] == (v1 | v2).weight == 12
+    assert w[1] + w[2] + w[4] - (w[3] + w[5] + w[6]) + w[7] == (v1 | v2 | v3).weight == 13
+    assert w[0] == 13  # entry 0 is the union of all generators
 
 
 def test_profile_t_reads_index_sets():
-    for profile in (profile_of(V2_R3), profile_of(V14_R4)):
-        n = profile.rank
-        assert profile.t(2, 1) == profile.t(1, 2)
-        assert profile.t(1, 1) == profile.t(1)
-        assert profile.t(*range(1, n + 1)) == (profile.quad if n == 4 else profile.triples[0])
-        for bad in ((), (0,), (n + 1,), (1, n + 1)):
-            with pytest.raises(ValueError):
-                profile.t(*bad)
+    for basis in (V2_R3, V14_R4):
+        n = basis.rank
+        w = meet_weights(basis.masks)
+        assert len(w) == 1 << n
+        assert w[sigma_mask((2, 1))] == w[sigma_mask((1, 2))] == meet_weight(basis.generators[:2])
+        assert w[sigma_mask((1, 1))] == w[sigma_mask((1,))] == basis.generators[0].weight
+        assert w[sigma_mask(range(1, n + 1))] == w[-1] == meet_weight(basis.generators)
 
 
 def test_superset_sums_invert_each_other(rng):
@@ -310,16 +309,15 @@ def test_meet_weights_are_zeta_of_label_counts(rng):
         assert superset_sums((0,) + label_counts(basis)) == list(weights)
         for x in range(1, 1 << basis.rank):
             assert weights[x] == meet_weight([g for i, g in enumerate(basis.generators) if x >> i & 1])
-        if basis.rank in (3, 4):
-            assert profile_of(basis).weights[1:] == weights[1:]
 
 
 def test_pair_length_identical_vectors():
-    # t_i = t_j = t_ij collapses the union onto either generator
-    from loopforge.gf2 import WeightProfile
-
-    profile = WeightProfile(3, singles=(8, 8, 12), pairs=(8, 4, 4), triples=(3,))
-    assert pair_length(1, 2, profile) == 8
+    # t_1 = t_2 = t_12 collapses the union onto either generator
+    a = Codeword.from_positions(16, range(1, 9))
+    b = Codeword.from_positions(16, range(5, 17))
+    w = meet_weights([a.bits, a.bits, b.bits])
+    assert w[1:4] == (8, 8, 8) and (w[4], w[5], w[6]) == (12, 4, 4)
+    assert w[1] + w[2] - w[3] == w[1] == meet_weights([a.bits, a.bits])[0] == 8
 
 
 def test_large_length_codewords():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -10,6 +11,7 @@ from loopforge.catalog import ENTRIES
 from loopforge.errors import UnsupportedRank
 from loopforge.gf2 import CodeBasis, class_partition
 from loopforge.render import render_ascii, render_svg
+from loopforge.search import ClassSizes, assemble_representation
 
 
 def part_for(loop: str):
@@ -71,3 +73,44 @@ def test_svg_rank4_well_formed():
 def test_render_deterministic():
     assert render_ascii(part_for("C4_14")) == render_ascii(part_for("C4_14"))
     assert render_svg(part_for("C4_14")) == render_svg(part_for("C4_14"))
+
+
+# leading 16 hex digits of the SHA-256 of the ascii and the svg bytes
+RENDER_DIGESTS = {
+    "C3_1": ("5f7f82a2c4b2c15c", "fb422db17188839f"),
+    "C3_2": ("2c38c0042321e265", "458222e97dd83415"),
+    "C3_3": ("feb4d8c9517590d1", "e9fcc589981adf33"),
+    "C3_4": ("e6e873fe89cfcd02", "24d1eabb268e225a"),
+    "C3_5": ("cf6e12c5bb226193", "0e448e06a2b39783"),
+    "C4_1": ("bada6c06d081f154", "c86e89d416c06c6b"),
+    "C4_2": ("8a34c82899baec5c", "2dd94ca7f791db6d"),
+    "C4_3": ("05e9fe0572dce2ad", "cd38d4c0dbe8af71"),
+    "C4_4": ("2091c731e6c2c484", "ecba0378ba4dd749"),
+    "C4_5": ("c03422fb18fd0ce1", "24f659938650955c"),
+    "C4_6": ("fc2029a81b4f674b", "89cf980d2906610f"),
+    "C4_7": ("fcad0e5a32f93f1e", "bd0bb6eb750c8a6e"),
+    "C4_8": ("875c99ab125652eb", "63abd3786e0ceade"),
+    "C4_9": ("a30af29bd93a8859", "14a699b3ce626230"),
+    "C4_10": ("3c2dee4311711279", "5bbb760b27cc0ed3"),
+    "C4_11": ("ee6e427eb2899910", "321d01d6f33ff469"),
+    "C4_12": ("2518cad727975a4f", "8d306000afa20eb9"),
+    "C4_13": ("70c2afd2196d6698", "193d20ea76b317ad"),
+    "C4_14": ("7c973c419b6c536c", "7d9d98ec5f2efcc9"),
+    "C4_15": ("e681accdcbc70eec", "5449e539c8097861"),
+    "C4_16": ("96c59d15f6d43189", "48133a3d430842f8"),
+    "rank 3, degree 31": ("05ac65299ccb5385", "a0edf53735fdaaa2"),
+    "rank 4, degree 25": ("5df22aca65b1eecc", "1cc954af5b6cc749"),
+}
+
+
+def test_render_output_is_pinned():
+    # the catalog bases, and two codes too long for point labels
+    parts = {name: part_for(name) for name in ENTRIES}
+    for n, counts in ((3, (1, 3, 3, 7, 3, 7, 7)), (4, (0, 1, 0, 0, 3, 3, 2, 7, 0, 1, 0, 3, 0, 3, 2))):
+        sizes = ClassSizes(n, counts)
+        parts[f"rank {n}, degree {sizes.degree}"] = class_partition(assemble_representation(sizes))
+    digests = {
+        name: tuple(hashlib.sha256(draw(part).encode()).hexdigest()[:16] for draw in (render_ascii, render_svg))
+        for name, part in parts.items()
+    }
+    assert digests == RENDER_DIGESTS

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 import pytest
@@ -33,13 +33,11 @@ from loopforge.errors import (
     UnsupportedRank,
 )
 from loopforge.gf2 import (
-    Sigma,
-    WeightProfile,
     canonical_code_signature,
     class_order,
     class_partition,
     gf2_rank,
-    profile_of,
+    meet_weights,
     sigma_mask,
     superset_sums,
     type_vector,
@@ -59,64 +57,51 @@ ALL_LOOPS = [LoopClassId(3, i) for i in range(1, 6)] + [LoopClassId(4, i) for i 
 
 
 @lru_cache(maxsize=8)
-def _incidence(n: int) -> dict[Sigma, tuple[int, ...]]:
-    """For each index set sigma, the class_order positions of its supersets."""
+def _incidence(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each coefficient mask m, the class_order positions of the index sets
+    sigma containing the generators picked by m."""
     order = class_order(n)
-    sigmas = [
-        s
-        for size in range(1, n + 1)
-        for s in combinations(range(1, n + 1), size)
-    ]
-    return {
-        s: tuple(p for p, tau in enumerate(order) if set(s) <= set(tau)) for s in sigmas
-    }
+    picked = [{i for i in range(1, n + 1) if m >> (i - 1) & 1} for m in range(1 << n)]
+    return tuple(tuple(p for p, tau in enumerate(order) if s <= set(tau)) for s in picked)
 
 
-def profile_from_sizes(sizes: ClassSizes) -> WeightProfile:
-    """Oracle for ``solve_system``: meet weights t_sigma = sum of x_tau over tau
-    containing sigma."""
-    n = sizes.rank
-    inc = _incidence(n)
-    counts = sizes.counts
-
-    def t(sigma: Sigma) -> int:
-        return sum(counts[p] for p in inc[sigma])
-
-    singles = tuple(t((i,)) for i in range(1, n + 1))
-    pairs = tuple(t(p) for p in combinations(range(1, n + 1), 2))
-    triples = tuple(t(tr) for tr in combinations(range(1, n + 1), 3))
-    quad = t((1, 2, 3, 4)) if n == 4 else None
-    return WeightProfile(n, singles, pairs, triples, quad)
+def profile_from_sizes(sizes: ClassSizes) -> tuple[int, ...]:
+    """Oracle for ``solve_system``: meet weights by coefficient mask, t_sigma =
+    sum of x_tau over tau containing sigma (entry 0: the degree)."""
+    return tuple(sum(sizes.counts[p] for p in cells) for cells in _incidence(sizes.rank))
 
 
-def worked_profile() -> WeightProfile:
-    u = WORKED_EXAMPLE_U
-    return WeightProfile(4, singles=u[11:15], pairs=u[5:11], triples=u[1:5], quad=u[0])
+def worked_profile() -> list[int]:
+    # the published u lists the subsets of I_4 larger first, then lexicographically
+    published = sorted(class_order(4), key=lambda sigma: (-len(sigma), sigma))
+    weights = [0] * 16
+    for sigma, t in zip(published, WORKED_EXAMPLE_U):
+        weights[sigma_mask(sigma)] = t
+    return weights
+
+
+# rank-3 weights by mask: (t, t_1, t_2, t_12, t_3, t_13, t_23, t_123), entry 0 unread
 
 
 def test_solve_rank3_all_singletons():
-    profile = WeightProfile(3, singles=(4, 4, 4), pairs=(2, 2, 2), triples=(1,))
-    sizes = solve_system(profile)
+    sizes = solve_system([0, 4, 4, 2, 4, 2, 2, 1])
     assert sizes.counts == (1,) * 7
     assert sizes.degree == 7
 
 
 def test_solve_rank3_infeasible():
-    profile = WeightProfile(3, singles=(4, 4, 4), pairs=(2, 2, 2), triples=(3,))
     with pytest.raises(InfeasibleProfile):
-        solve_system(profile)
+        solve_system([0, 4, 4, 2, 4, 2, 2, 3])
 
 
 def test_solve_rank3_not_reduced():
-    profile = WeightProfile(3, singles=(16, 16, 16), pairs=(10, 10, 10), triples=(1,))
     with pytest.raises(NotReduced):
-        solve_system(profile)
+        solve_system([0, 16, 16, 10, 16, 10, 10, 1])
 
 
 def test_solve_rank3_mid_example():
     # degree comes out at 11: this is the vector data of the third loop
-    profile = WeightProfile(3, singles=(8, 8, 8), pairs=(6, 6, 6), triples=(5,))
-    sizes = solve_system(profile)
+    sizes = solve_system([0, 8, 8, 6, 8, 6, 6, 5])
     assert sizes[(1, 2)] == sizes[(1, 3)] == sizes[(2, 3)] == 1
     assert sizes[(1,)] == sizes[(2,)] == sizes[(3,)] == 1
     assert sizes.degree == 11
@@ -133,23 +118,37 @@ def test_solve_rank4_worked_example():
 
 
 def test_solve_rank4_zero_profile_degenerate_downstream():
-    profile = WeightProfile(4, singles=(0,) * 4, pairs=(0,) * 6, triples=(0,) * 4, quad=0)
-    sizes = solve_system(profile)
+    sizes = solve_system([0] * 16)
     assert sizes.degree == 0
     with pytest.raises(DegenerateBasis):
         assemble_representation(sizes)
+
+
+def test_solve_reads_the_rank_from_the_length():
+    # entry 0 is not read; the length must be 2^n for a classified n
+    assert solve_system([99, 4, 4, 2, 4, 2, 2, 1]) == solve_system([0, 4, 4, 2, 4, 2, 2, 1])
+    for length in (0, 1, 3, 7, 9, 15):
+        with pytest.raises(ValueError, match=f"got {length}$"):
+            solve_system([0] * length)
+    for n in (1, 2, 5):
+        with pytest.raises(UnsupportedRank, match=f"got {n}$"):
+            solve_system([0] * (1 << n))
+    with pytest.raises(InfeasibleProfile, match=r"^x_123 = -2 < 0$"):
+        solve_system([0, 0, 0, 0, 0, 0, 0, -2])
+    with pytest.raises(NotReduced, match=r"^x_4 = 9 > 8$"):
+        solve_system([0] * 8 + [9] + [0] * 7, max_size=8)
 
 
 def test_solution_reconstructs_weights(rng):
     for _ in range(20):
         rank = rng.choice((3, 4))
         basis = random_doubly_even_basis(rng, rank, rng.randrange(3 + 2 * rank, 20))
-        profile = profile_of(basis)
+        weights = meet_weights(basis.masks)
         try:
-            sizes = solve_system(profile)
+            sizes = solve_system(weights)
         except NotReduced:
             continue  # random codes may have large classes; not our concern here
-        assert profile_from_sizes(sizes) == profile
+        assert profile_from_sizes(sizes) == weights
 
 
 def test_assemble_worked_example_byte_exact():
@@ -509,7 +508,7 @@ def test_solve_round_trip_on_enumerated_representations():
     cv4 = representative(LoopClassId(4, 14))
     sample4 = [rep for rep in enumerate_reduced(cv4, max_class_size=3)][::11]
     for rep in sample3 + sample4:
-        assert solve_system(profile_of(rep.basis)) == rep.sizes
+        assert solve_system(meet_weights(rep.basis.masks)) == rep.sizes
 
 
 def test_type_determines_loop_among_minimal():

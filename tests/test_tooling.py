@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +33,15 @@ def test_benchmark_tracer_finds_every_function_it_wraps():
     code = "import sys; sys.path[:0] = ['perfbench', 'src']; from tracer import Tracer; Tracer().install()"
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_example_runs():
+    # the README's python block is the library's front page: it must run, and
+    # its comments must stay true
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["cv"].shorthand() == "111111"
+    assert str(names["loop_id"]) == "C3_1" and names["loop"].order == 16
+    assert names["sizes"].counts == (1,) * 7
