@@ -28,7 +28,7 @@ from .charvec import (
 from .errors import DomainError, ParseError, clipped, quoted
 from .gf2 import CodeBasis, class_partition
 from .loops import build_loop, is_moufang, loop_table_csv
-from .search import enumerate_reduced, minimal_representations
+from .search import REDUCED_MAX, enumerate_reduced, minimal_representations
 from .verify import claim_ids, run_claims
 
 EXIT_OK = 0
@@ -55,7 +55,7 @@ def build_parser() -> _Parser:
             p.add_argument("--lambda", dest="lam", help="characteristic vector bits")
             p.add_argument("--code", help="path to a code file")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--max-class-size", type=int, default=7)
+        p.add_argument("--max-class-size", type=int, default=REDUCED_MAX)
         p.add_argument("--output", help="write primary output to this path")
 
     add_common(sub.add_parser("classify", help="name the loop of a vector or code"), cmd_classify)

@@ -64,7 +64,7 @@ class UnexpectedRadical(DomainError):
 
 
 class NoFactorSet(DomainError):
-    """Factor-set extension produced an axiom violation (internal consistency failure)."""
+    """A built factor set failed its axiom check (internal consistency failure)."""
 
 
 class InfeasibleProfile(DomainError):

@@ -2,7 +2,7 @@
 
 A codeword over GF(2) of length m is identified with the set of 1-based
 positions it occupies; vector addition is symmetric difference.  All values
-here are immutable, so they are safe to share between workers.
+here are immutable.
 
 The position-equivalence machinery (``class_partition``) splits the index
 set I_m into blocks of positions that lie in exactly the same generators.
@@ -22,10 +22,6 @@ from .errors import DegenerateBasis, EmptyMeet, NotCovering, UnsupportedRank, cl
 
 Sigma = tuple[int, ...]
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
 
 
 @dataclass(frozen=True)
@@ -58,7 +54,7 @@ class Codeword:
 
     @property
     def weight(self) -> int:
-        return _popcount(self.bits)
+        return self.bits.bit_count()
 
     @property
     def positions(self) -> tuple[int, ...]:
@@ -111,7 +107,7 @@ def meet_weight(vs: Sequence[Codeword]) -> int:
     for v in vs[1:]:
         vs[0]._check_length(v)
         bits &= v.bits
-    return _popcount(bits)
+    return bits.bit_count()
 
 
 def gf2_rank(rows: Sequence[int]) -> int:

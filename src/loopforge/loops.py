@@ -7,12 +7,19 @@ The factor set phi on the span of a doubly even code must satisfy
     phi(0, v)   = phi(v, 0) = 1
     phi(v+w, u) = phi(v, w+u) * phi(v, w) * phi(w, u) * (-1)^|v & w & u|
 
-Construction is by extension: adding one generator at a time, the values on
-(old-span element, new generator) pairs are free choices; everything else
-follows from the axioms, walking codewords in coefficient order.  Free
-choices default to +1 (any consistent choice gives an isomorphic loop).
-The construction never trusts itself: every returned table has been checked
-against all four axioms exhaustively.
+Such a phi is fixed by the characteristic vector of the basis, lambda_i =
+t_i/4, lambda_ij = t_ij/2 and lambda_ijk = t_ijk (mod 2), where t_s is the
+meet weight of the generators in s.  On coefficient masks x, y the table is
+phi(x, y) = (-1)^theta(x, y) with the closed-form cocycle (Griess, *Code
+loops*, J. Algebra 100, 1986)
+
+    theta(x, y) = sum_i lambda_i x_i y_i + sum_{i<j} lambda_ij x_j y_i
+                  + sum_{i<j<k} lambda_ijk (x_i y_j y_k + x_j y_i y_k + x_k y_i y_j)
+
+theta is linear in x, so for each y it is the parity of x & rows[y].  Any
+other valid phi differs from this one by a coboundary and gives an isomorphic
+loop.  The construction never trusts itself: every returned table has been
+checked against all four axioms exhaustively.
 """
 
 from __future__ import annotations
@@ -20,15 +27,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Mapping
 
 from .charvec import char_vector_of, loop_class
 from .errors import NoFactorSet, NotDoublyEven, UnsupportedRank
-from .gf2 import Codeword, CodeBasis, is_doubly_even, span
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
+from .gf2 import Codeword, CodeBasis, _xor_span, is_doubly_even, meet_weights
 
 
 @dataclass(frozen=True)
@@ -53,74 +55,47 @@ class FactorSet:
         size = len(cw)
         bad: list[str] = []
         for v in range(size):
-            if phi[v][v] != (-1 if (_popcount(cw[v]) // 4) % 2 else 1):
+            if phi[v][v] != (-1 if (cw[v].bit_count() // 4) % 2 else 1):
                 bad.append(f"square sign wrong at v={v}")
             if phi[0][v] != 1 or phi[v][0] != 1:
                 bad.append(f"identity row/column wrong at v={v}")
             for w in range(size):
-                twist = -1 if (_popcount(cw[v] & cw[w]) // 2) % 2 else 1
+                twist = -1 if ((cw[v] & cw[w]).bit_count() // 2) % 2 else 1
                 if phi[v][w] != twist * phi[w][v]:
                     bad.append(f"symmetry twist wrong at ({v},{w})")
                 for u in range(size):
-                    sign = -1 if _popcount(cw[v] & cw[w] & cw[u]) % 2 else 1
+                    sign = -1 if (cw[v] & cw[w] & cw[u]).bit_count() % 2 else 1
                     if phi[v ^ w][u] != phi[v][w ^ u] * phi[v][w] * phi[w][u] * sign:
                         bad.append(f"cocycle axiom fails at ({v},{w},{u})")
         return bad
 
 
-def free_seed_slots(rank: int) -> tuple[tuple[int, int], ...]:
-    """(old-span mask, generator index) pairs whose phi values are free choices."""
-    return tuple((p, j) for j in range(rank) for p in range(1, 1 << j))
-
-
-def build_factor_set(
-    basis: CodeBasis, seeds: Mapping[tuple[int, int], int] | None = None
-) -> FactorSet:
-    """Construct a factor set on the span of a doubly even basis of rank <= 4.
-
-    ``seeds`` optionally fixes the free choices (+1/-1 per slot from
-    ``free_seed_slots``); unspecified slots default to +1.
-    """
+def build_factor_set(basis: CodeBasis) -> FactorSet:
+    """The closed-form factor set on the span of a doubly even basis of rank <= 4."""
     n = basis.rank
     if n > 4:
         raise UnsupportedRank("factor sets are built for rank <= 4 (span size <= 16)")
     if not is_doubly_even(basis):
         raise NotDoublyEven("factor sets require a doubly even code")
-    cw = tuple(w.bits for w in span(basis))
     size = 1 << n
-    phi = [[0] * size for _ in range(size)]
-    phi[0][0] = 1
-    seeds = dict(seeds or {})
-    for j in range(n):
-        g = 1 << j
-        old = 1 << j  # old span is the masks below g
-        vj = cw[g]
-        # free choices on (old element, new generator)
-        for p in range(old):
-            phi[p][g] = 1 if p == 0 else seeds.get((p, j), 1)
-        # phi(p+g, g) via the cocycle axiom with w = u = new generator
-        phi_gg = -1 if (_popcount(vj) // 4) % 2 else 1
-        for p in range(old):
-            par = -1 if _popcount(cw[p] & vj) % 2 else 1
-            phi[p ^ g][g] = phi[p][g] * phi_gg * par
-        # phi(x, w2+g) for old x, w2: cocycle with u = new generator
-        for x in range(old):
-            for w2 in range(old):
-                par = -1 if _popcount(cw[x] & cw[w2] & vj) % 2 else 1
-                phi[x][w2 ^ g] = phi[x ^ w2][g] * phi[x][w2] * phi[w2][g] * par
-        # phi(w1+g, y) for old y: symmetry twist of the previous block
-        for w1 in range(old):
-            a = w1 ^ g
-            for y in range(old):
-                twist = -1 if (_popcount(cw[a] & cw[y]) // 2) % 2 else 1
-                phi[a][y] = twist * phi[y][a]
-        # phi(w1+g, w2+g): cocycle with u = new generator again
-        for w1 in range(old):
-            a = w1 ^ g
-            for w2 in range(old):
-                par = -1 if _popcount(cw[a] & cw[w2] & vj) % 2 else 1
-                phi[a][w2 ^ g] = phi[w1 ^ w2 ^ g][g] * phi[a][w2] * phi[w2][g] * par
-    fs = FactorSet(basis, cw, tuple(tuple(row) for row in phi))
+    lam = [
+        w >> (3 - s.bit_count()) & 1 if 0 < s.bit_count() <= 3 else 0
+        for s, w in enumerate(meet_weights(basis.masks))
+    ]
+    # the bilinear terms: column i holds lambda_i at bit i and lambda_ij at bits j > i
+    rows = _xor_span([sum(lam[1 << i | 1 << j] << j for j in range(i, n)) for i in range(n)])
+    # the cubic terms: bit a of rows[y] flips for each a of a triple s whose
+    # other two lie in y, so all of s when s lies in y, else its one bit outside y
+    for s in range(size):
+        if s.bit_count() == 3 and lam[s]:
+            for y in range(size):
+                outside = s & ~y
+                if outside & (outside - 1) == 0:
+                    rows[y] ^= outside or s
+    signs = tuple(
+        tuple(-1 if (x & row).bit_count() & 1 else 1 for row in rows) for x in range(size)
+    )
+    fs = FactorSet(basis, tuple(_xor_span(basis.masks)), signs)
     bad = fs.axiom_violations()
     if bad:
         raise NoFactorSet(f"{len(bad)} axiom violations, first: {bad[0]}")

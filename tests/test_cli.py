@@ -8,8 +8,9 @@ import time
 
 import jsonschema
 
-from loopforge.cli import main
+from loopforge.cli import build_parser, main
 from loopforge.errors import clipped
+from loopforge.search import REDUCED_MAX
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -288,6 +289,7 @@ def test_max_class_size_flag(capsys):
     assert records[-1]["summary"]["count"] == 1
     code, _, err = run(capsys, "enumerate", "--loop", "C3_1", "--max-class-size", "0")
     assert code == 1
+    assert build_parser().parse_args(["enumerate", "--loop", "C3_1"]).max_class_size == REDUCED_MAX
 
 
 def _one_short_error_line(code: int, out: str, err: str) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 from itertools import product
 from typing import Iterator
@@ -12,14 +13,13 @@ import pytest
 from conftest import random_doubly_even_basis
 from loopforge.catalog import ENTRIES
 from loopforge.charvec import char_vector_of
-from loopforge.errors import UnsupportedRank
+from loopforge.errors import NotDoublyEven, UnsupportedRank
 from loopforge.gf2 import CodeBasis, Codeword
 from loopforge.loops import (
     CodeLoop,
     FactorSet,
     build_factor_set,
     build_loop,
-    free_seed_slots,
     is_moufang,
     loop_table_csv,
     loops_isomorphic,
@@ -28,15 +28,52 @@ from loopforge.loops import (
 V1_R3 = CodeBasis.from_positions(7, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7)])
 V5_R3 = ENTRIES["C3_5"].basis()
 
+# SHA-256 prefixes of loop_table_csv(build_loop(basis)) for the bases of
+# test_loop_tables_are_pinned, recorded from an independent construction that
+# extended the table one generator at a time
+LOOP_TABLE_DIGESTS = {
+    "C3_1": "e5ce5a9a3069662a",
+    "C3_2": "6109b15a30e01e6f",
+    "C3_3": "e5667813cc4a3986",
+    "C3_4": "26bd17b01a12f472",
+    "C3_5": "d9c04330ec85f9cc",
+    "C4_1": "4cdd6838af0f2d24",
+    "C4_2": "ccd85ee46e7f3876",
+    "C4_3": "ff03fbfd67cc8e73",
+    "C4_4": "52899b53da9f9abd",
+    "C4_5": "c45c69c124a3e024",
+    "C4_6": "42678bf52e2ce165",
+    "C4_7": "8b688fa3dbf4ae96",
+    "C4_8": "f5b994fb2c73e911",
+    "C4_9": "0eb9468a82231920",
+    "C4_10": "e2d7885c456d6efc",
+    "C4_11": "1148a18db797d4a4",
+    "C4_12": "3d8d02427480dbec",
+    "C4_13": "252b52e05e1a677a",
+    "C4_14": "216abf7825dd711b",
+    "C4_15": "e7aa1890c1c5fb98",
+    "C4_16": "dc79261f34026f9f",
+    "rank 1": "b5b2d2ceca340add",
+    "rank 2": "d9e967090fc5066a",
+    "padded": "f3d258a377ce8228",
+}
+
 
 def iter_factor_sets(basis: CodeBasis) -> Iterator[FactorSet]:
-    """Every factor set reachable from the construction's free choices.
+    """The factor set twisted by every coboundary: phi(v, w) c(v) c(w) c(v ^ w)
+    for each sign function c on the span with c(0) = 1.
 
-    2^(2^n - n - 1) tables; practical for rank <= 3.
+    2^(2^n - 1) twists; c and c times a character of the span give the same
+    table, so 2^(2^n - n - 1) of them are distinct.  Practical for rank <= 3.
     """
-    slots = free_seed_slots(basis.rank)
-    for values in product((1, -1), repeat=len(slots)):
-        yield build_factor_set(basis, dict(zip(slots, values)))
+    fs = build_factor_set(basis)
+    span_masks = range(fs.size)
+    for values in product((1, -1), repeat=fs.size - 1):
+        c = (1,) + values
+        signs = tuple(
+            tuple(fs.value(v, w) * c[v] * c[w] * c[v ^ w] for w in span_masks) for v in span_masks
+        )
+        yield FactorSet(basis, fs.codewords, signs)
 
 
 def test_factor_set_identity_row():
@@ -71,6 +108,30 @@ def test_factor_set_rank_cap():
         40, [range(8 * i + 1, 8 * i + 9) for i in range(5)]
     )
     with pytest.raises(UnsupportedRank):
+        build_factor_set(basis)
+
+
+def test_loop_tables_are_pinned():
+    bases = {name: entry.basis() for name, entry in ENTRIES.items()}
+    bases["rank 1"] = CodeBasis.from_positions(4, [(1, 2, 3, 4)])
+    bases["rank 2"] = CodeBasis.from_positions(6, [(1, 2, 3, 4), (1, 2, 5, 6)])
+    bases["padded"] = CodeBasis.from_positions(
+        100_000, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 99_999)]
+    )
+    digests = {
+        name: hashlib.sha256(loop_table_csv(build_loop(basis)).encode()).hexdigest()[:16]
+        for name, basis in bases.items()
+    }
+    assert digests == LOOP_TABLE_DIGESTS
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3, 4))
+def test_factor_set_rejects_codes_that_are_not_doubly_even(rank):
+    # weight-4 blocks and a weight-6 word; at rank >= 2 the word plus the
+    # first block has weight 2
+    gens = [range(4 * i + 1, 4 * i + 5) for i in range(rank - 1)] + [range(1, 7)]
+    basis = CodeBasis.from_positions(max(6, 4 * rank - 4), gens)
+    with pytest.raises(NotDoublyEven, match="factor sets require a doubly even code"):
         build_factor_set(basis)
 
 
@@ -177,13 +238,11 @@ def test_center_sizes():
         assert len(loop.center()) == (4 if central_d else 2), name
 
 
-def test_all_seed_choices_give_valid_isomorphic_loops():
-    slots = free_seed_slots(3)
-    assert len(slots) == 4
-    count = 0
+def test_all_coboundary_twists_give_valid_isomorphic_loops():
+    tables = {fs.signs: fs for fs in iter_factor_sets(V1_R3)}
+    assert len(tables) == 16
     reference = char_vector_of(V1_R3)
-    for fs in iter_factor_sets(V1_R3):
-        count += 1
+    for fs in tables.values():
         assert fs.axiom_violations() == []
         loop = CodeLoop(fs)
         assert is_moufang(loop)
@@ -194,7 +253,6 @@ def test_all_seed_choices_give_valid_isomorphic_loops():
         assert loop.associator(
             loop.element_id(1, 1), loop.element_id(1, 2), loop.element_id(1, 4)
         ) == loop.half * reference.alpha[0]
-    assert count == 16
 
 
 def test_loops_isomorphic_examples(rng):
