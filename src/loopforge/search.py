@@ -12,16 +12,17 @@ sigma are sized, x_sigma is fixed mod 2^(4-|sigma|) and the reduced family
 
 The walk is a lazy depth-first generator over the cells in the fixed labeling
 order (``gf2.class_order``) with ascending values, so the stream is
-lexicographic in the counts.  A leaf is decided from its counts alone: it is
-kept iff the labels of its nonempty classes span GF(2)^n (its generators are
-then nonzero and independent); its degree and type are their sum and sorted
-values, and its meet weights are checked against the vector by one packed dot
-product (one int digit per t_m) and one mask compare.  Its code (consecutive
-position blocks per cell) is assembled only when read.  Minimal
-representations come from branch and bound over the same walk: any branch
-whose partial degree exceeds the least degree found so far is cut, and the
-least-degree leaves are assembled and deduplicated by code equivalence.
-``solve_system`` is the Moebius inverse of the transform.
+lexicographic in the counts; one packed int per depth holds each t_m in its own
+digit (digit 0: the degree) and sets the next cell and the degree bound.  A
+leaf is decided from its counts alone: it is kept iff the labels of its
+nonempty classes span GF(2)^n (its generators are then nonzero and
+independent); its degree and type are their sum and sorted values, and its
+packed meet weights are checked against the vector by one mask compare.  Its
+code (consecutive position blocks per cell) is assembled only when read.
+Minimal representations come from branch and bound over the same walk: any
+branch whose partial degree exceeds the least degree found so far is cut, and
+tied least-degree leaves are deduplicated by code equivalence (a lone one is
+its own class).  ``solve_system`` is the Moebius inverse of the transform.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress
-from operator import mul
 from typing import Iterator, Sequence
 
 from .charvec import CharVector, LoopClassId, char_vector_of_meets, coordinates_by_mask
@@ -147,76 +147,76 @@ def _require_normalized(cv: CharVector) -> None:
         raise ValueError("normalize the vector first (alpha must be 1 / 1000)")
 
 
+def _digit_width(max_size: int, cells: int) -> int:
+    return (max_size * cells).bit_length() + 1  # bits per packed t_m: none exceeds the degree
+
+
 def _walk_class_sizes(
     cv: CharVector, max_size: int, limit: list[int] | None = None
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Count tuples compatible with the congruences, lazily, in DFS order.
 
+    Yields ``(counts, packed)``: digit m of ``packed`` is t_m, digit 0 the
+    degree.  Every strict superset of a cell comes earlier in ``class_order``,
+    so the cell's value is read off its own digit of the int packed above it.
     Values ascend within each cell, so the stream is lexicographic in the
     counts.  ``limit`` is a one-element cell the consumer may lower while
     iterating: any branch whose partial degree already exceeds ``limit[0]``
     is cut, so only leaves of degree at most the current limit are yielded.
     """
     masks = [sigma_mask(sigma) for sigma in class_order(cv.rank)]
+    last = len(masks) - 1
+    if limit is None:
+        limit = [max_size * len(masks)]
+    width = _digit_width(max_size, len(masks))
+    digit = (1 << width) - 1
+    spread = [sum(1 << width * m for m in range(s + 1) if m & s == m) for s in masks]
+    shift = [width * m for m in masks]
     # t_sigma = lambda_sigma * 2^(3-|sigma|) mod 2^(4-|sigma|); lambda is 0 at |sigma| = 4
     lam = coordinates_by_mask(cv)
     target = [lam[m] * 8 >> m.bit_count() for m in masks]
     modulus = [16 >> m.bit_count() for m in masks]
-    # positions of earlier cells whose sigma strictly contains this one
-    supersets = [
-        [q for q in range(p) if masks[q] & masks[p] == masks[p]] for p in range(len(masks))
-    ]
-    end = len(masks)
-    if limit is None:
-        limit = [max_size * end]
-    values = [0] * end
-    partial = [0] * end  # partial[p] = sum(values[:p])
-
-    def first(pos: int) -> int:
-        return (target[pos] - sum(map(values.__getitem__, supersets[pos]))) % modulus[pos]
-
+    values = [target[0] % modulus[0]] + [0] * last
+    acc = [0] * len(masks)  # acc[p] = sum of values[q] * spread[q] over q < p
     pos = 0
-    values[0] = first(0)
     while pos >= 0:
-        if values[pos] > min(max_size, limit[0] - partial[pos]):
-            # ascending values: the rest of this cell is cut too
-            pos -= 1
-            if pos >= 0:
-                values[pos] += modulus[pos]
-        elif pos == end - 1:
-            yield tuple(values)
-            values[pos] += modulus[pos]
-        else:
-            partial[pos + 1] = partial[pos] + values[pos]
+        value = values[pos]
+        if pos == last:
+            head, packed = tuple(values[:last]), acc[last]
+            while value <= max_size and value <= limit[0] - (packed & digit):  # re-read per yield
+                yield head + (value,), packed + value * spread[last]
+                value += modulus[last]
+        elif value <= max_size and value <= limit[0] - (acc[pos] & digit):
+            acc[pos + 1] = packed = acc[pos] + value * spread[pos]
             pos += 1
-            values[pos] = first(pos)
+            values[pos] = (target[pos] - (packed >> shift[pos])) % modulus[pos]
+            continue
+        # ascending values: the rest of this cell is cut too (values[-1] once the walk ends)
+        pos -= 1
+        values[pos] += modulus[pos]
 
 
 def _representations(
     cv: CharVector, max_size: int, limit: list[int] | None = None
 ) -> Iterator[ReducedRepresentation]:
     """The nondegenerate leaves of the walk, each decided, typed and checked
-    from its counts; ``limit`` is passed through to the walk."""
+    from its counts and packed weights; ``limit`` is passed to the walk."""
     n = cv.rank
     masks = [sigma_mask(sigma) for sigma in class_order(n)]
     position = sorted(range(len(masks)), key=masks.__getitem__)  # [m - 1]: the cell of label m
     spanning = lru_cache(maxsize=None)(lambda labels: gf2_rank(labels) == n)  # per zero pattern
-    # digit m of sum(counts[p] * spread[p]) is t_m while the counts are nonnegative and the
-    # degree fits in a digit; ``low`` keeps t_i mod 8, t_ij mod 4 and t_ijk mod 2
-    width = (max_size * len(masks)).bit_length() + 1
-    spread = [sum(1 << width * m for m in masks if m & s == m) for s in masks]
+    # ``low`` keeps t_i mod 8, t_ij mod 4 and t_ijk mod 2 of the packed weights
+    width = _digit_width(max_size, len(masks))
     low = sum((16 >> m.bit_count()) - 1 << width * m for m in masks)
     want = sum(bit * 8 >> m.bit_count() << width * m for m, bit in enumerate(coordinates_by_mask(cv)))
-    for counts in _walk_class_sizes(cv, max_size, limit):
+    for counts, packed in _walk_class_sizes(cv, max_size, limit):
         if not spanning(tuple(compress(masks, counts))):
             continue
-        degree = sum(counts)
-        exact = len(counts) == len(masks) and min(counts) >= 0 and not degree >> width
-        if not exact or sum(map(mul, counts, spread)) & low != want:  # the transform decides
+        if packed & low != want:  # not the walk's own leaf: the transform decides
             sizes = [0] + [counts[p] for p in position]
             if char_vector_of_meets(superset_sums(sizes)) != cv:
                 raise RuntimeError(f"leaf {counts} assembles a code of another vector")
-        yield ReducedRepresentation(ClassSizes(n, counts), degree, type_vector(counts))
+        yield ReducedRepresentation(ClassSizes(n, counts), sum(counts), type_vector(counts))
 
 
 def enumerate_reduced(
@@ -273,12 +273,10 @@ def minimal_representations(
         best.append(rep)
     if not best:
         raise InfeasibleProfile("no nondegenerate reduced representation exists")
-    unique: dict[tuple[int, ...], ReducedRepresentation] = {}
-    for rep in best:
-        signature = canonical_code_signature(rep.basis)
-        unique.setdefault(signature, rep)
-    ordered = sorted(
-        unique.values(),
-        key=lambda r: (r.type, tuple(g.positions for g in r.basis.generators)),
-    )
+    if len(best) > 1:  # ties deduplicate by code equivalence; a lone minimum is its own class
+        unique: dict[tuple[int, ...], ReducedRepresentation] = {}
+        for rep in best:
+            unique.setdefault(canonical_code_signature(rep.basis), rep)
+        best = list(unique.values())
+    ordered = sorted(best, key=lambda r: (r.type, tuple(g.positions for g in r.basis.generators)))
     return MinimalReport(loop_id, best[0].degree, tuple(ordered), max_class_size)

@@ -17,7 +17,13 @@ from itertools import combinations
 import pytest
 
 import loopforge.catalog as catalog
-from conftest import random_covering_basis, random_doubly_even_basis, random_gl, transform_basis
+from conftest import (
+    random_covering_basis,
+    random_doubly_even_basis,
+    random_gl,
+    transform_basis,
+    walked_counts,
+)
 from loopforge.charvec import (
     CharVector,
     LoopClassId,
@@ -28,7 +34,6 @@ from loopforge.charvec import (
     representative,
 )
 from loopforge.gf2 import class_partition, codes_equivalent, is_doubly_even
-from loopforge.search import _walk_class_sizes
 from loopforge.verify import check_loop_laws, minimal_report_for
 
 RANK3_REPRESENTATIVE_BITS = ("111111", "000000", "000111", "110000", "100000")
@@ -305,7 +310,7 @@ def test_criterion_8b_rank3_dfs_equals_brute_force():
         ok &= ((x123 + x12 + x23 + x2) % 8) == 4 * l2
         ok &= ((x123 + x13 + x23 + x3) % 8) == 4 * l3
         oracle = {tuple(int(v) for v in col) for col in grids[:, ok].T}
-        dfs = set(_walk_class_sizes(cv, 7))
+        dfs = set(walked_counts(cv, 7))
         assert dfs == oracle, f"C3_{index}: DFS disagrees with 8^7 enumeration"
     print("PASS criterion 8b: rank-3 DFS equals the full 8^7 enumeration for all 5 loops")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from functools import lru_cache
 from itertools import product
@@ -10,7 +11,7 @@ from math import comb
 import pytest
 
 import loopforge.search as search
-from conftest import random_doubly_even_basis
+from conftest import meets_of_counts, pack_counts, random_doubly_even_basis, walked_counts
 from loopforge.catalog import (
     ENTRIES,
     WORKED_EXAMPLE_GENERATORS,
@@ -43,6 +44,7 @@ from loopforge.gf2 import (
     type_vector,
 )
 from loopforge.search import (
+    REDUCED_MAX,
     ClassSizes,
     MinimalReport,
     ReducedRepresentation,
@@ -50,7 +52,6 @@ from loopforge.search import (
     enumerate_reduced,
     minimal_representations,
     solve_system,
-    _walk_class_sizes,
 )
 
 ALL_LOOPS = [LoopClassId(3, i) for i in range(1, 6)] + [LoopClassId(4, i) for i in range(1, 17)]
@@ -193,14 +194,14 @@ def test_enumerate_reduced_rank3_matches_vector():
 def test_enumerate_reduced_rank3_walk_is_32_leaves():
     for index in range(1, 6):
         cv = representative(LoopClassId(3, index))
-        assert sum(1 for _ in _walk_class_sizes(cv, 7)) == 32
+        assert sum(1 for _ in walked_counts(cv, 7)) == 32
 
 
 def test_walk_limit_keeps_exactly_the_leaves_within_it():
     cv = representative(LoopClassId(4, 14))
-    full = list(_walk_class_sizes(cv, 3))
+    full = list(walked_counts(cv, 3))
     for bound in (0, 9, 13, 20):
-        assert list(_walk_class_sizes(cv, 3, [bound])) == [
+        assert list(walked_counts(cv, 3, [bound])) == [
             c for c in full if sum(c) <= bound
         ]
 
@@ -209,10 +210,10 @@ def test_walk_limit_lowered_mid_stream_cuts_later_branches():
     cv = representative(LoopClassId(3, 2))
     limit = [10**6]
     seen = []
-    for counts in _walk_class_sizes(cv, 7, limit):
+    for counts in walked_counts(cv, 7, limit):
         seen.append(counts)
         limit[0] = min(limit[0], sum(counts))
-    full = list(_walk_class_sizes(cv, 7))
+    full = list(walked_counts(cv, 7))
     least = min(sum(c) for c in full)
     assert len(seen) < len(full)
     assert [c for c in full if sum(c) == least] == [c for c in seen if sum(c) == least]
@@ -271,13 +272,6 @@ def test_remark_exclusions_hold_in_rank3_outputs():
                     assert masks[i] | masks[j] != masks[j], "generator contained in another"
 
 
-def _meets(rank: int, counts: tuple[int, ...]) -> list[int]:
-    sizes = [0] * (1 << rank)
-    for sigma, count in zip(class_order(rank), counts):
-        sizes[sigma_mask(sigma)] = count
-    return superset_sums(sizes)
-
-
 @pytest.mark.parametrize(
     "loop, bound", [(LoopClassId(3, 1), 3), (LoopClassId(3, 2), 3), (LoopClassId(4, 1), 1)], ids=str
 )
@@ -288,11 +282,11 @@ def test_walk_yields_exactly_the_counts_of_the_vector(loop, bound):
     wanted = []
     for counts in product(range(bound + 1), repeat=(1 << loop.rank) - 1):
         try:
-            if char_vector_of_meets(_meets(loop.rank, counts)) == cv:
+            if char_vector_of_meets(meets_of_counts(loop.rank, counts)) == cv:
                 wanted.append(counts)
         except NotDoublyEven:
             pass
-    assert list(_walk_class_sizes(cv, bound)) == wanted
+    assert list(walked_counts(cv, bound)) == wanted
 
 
 def test_zero_patterns_decide_degeneracy(monkeypatch):
@@ -304,7 +298,8 @@ def test_zero_patterns_decide_degeneracy(monkeypatch):
     for rank in (3, 4):
         cv = CharVector(rank, (0,) * rank, (0,) * comb(rank, 2), (0,) * comb(rank, 3))
         patterns = [c for c in product((0, 8), repeat=(1 << rank) - 1) if any(c)]
-        monkeypatch.setattr(search, "_walk_class_sizes", lambda *_: iter(patterns))
+        leaves = [(c, pack_counts(rank, 8, c)) for c in patterns]
+        monkeypatch.setattr(search, "_walk_class_sizes", lambda *_: iter(leaves))
         kept = {rep.sizes.counts for rep in search._representations(cv, 8)}
         for counts in patterns:
             try:
@@ -322,7 +317,7 @@ def test_kept_leaves_agree_with_their_assembled_code(loop):
     cv = representative(loop)
     bound = 7 if loop.rank == 3 else 4
     reps = {rep.sizes.counts: rep for rep in enumerate_reduced(cv, bound)}
-    for counts in _walk_class_sizes(cv, bound):
+    for counts in walked_counts(cv, bound):
         try:
             basis = assemble_representation(ClassSizes(loop.rank, counts))
         except DegenerateBasis:
@@ -336,7 +331,7 @@ def test_kept_leaves_agree_with_their_assembled_code(loop):
 
 
 def _foreign_walk(leaf: tuple[int, ...]):
-    return lambda cv, max_size, limit=None: iter([leaf])
+    return lambda cv, max_size, limit=None: iter([(leaf, pack_counts(cv.rank, max_size, leaf))])
 
 
 def test_leaf_self_check_rejects_a_leaf_of_another_loop(monkeypatch):
@@ -352,7 +347,7 @@ def test_leaf_self_check_rejects_a_leaf_of_another_loop(monkeypatch):
 def test_leaf_self_check_rejects_a_code_that_is_not_doubly_even(monkeypatch):
     # x_1 = 3 makes t_1 = 6 = 2 mod 4
     leaf = (1, 1, 1, 3, 1, 1, 1)
-    assert _meets(3, leaf)[1] % 4 == 2
+    assert meets_of_counts(3, leaf)[1] % 4 == 2
     monkeypatch.setattr(search, "_walk_class_sizes", _foreign_walk(leaf))
     cv = representative(LoopClassId(3, 1))
     with pytest.raises(NotDoublyEven):
@@ -402,8 +397,9 @@ def _count_transforms(monkeypatch) -> list[int]:
     return calls
 
 
-# tuples whose packed sums would pass the check: with a negative count a digit
-# borrows from the next, past the width one carries into it
+# tuples whose packed sums would pass the check if one digit could borrow from
+# the next (a negative count) or carry into it (past the width); the walk's
+# digits do neither, so the search decides them like any foreign leaf
 PACKED_LOOKALIKES = [
     ("C3_1", 6, (-14, 1, 1, 0, 1, 1, 1)),
     ("C3_1", 6, (-23, 1, 1, 1, 34, 1, 1)),
@@ -424,7 +420,7 @@ def test_packed_leaf_check_agrees_with_the_transform(monkeypatch):
     for loop, bound, counts in PACKED_LOOKALIKES:
         cv = representative(LoopClassId.parse(loop))
         assert _leaf_by_search(monkeypatch, cv, bound, counts) == _leaf_by_transform(cv, counts)
-    first = {loop: next(_walk_class_sizes(representative(loop), 7)) for loop in ALL_LOOPS}
+    first = {loop: next(walked_counts(representative(loop), 7)) for loop in ALL_LOOPS}
     outcomes, packed_only = set(), 0
     for trial in range(3000):
         loop = rng.choice(ALL_LOOPS)
@@ -461,17 +457,66 @@ def test_large_bound_stream_is_checked_leaf_by_leaf(monkeypatch):
     # degrees up to 105 at bound 15: a digit narrower than the check's width
     # would carry into its neighbour
     cv = representative(LoopClassId(3, 1))
-    leaves = list(_walk_class_sizes(cv, 15))
+    leaves = list(walked_counts(cv, 15))
     assert len(leaves) == 4096
     transforms = _count_transforms(monkeypatch)
     kept = {rep.sizes.counts for rep in enumerate_reduced(cv, 15)}
     assert transforms == []
     for i, counts in enumerate(leaves):
-        assert char_vector_of_meets(_meets(3, counts)) == cv
+        assert char_vector_of_meets(meets_of_counts(3, counts)) == cv
         assert (counts in kept) == (_leaf_by_transform(cv, counts) == "kept")
         cell, step = i % 7, (1, 2, 4)[i // 7 % 3]  # one count off by 1, 2 or 4 breaks a congruence
         wrong = counts[:cell] + (counts[cell] + step,) + counts[cell + 1 :]
         assert _leaf_by_search(monkeypatch, cv, 15, wrong) == _leaf_by_transform(cv, wrong)
+
+
+def _stream_digest(loop: LoopClassId, bound: int) -> tuple[int, str]:
+    """Leaf count and SHA-256 prefix over (counts, degree, type) of the stream."""
+    digest, count = hashlib.sha256(), 0
+    for rep in enumerate_reduced(representative(loop), bound):
+        digest.update(repr((rep.sizes.counts, rep.degree, rep.type)).encode())
+        count += 1
+    return count, digest.hexdigest()[:16]
+
+
+EMPTY = (0, "e3b0c44298fc1c14")
+STREAM_DIGESTS = {  # at bounds 3 and 5
+    "C3_1": ((2, "ee00fb3fb80a0968"), (17, "672d9af5fecbaf40")),
+    "C3_2": ((2, "fdc7b0d5519da7d6"), (4, "65f27a1a2beff3c9")),
+    "C3_3": (EMPTY, (16, "3ad64b9aa81edae6")),
+    "C3_4": (EMPTY, (4, "2be1471c381fe131")),
+    "C3_5": (EMPTY, (2, "0421f8397eba60ed")),
+    "C4_1": ((62, "fcf7308f0b659836"), (5041, "0942c4fba30fa34b")),
+    "C4_2": ((14, "31fd5b2ed092e0ff"), (1868, "2734f12b87d4feee")),
+    "C4_3": (EMPTY, (4784, "b40d438edf97b85d")),
+    "C4_4": ((16, "3bdf583c963f4964"), (1868, "f3a7631e7c7466ed")),
+    "C4_5": (EMPTY, (1858, "4904bbecfdc8b027")),
+    "C4_6": (EMPTY, (4800, "3acb29ade19a2f2b")),
+    "C4_7": (EMPTY, (1860, "a1b55a524d7c7694")),
+    "C4_8": ((4, "90e53e2c1ba70669"), (1512, "efc9651124765241")),
+    "C4_9": ((4, "b0fe3b45a8fc4cbe"), (1512, "3046e63ca99128ef")),
+    "C4_10": ((4, "1aed628c208318ca"), (1512, "502d0e99739ae6d6")),
+    "C4_11": ((4, "db83e4bd17603443"), (1512, "f919dcbe4a4545d9")),
+    "C4_12": (EMPTY, (1860, "0684c85b3a647053")),
+    "C4_13": ((16, "46edf5c6112c99af"), (1872, "2cfb3e1952fac6b7")),
+    "C4_14": ((16, "fe1f60e70d17e5d1"), (1872, "722c6bc19c703b4b")),
+    "C4_15": ((16, "3a63e0db61bacaaa"), (1872, "349247a29e9ec779")),
+    "C4_16": (EMPTY, (1860, "dc97127b236b0ca5")),
+}
+
+
+@pytest.mark.parametrize("loop", ALL_LOOPS, ids=str)
+def test_small_bound_streams_keep_their_digests(loop):
+    assert (_stream_digest(loop, 3), _stream_digest(loop, 5)) == STREAM_DIGESTS[str(loop)]
+
+
+@pytest.mark.parametrize(
+    "loop, digest",
+    [("C4_1", (131040, "482e36ba5e80d5a6")), ("C4_9", (131072, "b3cdac3eff6ba8bd"))],
+)
+def test_default_bound_streams_keep_their_digests(loop, digest):
+    # C4_9 keeps all 2^17 leaves of the walk, C4_1 prunes 32 degenerate ones
+    assert _stream_digest(LoopClassId.parse(loop), REDUCED_MAX) == digest
 
 
 def _count_assemblies(monkeypatch) -> list[ClassSizes]:
@@ -540,7 +585,7 @@ def _minimal_by_sorting(cv: CharVector, max_class_size: int) -> MinimalReport:
     """Exhaustive oracle: materialize the walk, sort by (degree, counts),
     keep the least nondegenerate degree, deduplicate by code equivalence."""
     loop_id, _, _ = canonicalize(cv)
-    leaves = sorted((sum(c), c) for c in _walk_class_sizes(cv, max_class_size))
+    leaves = sorted((sum(c), c) for c in walked_counts(cv, max_class_size))
     best: list[ReducedRepresentation] = []
     best_degree = None
     for degree, counts in leaves:
@@ -577,12 +622,23 @@ def _report_or_error(search, cv: CharVector, bound: int):
 @pytest.mark.parametrize("loop", ALL_LOOPS, ids=str)
 def test_branch_and_bound_matches_sorting_oracle(loop):
     # rank 4 at bound 3 is a small walk in which six loops have no valid
-    # leaf; bound 4 is the least at which all sixteen have one
+    # leaf; bound 4 is the least at which all sixteen have one; C4_4, C4_13
+    # and C4_15 tie two or more least-degree leaves at bounds 3 to 5
     cv = representative(loop)
-    for bound in (7,) if loop.rank == 3 else (3, 4):
+    for bound in (7,) if loop.rank == 3 else (3, 4, 5):
         assert _report_or_error(minimal_representations, cv, bound) == _report_or_error(
             _minimal_by_sorting, cv, bound
         )
+
+
+def test_lone_minima_compute_no_code_signature(monkeypatch):
+    # at the default bound every loop has exactly one least-degree leaf, which
+    # is its own equivalence class
+    calls = []
+    monkeypatch.setattr(search, "canonical_code_signature", lambda basis: calls.append(basis))
+    for loop in ALL_LOOPS:
+        assert len(minimal_representations(representative(loop)).representations) == 1
+    assert calls == []
 
 
 def test_minimal_degree_unchanged_by_larger_bound():
