@@ -189,13 +189,12 @@ def cmd_enumerate(args: argparse.Namespace):
             count += 1
             if min_degree is None or rep.degree < min_degree:
                 min_degree = rep.degree
+            if args.format == "csv":  # loop, degree and type only: no record built
+                yield fileio.csv_text([[str(class_id), rep.degree, "".join(map(str, rep.type))]])
+                continue
             record = fileio.representation_record(class_id, rep)
             if args.format == "json":
                 yield fileio.dumps(record)
-            elif args.format == "csv":
-                yield fileio.csv_text(
-                    [[record["loop"], record["degree"], "".join(map(str, record["type"]))]]
-                )
             else:
                 gens = "; ".join(",".join(map(str, g)) for g in record["generators"])
                 yield (

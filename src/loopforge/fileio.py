@@ -102,12 +102,13 @@ def format_lambda(cv: CharVector) -> str:
 
 
 def representation_record(loop: LoopClassId | str, rep: ReducedRepresentation) -> dict[str, Any]:
+    sizes = rep.sizes
     return {
         "loop": str(loop),
         "degree": rep.degree,
         "type": list(rep.type),
-        "sizes": rep.sizes.as_dict(),
-        "generators": [[p for r in blocks for p in r] for blocks in rep.sizes.generator_blocks()],
+        "sizes": sizes.as_dict(),
+        "generators": [[p for r in blocks for p in r] for blocks in sizes.generator_blocks()],
     }
 
 

@@ -16,9 +16,10 @@ lexicographic in the counts; one packed int per depth holds each t_m in its own
 digit (digit 0: the degree) and sets the next cell and the degree bound.  A
 leaf is decided from its counts alone: it is kept iff the labels of its
 nonempty classes span GF(2)^n (its generators are then nonzero and
-independent); its degree and type are their sum and sorted values, and its
-packed meet weights are checked against the vector by one mask compare.  Its
-code (consecutive position blocks per cell) is assembled only when read.
+independent), and its packed meet weights are checked against the vector by
+one mask compare.  A kept leaf holds its counts and degree: its ``ClassSizes``
+and type are derived on each read, and its code (consecutive position blocks
+per cell) is assembled on first read and cached.
 Minimal representations come from branch and bound over the same walk: any
 branch whose partial degree exceeds the least degree found so far is cut, and
 tied least-degree leaves are deduplicated by code equivalence (a lone one is
@@ -127,11 +128,19 @@ def assemble_representation(sizes: ClassSizes) -> CodeBasis:
 
 @dataclass(frozen=True)
 class ReducedRepresentation:
-    """One solved member of the reduced family of a loop."""
+    """One solved member of the reduced family of a loop: its class sizes in
+    class_order and degree; sizes and type derived on read, basis cached."""
 
-    sizes: ClassSizes
+    counts: tuple[int, ...]
     degree: int
-    type: tuple[int, ...]
+
+    @property
+    def sizes(self) -> ClassSizes:
+        return ClassSizes(len(self.counts).bit_length(), self.counts)  # 2^n - 1 counts
+
+    @property
+    def type(self) -> tuple[int, ...]:
+        return type_vector(self.counts)
 
     @cached_property
     def basis(self) -> CodeBasis:
@@ -199,8 +208,8 @@ def _walk_class_sizes(
 def _representations(
     cv: CharVector, max_size: int, limit: list[int] | None = None
 ) -> Iterator[ReducedRepresentation]:
-    """The nondegenerate leaves of the walk, each decided, typed and checked
-    from its counts and packed weights; ``limit`` is passed to the walk."""
+    """The nondegenerate leaves of the walk, each decided and checked from
+    its counts and packed weights; ``limit`` is passed to the walk."""
     n = cv.rank
     masks = [sigma_mask(sigma) for sigma in class_order(n)]
     position = sorted(range(len(masks)), key=masks.__getitem__)  # [m - 1]: the cell of label m
@@ -216,7 +225,7 @@ def _representations(
             sizes = [0] + [counts[p] for p in position]
             if char_vector_of_meets(superset_sums(sizes)) != cv:
                 raise RuntimeError(f"leaf {counts} assembles a code of another vector")
-        yield ReducedRepresentation(ClassSizes(n, counts), sum(counts), type_vector(counts))
+        yield ReducedRepresentation(counts, sum(counts))
 
 
 def enumerate_reduced(

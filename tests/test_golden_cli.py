@@ -118,6 +118,14 @@ def test_cli_output_matches_the_golden_table():
     assert mismatched == []
 
 
+def test_full_bound_csv_stream_keeps_its_digest():
+    # all 131,040 representations of C4_1 at the default bound; the table
+    # above pins rank-4 streams at bound 3 only
+    argv = ["enumerate", "--loop", "C4_1", "--format", "csv"]
+    sha = "5e90859a18a4c275b451b48f717d38cd64ecc074ad1facd8f27a4e7f62594d3d"
+    assert _run(argv) == {"argv": argv, "exit": 0, "stdout_sha256": sha, "stderr": ""}
+
+
 if __name__ == "__main__":
     rows = run_all()
     TABLE.write_text("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n", encoding="utf-8")

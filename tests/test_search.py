@@ -381,7 +381,8 @@ def _leaf_by_transform(cv: CharVector, counts: tuple[int, ...]):
 def _leaf_by_search(monkeypatch, cv: CharVector, bound: int, counts: tuple[int, ...]):
     monkeypatch.setattr(search, "_walk_class_sizes", _foreign_walk(counts))
     try:
-        return "kept" if list(search._representations(cv, bound)) else "skipped"
+        # reading .sizes runs ClassSizes's own checks, as the reference does
+        return "kept" if [rep.sizes for rep in search._representations(cv, bound)] else "skipped"
     except LEAF_ERRORS as exc:
         return type(exc)
 
@@ -538,6 +539,34 @@ def test_stream_assembles_no_basis_unless_read(monkeypatch):
     assert calls == [reps[0].sizes]
 
 
+def test_stream_builds_no_sizes_or_type_unless_read(monkeypatch):
+    # a leaf holds its counts and degree; its sizes, type and basis are
+    # derived only when read, and read the same values as built directly
+    calls = {"ClassSizes": 0, "type_vector": 0}
+
+    def counted(name, build):
+        def wrapper(*args):
+            calls[name] += 1
+            return build(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(search, "ClassSizes", counted("ClassSizes", ClassSizes))
+    monkeypatch.setattr(search, "type_vector", counted("type_vector", type_vector))
+    sample, count = [], 0
+    for rep in enumerate_reduced(representative(LoopClassId(4, 1))):
+        count += 1
+        if count % 4099 == 1:
+            sample.append(rep)
+    assert count == 131040 and calls == {"ClassSizes": 0, "type_vector": 0}
+    for rep in sample:
+        sizes = ClassSizes(4, rep.counts)
+        assert rep.degree == sum(rep.counts)
+        assert rep.sizes == sizes
+        assert rep.type == type_vector(rep.counts)
+        assert rep.basis == assemble_representation(sizes)
+
+
 @pytest.mark.parametrize("loop", ALL_LOOPS, ids=str)
 def test_minimal_assembles_only_least_degree_leaves(monkeypatch, loop):
     calls = _count_assemblies(monkeypatch)
@@ -591,15 +620,14 @@ def _minimal_by_sorting(cv: CharVector, max_class_size: int) -> MinimalReport:
     for degree, counts in leaves:
         if best_degree is not None and degree > best_degree:
             break
-        sizes = ClassSizes(cv.rank, counts)
+        rep = ReducedRepresentation(counts, degree)
         try:
-            basis = assemble_representation(sizes)
+            basis = rep.basis
         except DegenerateBasis:
             continue
         best_degree = degree
-        best.append(
-            ReducedRepresentation(sizes, degree, type_vector(class_partition(basis).sizes.values()))
-        )
+        assert rep.type == type_vector(class_partition(basis).sizes.values())
+        best.append(rep)
     if best_degree is None:
         raise InfeasibleProfile("no nondegenerate reduced representation exists")
     unique: dict[tuple[int, ...], ReducedRepresentation] = {}
