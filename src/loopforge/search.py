@@ -13,13 +13,12 @@ sigma are sized, x_sigma is fixed mod 2^(4-|sigma|) and the reduced family
 The walk is a lazy depth-first generator over the cells in the fixed labeling
 order (``gf2.class_order``) with ascending values, so the stream is
 lexicographic in the counts; one packed int per depth holds each t_m in its own
-digit (digit 0: the degree) and sets the next cell and the degree bound.  A
-leaf is decided from its counts alone: it is kept iff the labels of its
-nonempty classes span GF(2)^n (its generators are then nonzero and
-independent), and its packed meet weights are checked against the vector by
-one mask compare.  A kept leaf holds its counts and degree: its ``ClassSizes``
-and type are derived on each read, and its code (consecutive position blocks
-per cell) is assembled on first read and cached.
+digit (digit 0: the degree) and sets the next cell and the degree bound, so
+every leaf it yields (its counts and degree) carries the vector unchecked.  A
+leaf is kept iff the labels of its nonempty classes span GF(2)^n (its
+generators are then nonzero and independent).  A kept leaf holds its counts
+and degree: its ``ClassSizes`` and type are derived on each read, and its code
+(consecutive position blocks per cell) is assembled on first read and cached.
 Minimal representations come from branch and bound over the same walk: any
 branch whose partial degree exceeds the least degree found so far is cut, and
 tied least-degree leaves are deduplicated by code equivalence (a lone one is
@@ -33,7 +32,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from typing import Iterator, Sequence
 
-from .charvec import CharVector, LoopClassId, char_vector_of_meets, coordinates_by_mask
+from .charvec import CharVector, LoopClassId, coordinates_by_mask
 from .charvec import loop_class, orbit_representatives
 from .errors import (
     AssociativeLoop,
@@ -84,10 +83,13 @@ class ClassSizes:
         return [[block for sigma, block in blocks if i in sigma] for i in range(1, self.rank + 1)]
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "".join(str(i) for i in sigma): c
-            for sigma, c in zip(class_order(self.rank), self.counts)
-        }
+        return dict(zip(_class_names(self.rank), self.counts))
+
+
+@lru_cache(maxsize=None)
+def _class_names(rank: int) -> tuple[str, ...]:
+    """The labels of ``class_order``, each index set written as its digits."""
+    return tuple("".join(map(str, sigma)) for sigma in class_order(rank))
 
 
 def solve_system(weights: Sequence[int], max_size: int = REDUCED_MAX) -> ClassSizes:
@@ -104,11 +106,11 @@ def solve_system(weights: Sequence[int], max_size: int = REDUCED_MAX) -> ClassSi
     orbit_representatives(n)  # rejects unclassified ranks
     sizes = superset_sums(weights, -1)  # entry 0 reaches no nonzero mask
     counts = tuple(sizes[sigma_mask(sigma)] for sigma in class_order(n))
-    for sigma, x in zip(class_order(n), counts):
+    for name, x in zip(_class_names(n), counts):
         if x < 0:
-            raise InfeasibleProfile(f"x_{''.join(map(str, sigma))} = {x} < 0")
+            raise InfeasibleProfile(f"x_{name} = {x} < 0")
         if x > max_size:
-            raise NotReduced(f"x_{''.join(map(str, sigma))} = {x} > {max_size}")
+            raise NotReduced(f"x_{name} = {x} > {max_size}")
     return ClassSizes(n, counts)
 
 
@@ -121,8 +123,7 @@ def assemble_representation(sizes: ClassSizes) -> CodeBasis:
     length = sizes.degree
     if length == 0:
         raise DegenerateBasis("empty representation")
-    blocks = sizes.generator_blocks()
-    gen_bits = [sum((1 << len(b)) - 1 << b.start - 1 for b in ranges) for ranges in blocks]
+    gen_bits = [sum((1 << len(b)) - 1 << b.start - 1 for b in r) for r in sizes.generator_blocks()]
     return CodeBasis(length, tuple(Codeword(length, b) for b in gen_bits))
 
 
@@ -156,18 +157,14 @@ def _require_normalized(cv: CharVector) -> None:
         raise ValueError("normalize the vector first (alpha must be 1 / 1000)")
 
 
-def _digit_width(max_size: int, cells: int) -> int:
-    return (max_size * cells).bit_length() + 1  # bits per packed t_m: none exceeds the degree
-
-
 def _walk_class_sizes(
     cv: CharVector, max_size: int, limit: list[int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Count tuples compatible with the congruences, lazily, in DFS order.
 
-    Yields ``(counts, packed)``: digit m of ``packed`` is t_m, digit 0 the
-    degree.  Every strict superset of a cell comes earlier in ``class_order``,
-    so the cell's value is read off its own digit of the int packed above it.
+    Yields ``(counts, degree)``.  Every strict superset of a cell comes earlier
+    in ``class_order``, so the cell's value is read off its own digit of the
+    int packed above it (digit m holds t_m, digit 0 the degree).
     Values ascend within each cell, so the stream is lexicographic in the
     counts.  ``limit`` is a one-element cell the consumer may lower while
     iterating: any branch whose partial degree already exceeds ``limit[0]``
@@ -177,7 +174,7 @@ def _walk_class_sizes(
     last = len(masks) - 1
     if limit is None:
         limit = [max_size * len(masks)]
-    width = _digit_width(max_size, len(masks))
+    width = (max_size * len(masks)).bit_length() + 1  # per t_m: none exceeds the degree
     digit = (1 << width) - 1
     spread = [sum(1 << width * m for m in range(s + 1) if m & s == m) for s in masks]
     shift = [width * m for m in masks]
@@ -191,9 +188,9 @@ def _walk_class_sizes(
     while pos >= 0:
         value = values[pos]
         if pos == last:
-            head, packed = tuple(values[:last]), acc[last]
-            while value <= max_size and value <= limit[0] - (packed & digit):  # re-read per yield
-                yield head + (value,), packed + value * spread[last]
+            head, partial = tuple(values[:last]), acc[last] & digit
+            while value <= max_size and value <= limit[0] - partial:  # re-read per yield
+                yield head + (value,), partial + value
                 value += modulus[last]
         elif value <= max_size and value <= limit[0] - (acc[pos] & digit):
             acc[pos + 1] = packed = acc[pos] + value * spread[pos]
@@ -208,24 +205,13 @@ def _walk_class_sizes(
 def _representations(
     cv: CharVector, max_size: int, limit: list[int] | None = None
 ) -> Iterator[ReducedRepresentation]:
-    """The nondegenerate leaves of the walk, each decided and checked from
-    its counts and packed weights; ``limit`` is passed to the walk."""
-    n = cv.rank
-    masks = [sigma_mask(sigma) for sigma in class_order(n)]
-    position = sorted(range(len(masks)), key=masks.__getitem__)  # [m - 1]: the cell of label m
-    spanning = lru_cache(maxsize=None)(lambda labels: gf2_rank(labels) == n)  # per zero pattern
-    # ``low`` keeps t_i mod 8, t_ij mod 4 and t_ijk mod 2 of the packed weights
-    width = _digit_width(max_size, len(masks))
-    low = sum((16 >> m.bit_count()) - 1 << width * m for m in masks)
-    want = sum(bit * 8 >> m.bit_count() << width * m for m, bit in enumerate(coordinates_by_mask(cv)))
-    for counts, packed in _walk_class_sizes(cv, max_size, limit):
-        if not spanning(tuple(compress(masks, counts))):
-            continue
-        if packed & low != want:  # not the walk's own leaf: the transform decides
-            sizes = [0] + [counts[p] for p in position]
-            if char_vector_of_meets(superset_sums(sizes)) != cv:
-                raise RuntimeError(f"leaf {counts} assembles a code of another vector")
-        yield ReducedRepresentation(counts, sum(counts))
+    """The nondegenerate leaves of the walk: a leaf is kept iff the labels of
+    its nonempty classes span GF(2)^n; ``limit`` is passed to the walk."""
+    masks = [sigma_mask(sigma) for sigma in class_order(cv.rank)]
+    spanning = lru_cache(maxsize=None)(lambda labels: gf2_rank(labels) == cv.rank)  # per zero pattern
+    for counts, degree in _walk_class_sizes(cv, max_size, limit):
+        if spanning(tuple(compress(masks, counts))):
+            yield ReducedRepresentation(counts, degree)
 
 
 def enumerate_reduced(

@@ -10,7 +10,6 @@ exhibiting exactly the analyzed defects or if any other entry acquires one.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -20,10 +19,10 @@ from .charvec import (
     LoopClassId,
     canonicalize,
     char_vector_of,
-    enumerate_nonassociative,
     loop_class,
     nonassociative_count,
     orbit_representatives,
+    orbit_sizes,
     pair_index,
     representative,
 )
@@ -60,7 +59,7 @@ def _claim_orbits(rank: int) -> ClaimResult:
     reps = orbit_representatives(rank)
     expected_total = nonassociative_count(rank)
     mismatches: list[str] = []
-    members = Counter(loop_class(cv).index for cv in enumerate_nonassociative(rank))
+    members = {cid.index: size for cid, size in orbit_sizes(rank).items()}
     total = sum(members.values())
     if total != expected_total:
         mismatches.append(f"enumerated {total} vectors, expected {expected_total}")
@@ -72,7 +71,7 @@ def _claim_orbits(rank: int) -> ClaimResult:
         cid, rep, witness = canonicalize(cv)
         if cid.index != index or rep != cv or witness.rows != tuple(1 << i for i in range(rank)):
             mismatches.append(f"representative {short} does not canonicalize to itself")
-    sizes = " ".join(f"{i}:{members[i]}" for i in range(1, len(reps) + 1))
+    sizes = " ".join(f"{i}:{members.get(i, 0)}" for i in range(1, len(reps) + 1))
     return ClaimResult(
         f"rank{rank}-orbits",
         not mismatches,

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from loopforge.charvec import CharVector, GLMatrix
+from loopforge.charvec import CharVector, GLMatrix, char_vector_of_meets
 from loopforge.gf2 import CodeBasis, Codeword, class_order, gf2_rank, sigma_mask, superset_sums
-from loopforge.search import _digit_width, _walk_class_sizes
+from loopforge.search import _walk_class_sizes
 
 
 def random_doubly_even_basis(rng: random.Random, rank: int, length: int) -> CodeBasis:
@@ -86,26 +86,14 @@ def meets_of_counts(rank: int, counts: tuple[int, ...]) -> list[int]:
     return superset_sums(sizes)
 
 
-def pack_counts(rank: int, bound: int, counts: tuple[int, ...]) -> int:
-    """What the walk packs for ``counts``: digit m is t_m, digit 0 the degree,
-    each digit reduced mod its width so that none borrows or carries.  A tuple
-    of another length has no such digits: -1 matches no vector, so the
-    search's transform decides it."""
-    if len(counts) != (1 << rank) - 1:
-        return -1
-    width = _digit_width(bound, len(counts))
-    return sum(t % (1 << width) << width * m for m, t in enumerate(meets_of_counts(rank, counts)))
-
-
 def walked_counts(cv: CharVector, bound: int, limit: list[int] | None = None):
     """The counts of the real walk (bound at import, so a test's seam does not
-    reach it), each checked against its packed meet weights: digit m is the
-    superset sum t_m of the counts."""
-    width = _digit_width(bound, (1 << cv.rank) - 1)
-    for counts, packed in _walk_class_sizes(cv, bound, limit):
-        meets = meets_of_counts(cv.rank, counts)
-        assert [packed >> width * m & (1 << width) - 1 for m in range(len(meets))] == meets
-        assert packed >> width * len(meets) == 0
+    reach it), each checked by the transform: the degree the walk yields is
+    the sum of the counts, and their superset sums carry the vector ``cv``.
+    The library keeps no such check; every test that walks reads it here."""
+    for counts, degree in _walk_class_sizes(cv, bound, limit):
+        assert degree == sum(counts)
+        assert char_vector_of_meets(meets_of_counts(cv.rank, counts)) == cv
         yield counts
 
 

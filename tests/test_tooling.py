@@ -27,6 +27,23 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+def test_no_unused_imports_in_the_library():
+    # a module-level import that nothing reads outlives the code that used it
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":  # the package imports to re-export
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read and name != "annotations":
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_benchmark_tracer_finds_every_function_it_wraps():
     # perfbench/tracer.py wraps library functions by module and name, so a
     # rename in src/ must fail here, not only in a traced benchmark run

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 import loopforge.catalog as catalog
+import loopforge.verify as verify
+from loopforge.charvec import LoopClassId, loop_class, nonassociative_count, orbit_sizes
 from loopforge.verify import (
     ClaimResult,
     EXPECTED_MISPRINTS,
@@ -99,14 +101,42 @@ def test_tampered_degree_fails_rank4_minimal(monkeypatch):
     assert any("C4_1" in m for m in results[0].mismatches)
 
 
+def test_orbit_claims_read_the_orbit_table(monkeypatch):
+    # the table's build already raises unless it covers every vector, so the
+    # claims read its orbit sizes and classify no vector one by one
+    calls = []
+
+    def counted(cv):
+        calls.append(cv)
+        return loop_class(cv)
+
+    monkeypatch.setattr(verify, "loop_class", counted)
+    results = run_claims(only="rank3-orbits") + run_claims(only="rank4-orbits")
+    assert [(r.passed, r.mismatches) for r in results] == [(True, ())] * 2
+    assert results[1].detail.startswith("15360 vectors in 16 orbits (1:")
+    assert len(calls) == 0
+
+
+def test_orbit_claim_reports_a_missing_orbit(monkeypatch):
+    sizes = orbit_sizes(3)
+    missing = sizes[LoopClassId(3, 2)]
+    kept = {cid: size for cid, size in sizes.items() if cid.index != 2}
+    monkeypatch.setattr(verify, "orbit_sizes", lambda rank: kept)
+    (res,) = run_claims(only="rank3-orbits")
+    assert not res.passed
+    assert res.mismatches == (
+        f"enumerated {nonassociative_count(3) - missing} vectors, expected {nonassociative_count(3)}",
+        "found 4 orbits, expected 5",
+    )
+    assert " 2:0 " in res.detail
+
+
 def test_unknown_claim_rejected():
     with pytest.raises(ValueError):
         run_claims(only="no-such-claim")
 
 
 def test_run_claims_preserves_declaration_order(monkeypatch):
-    import loopforge.verify as verify
-
     claims = {name: (lambda n=name: ClaimResult(n, True, "ok")) for name in ("b", "a", "c")}
     monkeypatch.setattr(verify, "CLAIMS", claims)
     assert [r.claim for r in verify.run_claims()] == ["b", "a", "c"]
