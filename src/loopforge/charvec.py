@@ -1,9 +1,11 @@
 """Characteristic vectors and their GL(n,2) orbit classification.
 
-A characteristic vector packs, for a fixed ordered generating set, the signs
-of all squares (sigma part), commutators (beta part) and associators (alpha
-part).  For a doubly even code basis these are read off the meet weights:
-lambda_i = (t_i/4) mod 2, lambda_ij = (t_ij/2) mod 2, lambda_ijk = t_ijk mod 2.
+A characteristic vector holds one sign lambda_s per coefficient set s of a
+fixed ordered generating set, 1 <= |s| <= 3: squares (sigma part), commutators
+(beta part) and associators (alpha part).  ``coordinate_masks`` is the one
+layout (singletons, pairs, triples, each lexicographic; packed, coordinate k
+is bit k).  For a doubly even code basis lambda_s is bit 3 - |s| of the meet
+weight t_s: lambda_i = (t_i/4) mod 2, lambda_ij = (t_ij/2) mod 2, lambda_ijk = t_ijk mod 2.
 
 The three parts extend to arbitrary GF(2) coefficient vectors x.  The square
 form sigma(x) = |u_x|/4 mod 2 of the span's codeword u_x is cubic: by
@@ -17,8 +19,10 @@ differences (from |u+v| = |u| + |v| - 2|u & v|):
 Changing the generating set by an invertible matrix pulls the three forms
 back along the row action, which is how the natural GL(n,2) action on
 characteristic vectors is computed here.  It is GF(2)-linear, so orbits are
-walked on int-packed vectors from fixed class representatives (nonassociative
-loops of rank 3 and 4 fall into 5 and 16 orbits); witnesses are searched for.
+walked on packed vectors from fixed class representatives (nonassociative
+loops of rank 3 and 4 fall into 5 and 16 orbits).  A witness is built row by
+row from the vector's coordinates, so it is exact by construction; the tests,
+not the library, check it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
@@ -68,8 +72,11 @@ def nonassociative_count(n: int) -> int:
     return 2 ** (n + comb(n, 2)) * (2 ** comb(n, 3) - 1)
 
 
-def pair_index(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(combinations(range(1, n + 1), 2))
+@lru_cache(maxsize=16)
+def coordinate_masks(n: int) -> tuple[int, ...]:
+    """Coefficient mask s of each coordinate lambda_s, in ``bits()`` order: the
+    singletons, then the pairs, then the triples, each in lexicographic order."""
+    return tuple(sum(1 << i for i in s) for size in (1, 2, 3) for s in combinations(range(n), size))
 
 
 @dataclass(frozen=True)
@@ -147,17 +154,20 @@ class CharVector:
         want = rank + comb(rank, 2)
         if len(text) != want or set(text) - {"0", "1"}:
             raise ValueError(f"rank-{rank} shorthand needs {want} bits, got {quoted(text)}")
-        bits = tuple(int(c) for c in text)
-        return cls(rank, bits[:rank], bits[rank:], shorthand_alpha(rank))
+        return cls.from_bits(rank, text + "".join(map(str, shorthand_alpha(rank))))
 
     @classmethod
     def from_bits(cls, rank: int, text: str) -> "CharVector":
-        n = rank
-        counts = (n, comb(n, 2), comb(n, 3))
-        if len(text) != sum(counts) or set(text) - {"0", "1"}:
-            raise ValueError(f"rank-{rank} full form needs {sum(counts)} bits, got {quoted(text)}")
-        bits = tuple(int(c) for c in text)
-        return cls(rank, bits[: counts[0]], bits[counts[0] : counts[0] + counts[1]], bits[counts[0] + counts[1] :])
+        want = len(coordinate_masks(rank))
+        if len(text) != want or set(text) - {"0", "1"}:
+            raise ValueError(f"rank-{rank} full form needs {want} bits, got {quoted(text)}")
+        return _unpack(rank, int(text[::-1], 2))
+
+
+def _unpack(n: int, packed: int) -> CharVector:
+    """The rank-n vector whose coordinate k is bit k of ``packed`` (``_pack`` inverts it)."""
+    bits = tuple(packed >> k & 1 for k in range(len(coordinate_masks(n))))
+    return CharVector(n, bits[:n], bits[n : n + comb(n, 2)], bits[n + comb(n, 2) :])
 
 
 def char_vector_of_meets(meets: Sequence[int]) -> CharVector:
@@ -171,17 +181,16 @@ def char_vector_of_meets(meets: Sequence[int]) -> CharVector:
 
 
 def _char_vector(n: int, meets: Mapping[int, int] | Sequence[int]) -> CharVector:
-    """``char_vector_of_meets`` at rank n; only the meets[x] with 1 <= |x| <= 3 are read."""
-    units = [1 << i for i in range(n)]
-    pairs = [x | y for x, y in combinations(units, 2)]
-    if any(meets[x] % 4 for x in units) or any(meets[x] % 2 for x in pairs):
-        raise NotDoublyEven("characteristic vectors require a doubly even code")
+    """``char_vector_of_meets`` at rank n; only the meets[s] with 1 <= |s| <= 3 are read."""
+    packed = 0
+    for k, s in enumerate(coordinate_masks(n)):
+        low = 3 - s.bit_count()  # lambda_s is bit 3 - |s| of t_s; doubly even: none below it
+        if meets[s] % (1 << low):
+            raise NotDoublyEven("characteristic vectors require a doubly even code")
+        packed |= (meets[s] >> low & 1) << k
     if n < 2:
         raise UnsupportedRank(f"characteristic vectors need rank at least 2, got {n}")
-    sigma = tuple(meets[x] // 4 % 2 for x in units)
-    beta = tuple(meets[x] // 2 % 2 for x in pairs)
-    alpha = tuple(meets[x | y | z] % 2 for x, y, z in combinations(units, 3))
-    return CharVector(n, sigma, beta, alpha)
+    return _unpack(n, packed)
 
 
 def char_vector_of(basis: CodeBasis) -> CharVector:
@@ -205,12 +214,8 @@ def _check_mask(x: int, n: int) -> None:
 
 def coordinates_by_mask(cv: CharVector) -> list[int]:
     """Entry s is the coordinate lambda_s for 1 <= |s| <= 3, else 0."""
-    n = cv.rank
-    coords = [0] * (1 << n)
-    subsets = (s for size in (1, 2, 3) for s in combinations(range(n), size))
-    for s, bit in zip(subsets, cv.sigma + cv.beta + cv.alpha):
-        coords[sum(1 << i for i in s)] = bit
-    return coords
+    lam = dict(zip(coordinate_masks(cv.rank), cv.sigma + cv.beta + cv.alpha))
+    return [lam.get(s, 0) for s in range(1 << cv.rank)]
 
 
 @lru_cache(maxsize=1024)
@@ -340,24 +345,21 @@ def gl_transform(cv: CharVector, g: GLMatrix) -> CharVector:
 def enumerate_nonassociative(n: int) -> Iterator[CharVector]:
     """All characteristic vectors of nonassociative loops of a classified rank."""
     orbit_representatives(n)  # rejects unclassified ranks
-    for sigma in product((0, 1), repeat=n):
-        for beta in product((0, 1), repeat=comb(n, 2)):
-            for alpha in product((0, 1), repeat=comb(n, 3)):
-                if any(alpha):
-                    yield CharVector(n, sigma, beta, alpha)
+    length, alphas = len(coordinate_masks(n)), 1 << comb(n, 3)
+    for word in range(1 << length):  # ``bits()`` ascending; alpha is the low C(n,3) bits
+        if word % alphas:
+            yield CharVector.from_bits(n, format(word, f"0{length}b"))
 
 
 def _pack(cv: CharVector) -> int:
     """The coordinates of ``cv.bits()`` as one int, coordinate k at bit k."""
-    return int(cv.bits()[::-1], 2)
+    return sum(bit << k for k, bit in enumerate(cv.sigma + cv.beta + cv.alpha))
 
 
 def _packed_action(g: GLMatrix) -> list[int]:
     """``gl_transform(., g)`` on every packed vector, built from the images
     of the unit vectors because the action is GF(2)-linear."""
-    n = g.rank
-    length = n + comb(n, 2) + comb(n, 3)
-    units = (CharVector.from_bits(n, "0" * k + "1" + "0" * (length - k - 1)) for k in range(length))
+    units = (_unpack(g.rank, 1 << k) for k in range(len(coordinate_masks(g.rank))))
     return _xor_span([_pack(gl_transform(unit, g)) for unit in units])
 
 
@@ -423,18 +425,18 @@ def _first_matrix(rep: CharVector, cv: CharVector) -> GLMatrix:
     rows whose sigma, and beta and alpha with those rows, match cv's."""
     n = cv.rank
     by_sigma, by_beta, by_alpha = _rep_tables(rep)
-    C = _squares(cv)  # cv's coordinates are its differences at unit vectors
+    lam = coordinates_by_mask(cv)
     rows = [0] * n
 
     def place(i: int, span: list[int]) -> bool:
         if i < 0:
             return True
         e = 1 << i
-        fits = by_sigma[C[e]]
+        fits = by_sigma[lam[e]]
         for j in range(i + 1, n):
-            fits &= by_beta[rows[j]][_beta(C, e, 1 << j)]
+            fits &= by_beta[rows[j]][lam[e | 1 << j]]
             for k in range(j + 1, n):
-                fits &= by_alpha[rows[j]][rows[k]][_alpha(C, e, 1 << j, 1 << k)]
+                fits &= by_alpha[rows[j]][rows[k]][lam[e | 1 << j | 1 << k]]
         for x in span:
             fits &= ~(1 << x)
         while fits:  # ascending over the set bits
@@ -468,10 +470,7 @@ def canonicalize(cv: CharVector) -> tuple[LoopClassId, CharVector, GLMatrix]:
     class_id = loop_class(cv)
     rep = representative(class_id)
     g = GLMatrix.identity(cv.rank) if cv == rep else _first_matrix(rep, cv)
-    witness = g.inverse()
-    if gl_transform(cv, witness) != rep:
-        raise RuntimeError(f"witness of {class_id} does not reach its representative")
-    return class_id, rep, witness
+    return class_id, rep, g.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +503,7 @@ def normalize_rank4(cv: CharVector) -> tuple[CharVector, GLMatrix]:
     d = rad[0]
     rows: list[int] = []
     for cand in range(1, 16):
-        if len(rows) == 3:
-            break
-        if gf2_rank(tuple(rows) + (cand, d)) == len(rows) + 2:
+        if len(rows) < 3 and gf2_rank(tuple(rows) + (cand, d)) == len(rows) + 2:
             rows.append(cand)
     g = GLMatrix(4, tuple(rows) + (d,))
-    out = gl_transform(cv, g)
-    if not out.is_normalized:
-        raise RuntimeError(f"basis change {g.rows} leaves alpha = {out.alpha}")
-    return out, g
+    return gl_transform(cv, g), g

@@ -22,6 +22,7 @@ from .charvec import (
     char_vector_of,
     loop_class,
     normalize_rank4,
+    orbit_representatives,
     orbit_sizes,
     representative,
 )
@@ -47,30 +48,32 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="loopforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: _Parser, run, target: bool = True) -> None:
+    def add_common(p: _Parser, run, target=True, formats=("json", "csv", "text"), bound=False) -> None:
         p.set_defaults(run=run)
         if target:
             p.add_argument("--rank", type=int, choices=tuple(REPRESENTATIVES))
             p.add_argument("--loop", help="loop id such as C3_1 or C4_16")
             p.add_argument("--lambda", dest="lam", help="characteristic vector bits")
             p.add_argument("--code", help="path to a code file")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--max-class-size", type=int, default=REDUCED_MAX)
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        if bound:  # only the searches read it
+            p.add_argument("--max-class-size", type=int, default=REDUCED_MAX)
         p.add_argument("--output", help="write primary output to this path")
 
     add_common(sub.add_parser("classify", help="name the loop of a vector or code"), cmd_classify)
     p_orbits = sub.add_parser("orbits", help="orbit table for one rank")
     p_orbits.add_argument("--rank", type=int, choices=tuple(REPRESENTATIVES), required=True)
     add_common(p_orbits, cmd_orbits, target=False)
-    add_common(sub.add_parser("enumerate", help="stream every reduced representation"), cmd_enumerate)
-    add_common(sub.add_parser("minimal", help="minimal representations of a loop"), cmd_minimal)
+    add_common(sub.add_parser("enumerate", help="stream every reduced representation"), cmd_enumerate, bound=True)
+    add_common(sub.add_parser("minimal", help="minimal representations of a loop"), cmd_minimal, bound=True)
     add_common(sub.add_parser("loop", help="build the explicit loop of a code"), cmd_loop)
     p_render = sub.add_parser("render", help="class diagram of a representation")
     p_render.add_argument("--style", choices=("ascii", "svg"), default="ascii")
-    add_common(p_render, cmd_render)
+    add_common(p_render, cmd_render, formats=())
     p_verify = sub.add_parser("verify-paper", help="run the golden verification suite")
     p_verify.add_argument("--only", choices=claim_ids())
-    add_common(p_verify, cmd_verify, target=False)
+    add_common(p_verify, cmd_verify, target=False, formats=("json", "text"))
     return parser
 
 
@@ -88,7 +91,9 @@ def _resolve_vector(args: argparse.Namespace) -> CharVector:
         return representative(class_id)
     if args.lam:
         return fileio.parse_lambda(args.lam, args.rank)
-    return char_vector_of(_load_code(args))
+    basis = _load_code(args)
+    orbit_representatives(basis.rank)  # before the meets, which grow as the rank cubed
+    return char_vector_of(basis)
 
 
 def _parse_loop_id(text: str, rank: int | None) -> LoopClassId:
@@ -289,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.max_class_size < 1:
+        if getattr(args, "max_class_size", REDUCED_MAX) < 1:
             raise ParseError("--max-class-size must be at least 1")
         result = args.run(args)  # verify-paper also returns its exit code
         text, code = result if isinstance(result, tuple) else (result, EXIT_OK)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import combinations
 
 from . import catalog
 from .charvec import (
@@ -23,7 +24,6 @@ from .charvec import (
     nonassociative_count,
     orbit_representatives,
     orbit_sizes,
-    pair_index,
     representative,
 )
 from .errors import LoopforgeError
@@ -144,7 +144,7 @@ def _published_defect(entry: catalog.ReferenceEntry) -> str:
     basis = entry.published_basis()
     if not is_doubly_even(basis):
         gens = [set(g) for g in entry.published_generators]
-        meets = {(i, j): len(gens[i - 1] & gens[j - 1]) for i, j in pair_index(len(gens))}
+        meets = {(i, j): len(a & b) for (i, a), (j, b) in combinations(enumerate(gens, 1), 2)}
         odd = [
             f"generators {i} and {j} meet in {t} positions"
             for (i, j), t in meets.items()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from itertools import combinations
 from math import comb
@@ -263,6 +264,16 @@ def test_enumerate_counts():
         next(enumerate_nonassociative(5))
 
 
+def test_enumerate_nonassociative_keeps_its_order():
+    # sigma, then beta, then alpha, each ascending as a bitstring (the order
+    # of nested products over the three parts), rank 3 then rank 4
+    digest = hashlib.sha256()
+    for n in (3, 4):
+        for cv in enumerate_nonassociative(n):
+            digest.update((cv.bits() + "\n").encode())
+    assert digest.hexdigest() == "59612e444bfef1e2ef17b784d8984f7ebf95c07b9ce046ef0ba9d50e6fcd482c"
+
+
 def test_rank3_orbit_partition():
     seen: dict[int, int] = {}
     for cv in enumerate_nonassociative(3):
@@ -342,6 +353,16 @@ def test_normalize_recovers_orbit(rng):
         assert normalized.is_normalized
         assert gl_transform(moved, witness) == normalized
         assert canonicalize(normalized)[0] == canonicalize(cv)[0]
+
+
+def test_normalize_rank4_normalizes_every_rank4_vector():
+    # the library does not re-check its result: the radical generator comes
+    # last, so alpha vanishes on every triple that holds it
+    for cv in enumerate_nonassociative(4):
+        normalized, witness = normalize_rank4(cv)
+        assert normalized.is_normalized
+        assert gl_transform(cv, witness) == normalized
+        assert loop_class(normalized) == loop_class(cv)
 
 
 def test_normalize_requires_nonassociative():
@@ -464,6 +485,7 @@ def test_canonicalize_matches_the_full_group_sweep(first_writer):
         assert cid == LoopClassId(cv.rank, index)
         assert rep == CharVector.from_shorthand(cv.rank, REPRESENTATIVES[cv.rank][index - 1])
         assert witness.rows == GLMatrix(cv.rank, rows).inverse().rows
+        assert gl_transform(cv, witness) == rep  # the library does not re-check it
 
 
 def test_loop_class_is_the_class_of_canonicalize(first_writer):

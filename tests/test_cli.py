@@ -292,6 +292,23 @@ def test_max_class_size_flag(capsys):
     assert build_parser().parse_args(["enumerate", "--loop", "C3_1"]).max_class_size == REDUCED_MAX
 
 
+def test_flags_exist_only_where_they_are_read(capsys):
+    # --max-class-size bounds the searches, render writes no table and
+    # verify-paper has no csv form: elsewhere these flags are usage errors
+    for argv in (
+        ["classify", "--loop", "C3_1", "--max-class-size", "3"],
+        ["orbits", "--rank", "3", "--max-class-size", "0"],
+        ["loop", "--loop", "C3_1", "--max-class-size", "3"],
+        ["render", "--loop", "C3_1", "--max-class-size", "3"],
+        ["verify-paper", "--max-class-size", "3"],
+        ["render", "--loop", "C3_1", "--format", "json"],
+        ["verify-paper", "--format", "csv"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def _one_short_error_line(code: int, out: str, err: str) -> None:
     assert code in (1, 2) and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -313,8 +330,9 @@ def test_huge_inputs_give_short_errors(capsys, tmp_path):
     _one_short_error_line(*run(capsys, "classify", "--code", str(tmp_path / ("x" * 100_000))))
     _one_short_error_line(*run(capsys, "classify", "--rank", "3", "--loop", "C4_" + "0" * 4000 + "1"))
     huge = "x" * 100_000
-    for argv in (("--rank", huge), ("--format", huge), ("--max-class-size", huge), ("--" + huge,)):
+    for argv in (("--rank", huge), ("--format", huge), ("--" + huge,)):
         _one_short_error_line(*run(capsys, "classify", *argv))
+    _one_short_error_line(*run(capsys, "minimal", "--loop", "C3_1", "--max-class-size", huge))
     _one_short_error_line(*run(capsys, huge))
     digits = "1" * 4000
     for command, name, text in (
@@ -351,3 +369,21 @@ def test_render_rejects_the_rank_before_partitioning(capsys, tmp_path, monkeypat
     code, out, err = run(capsys, "render", "--code", str(path))
     assert code == 2 and out == ""
     assert err == "error: UnsupportedRank: diagrams exist for ranks 3 and 4\n"
+
+
+def test_code_rank_is_checked_before_the_vector(capsys, tmp_path, monkeypatch):
+    # the meets of at most three generators grow as the rank cubed, so an
+    # unclassified rank is rejected before char_vector_of builds them
+    import loopforge.cli as cli
+
+    calls = []
+    real = cli.char_vector_of
+    monkeypatch.setattr(cli, "char_vector_of", lambda basis: calls.append(basis) or real(basis))
+    path = tmp_path / "rank6.code"  # 6 disjoint weight-4 blocks: doubly even, independent
+    rows = [",".join(str(4 * i + p) for p in (1, 2, 3, 4)) for i in range(6)]
+    path.write_text("m=24 n=6\n" + "\n".join(rows) + "\n")
+    for command in ("classify", "minimal", "enumerate"):
+        code, out, err = run(capsys, command, "--code", str(path))
+        assert (code, out) == (2, ""), command
+        assert err == "error: UnsupportedRank: classified loops have rank 3 or 4, got 6\n", command
+        assert calls == [], command

@@ -44,6 +44,31 @@ def test_no_unused_imports_in_the_library():
     assert found == []
 
 
+def test_no_orphaned_private_helpers_in_the_library():
+    # a private module-level name that no library module reads outlived its callers
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            private = [d for d in defined if d.startswith("_") and not d.startswith("__")]
+            found += [f"{name}:{node.lineno} {d}" for d in private if d not in read]
+    assert found == []
+
+
 def test_benchmark_tracer_finds_every_function_it_wraps():
     # perfbench/tracer.py wraps library functions by module and name, so a
     # rename in src/ must fail here, not only in a traced benchmark run
