@@ -51,7 +51,6 @@ def build_parser() -> _Parser:
     def add_common(p: _Parser, run, target=True, formats=("json", "csv", "text"), bound=False) -> None:
         p.set_defaults(run=run)
         if target:
-            p.add_argument("--rank", type=int, choices=tuple(REPRESENTATIVES))
             p.add_argument("--loop", help="loop id such as C3_1 or C4_16")
             p.add_argument("--lambda", dest="lam", help="characteristic vector bits")
             p.add_argument("--code", help="path to a code file")
@@ -87,33 +86,26 @@ def _resolve_vector(args: argparse.Namespace) -> CharVector:
     """Characteristic vector from exactly one of --loop/--lambda/--code."""
     _require_one_target(args)
     if args.loop:
-        class_id = _parse_loop_id(args.loop, args.rank)
-        return representative(class_id)
+        return representative(_parse_loop_id(args.loop))
     if args.lam:
-        return fileio.parse_lambda(args.lam, args.rank)
+        return fileio.parse_lambda(args.lam)
     basis = _load_code(args)
     orbit_representatives(basis.rank)  # before the meets, which grow as the rank cubed
     return char_vector_of(basis)
 
 
-def _parse_loop_id(text: str, rank: int | None) -> LoopClassId:
+def _parse_loop_id(text: str) -> LoopClassId:
     try:
-        class_id = LoopClassId.parse(text)
+        return LoopClassId.parse(text)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    if rank is not None and rank != class_id.rank:
-        raise ParseError(f"--rank {rank} does not match loop id {quoted(text)}")
-    return class_id
 
 
 def _load_code(args: argparse.Namespace) -> CodeBasis:
     try:
-        basis = fileio.load_code(args.code)
+        return fileio.load_code(args.code)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {quoted(args.code)}: {getattr(exc, 'strerror', exc)}") from None
-    if args.rank is not None and basis.rank != args.rank:
-        raise ParseError(f"--rank {args.rank} does not match code rank {basis.rank}")
-    return basis
 
 
 def _resolve_basis(args: argparse.Namespace) -> CodeBasis:
@@ -122,9 +114,9 @@ def _resolve_basis(args: argparse.Namespace) -> CodeBasis:
     if args.code:
         return _load_code(args)
     if args.loop:
-        class_id = _parse_loop_id(args.loop, args.rank)
+        class_id = _parse_loop_id(args.loop)
     else:
-        class_id = loop_class(fileio.parse_lambda(args.lam, args.rank))
+        class_id = loop_class(fileio.parse_lambda(args.lam))
     return ENTRIES[str(class_id)].basis()
 
 

@@ -59,14 +59,6 @@ class UnsupportedRank(DomainError):
     """Rank outside the range this operation supports."""
 
 
-class UnexpectedRadical(DomainError):
-    """Associator-form radical has the wrong dimension for this rank."""
-
-
-class NoFactorSet(DomainError):
-    """A built factor set failed its axiom check (internal consistency failure)."""
-
-
 class InfeasibleProfile(DomainError):
     """Weight profile forces a negative class cardinality."""
 

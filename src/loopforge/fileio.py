@@ -68,7 +68,7 @@ def format_code(basis: CodeBasis) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_lambda(text: str, rank: int | None = None) -> CharVector:
+def parse_lambda(text: str) -> CharVector:
     """Parse shorthand or ``full:``-prefixed characteristic vector strings."""
     text = text.strip()
     full = text.startswith("full:")
@@ -81,8 +81,6 @@ def parse_lambda(text: str, rank: int | None = None) -> CharVector:
         if inferred is None:
             lengths = " or ".join(map(str, ranks))
             raise ValueError(f"{form} must have {lengths} bits, got {len(bits)}")
-        if rank is not None and rank != inferred:
-            raise ValueError(f"--rank {rank} does not match a {len(bits)}-bit {form}")
         if full:
             return CharVector.from_bits(inferred, bits)
         return CharVector.from_shorthand(inferred, bits)

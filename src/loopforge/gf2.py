@@ -64,9 +64,6 @@ class Codeword:
     def bitstring(self) -> str:
         return bin(self.bits | 1 << self.length)[:2:-1]
 
-    def contains(self, position: int) -> bool:
-        return 1 <= position <= self.length and bool(self.bits >> (position - 1) & 1)
-
     def _check_length(self, other: "Codeword") -> None:
         if self.length != other.length:
             raise ValueError(f"length mismatch {self.length} != {other.length}")
@@ -253,9 +250,6 @@ class ClassPartition:
             if s == tuple(sigma):
                 return b
         raise KeyError(sigma)
-
-    def size(self, sigma: Sigma) -> int:
-        return self.block(sigma).weight
 
     @property
     def sizes(self) -> dict[Sigma, int]:

@@ -27,7 +27,7 @@ from .charvec import (
     representative,
 )
 from .errors import LoopforgeError
-from .gf2 import class_order, codes_equivalent, is_doubly_even, sigma_mask
+from .gf2 import class_order, codes_equivalent, is_doubly_even, meet_weights, sigma_mask
 from .loops import build_loop, is_moufang
 from .search import MinimalReport, assemble_representation, minimal_representations, solve_system
 
@@ -143,12 +143,11 @@ def _published_defect(entry: catalog.ReferenceEntry) -> str:
     its length."""
     basis = entry.published_basis()
     if not is_doubly_even(basis):
-        gens = [set(g) for g in entry.published_generators]
-        meets = {(i, j): len(a & b) for (i, a), (j, b) in combinations(enumerate(gens, 1), 2)}
+        meets = meet_weights(basis.masks)
         odd = [
-            f"generators {i} and {j} meet in {t} positions"
-            for (i, j), t in meets.items()
-            if t % 2
+            f"generators {i + 1} and {j + 1} meet in {meets[1 << i | 1 << j]} positions"
+            for i, j in combinations(range(basis.rank), 2)
+            if meets[1 << i | 1 << j] % 2
         ]
         return "; ".join(odd) or "not doubly even"
     class_id = loop_class(char_vector_of(basis))
@@ -207,9 +206,12 @@ def check_loop_laws(entry: catalog.ReferenceEntry) -> list[str]:
     problems: list[str] = []
     basis = entry.basis()
     try:
-        loop = build_loop(basis)  # factor-set axioms verified inside
+        loop = build_loop(basis)
     except LoopforgeError as exc:
         return [f"{entry.loop}: factor set failed: {exc}"]
+    bad = loop.factor_set.axiom_violations()
+    if bad:
+        return [f"{entry.loop}: factor set failed: {len(bad)} axiom violations, first: {bad[0]}"]
     if not is_moufang(loop):
         problems.append(f"{entry.loop}: Moufang identity fails")
     table = loop.table

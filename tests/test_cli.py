@@ -41,7 +41,7 @@ def validate(record, schema_name: str) -> None:
 
 
 def test_classify_lambda_rank3(capsys):
-    code, out, _ = run(capsys, "classify", "--rank", "3", "--lambda", "111000")
+    code, out, _ = run(capsys, "classify", "--lambda", "111000")
     assert code == 0
     assert "loop: C3_5" in out
     assert "representative: 100000" in out
@@ -246,11 +246,6 @@ def test_non_utf8_code_file_exits_1(capsys, tmp_path):
     assert err.startswith("error: cannot read") and err.count("\n") == 1
 
 
-def test_rank_mismatch_exits_1(capsys):
-    code, _, err = run(capsys, "minimal", "--rank", "4", "--loop", "C3_1")
-    assert code == 1
-
-
 def test_output_file(capsys, tmp_path):
     out_path = tmp_path / "out.json"
     code, out, _ = run(
@@ -293,8 +288,9 @@ def test_max_class_size_flag(capsys):
 
 
 def test_flags_exist_only_where_they_are_read(capsys):
-    # --max-class-size bounds the searches, render writes no table and
-    # verify-paper has no csv form: elsewhere these flags are usage errors
+    # --max-class-size bounds the searches, render writes no table,
+    # verify-paper has no csv form and only orbits lacks a target to read
+    # the rank from: elsewhere these flags are usage errors
     for argv in (
         ["classify", "--loop", "C3_1", "--max-class-size", "3"],
         ["orbits", "--rank", "3", "--max-class-size", "0"],
@@ -303,6 +299,11 @@ def test_flags_exist_only_where_they_are_read(capsys):
         ["verify-paper", "--max-class-size", "3"],
         ["render", "--loop", "C3_1", "--format", "json"],
         ["verify-paper", "--format", "csv"],
+        ["classify", "--loop", "C3_1", "--rank", "3"],
+        ["enumerate", "--loop", "C3_1", "--rank", "3"],
+        ["minimal", "--loop", "C3_1", "--rank", "3"],
+        ["loop", "--loop", "C3_1", "--rank", "3"],
+        ["render", "--loop", "C3_1", "--rank", "3"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv
@@ -328,7 +329,7 @@ def test_huge_inputs_give_short_errors(capsys, tmp_path):
     for option in ("--lambda", "--loop"):
         _one_short_error_line(*run(capsys, "classify", option, "C" + "1" * 200_000))
     _one_short_error_line(*run(capsys, "classify", "--code", str(tmp_path / ("x" * 100_000))))
-    _one_short_error_line(*run(capsys, "classify", "--rank", "3", "--loop", "C4_" + "0" * 4000 + "1"))
+    _one_short_error_line(*run(capsys, "classify", "--loop", "C4_" + "0" * 4000 + "17"))
     huge = "x" * 100_000
     for argv in (("--rank", huge), ("--format", huge), ("--" + huge,)):
         _one_short_error_line(*run(capsys, "classify", *argv))

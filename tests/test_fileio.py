@@ -48,8 +48,6 @@ def test_lambda_shorthand_parsing():
     cv = parse_lambda("0001111100")
     assert cv.rank == 4 and cv.shorthand() == "0001111100"
     with pytest.raises(ParseError):
-        parse_lambda("111000", rank=4)
-    with pytest.raises(ParseError):
         parse_lambda("11100")
     with pytest.raises(ParseError):
         parse_lambda("11100x")

@@ -69,10 +69,10 @@ def test_parse_code_text_raises_only_package_errors(text):
 
 
 @settings(max_examples=150, deadline=None)
-@given(lambdas, st.sampled_from((None, 2, 3, 4, 5)))
-def test_parse_lambda_raises_only_package_errors(text, rank):
+@given(lambdas)
+def test_parse_lambda_raises_only_package_errors(text):
     try:
-        parse_lambda(text, rank)
+        parse_lambda(text)
     except LoopforgeError:
         pass
 

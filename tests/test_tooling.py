@@ -69,6 +69,24 @@ def test_no_orphaned_private_helpers_in_the_library():
     assert found == []
 
 
+def test_every_error_class_is_read_outside_errors_py():
+    # an exception class that no other module raises or catches outlived
+    # the check that raised it
+    defined = [
+        node.name
+        for node in ast.parse((ROOT / "src" / "loopforge" / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    read = {
+        node.id
+        for path in SOURCES
+        if path.name not in ("errors.py", "__init__.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert defined and [name for name in defined if name not in read] == []
+
+
 def test_benchmark_tracer_finds_every_function_it_wraps():
     # perfbench/tracer.py wraps library functions by module and name, so a
     # rename in src/ must fail here, not only in a traced benchmark run

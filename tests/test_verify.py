@@ -7,6 +7,7 @@ import pytest
 import loopforge.catalog as catalog
 import loopforge.verify as verify
 from loopforge.charvec import LoopClassId, loop_class, nonassociative_count, orbit_sizes
+from loopforge.loops import FactorSet
 from loopforge.verify import (
     ClaimResult,
     EXPECTED_MISPRINTS,
@@ -102,8 +103,8 @@ def test_tampered_degree_fails_rank4_minimal(monkeypatch):
 
 
 def test_orbit_claims_read_the_orbit_table(monkeypatch):
-    # the table's build already raises unless it covers every vector, so the
-    # claims read its orbit sizes and classify no vector one by one
+    # the claims check the table's coverage from its orbit sizes and
+    # classify no vector one by one
     calls = []
 
     def counted(cv):
@@ -129,6 +130,15 @@ def test_orbit_claim_reports_a_missing_orbit(monkeypatch):
         "found 4 orbits, expected 5",
     )
     assert " 2:0 " in res.detail
+
+
+def test_loop_laws_claim_reports_factor_set_axiom_violations(monkeypatch):
+    monkeypatch.setattr(FactorSet, "axiom_violations", lambda self: ["cocycle axiom fails at (1,2,3)"])
+    (res,) = run_claims(only="loop-laws")
+    assert not res.passed
+    first = (catalog.RANK3 + catalog.RANK4)[0].loop
+    assert res.mismatches[0] == f"{first}: factor set failed: 1 axiom violations, first: cocycle axiom fails at (1,2,3)"
+    assert len(res.mismatches) == len(catalog.RANK3) + len(catalog.RANK4)
 
 
 def test_unknown_claim_rejected():
