@@ -186,8 +186,8 @@ def cmd_enumerate(args: argparse.Namespace):
             count += 1
             if min_degree is None or rep.degree < min_degree:
                 min_degree = rep.degree
-            if args.format == "csv":  # loop, degree and type only: no record built
-                yield fileio.csv_text([[str(class_id), rep.degree, "".join(map(str, rep.type))]])
+            if args.format == "csv":  # loop, degree and type, none needs quoting: no record built
+                yield f"{class_id},{rep.degree},{''.join(map(str, rep.type))}\n"
                 continue
             record = fileio.representation_record(class_id, rep)
             if args.format == "json":

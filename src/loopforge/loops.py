@@ -21,6 +21,10 @@ other valid phi differs from this one by a coboundary and gives an isomorphic
 loop.  ``FactorSet.axiom_violations`` checks all four axioms exhaustively; the
 build does not run it, the tests and the ``loop-laws`` claim of
 ``verify-paper`` do, on every reference basis.
+
+``CodeLoop`` numbers (e, v) as id = sign bit * |V| | mask of v, the sign bit set
+for e = -1, so a ^ b multiplies the signs and adds the codewords: the product of
+ids a and b is a ^ b, its sign bit flipped where phi(v, w) = -1.  Identity is 0.
 """
 
 from __future__ import annotations
@@ -100,11 +104,7 @@ def build_factor_set(basis: CodeBasis) -> FactorSet:
 
 
 class CodeLoop:
-    """Loop on {+1,-1} x V with product (e,v)(d,w) = (e d phi(v,w), v+w).
-
-    Elements are ids 0 .. 2|V|-1: id = mask for (+1, codeword(mask)) and
-    id = |V| + mask for (-1, codeword(mask)).  Identity is id 0.
-    """
+    """Loop on {+1,-1} x V with product (e,v)(d,w) = (e d phi(v,w), v+w), on the ids above."""
 
     def __init__(self, factor_set: FactorSet):
         self.factor_set = factor_set
@@ -113,18 +113,12 @@ class CodeLoop:
         self.half = half
         self.order = 2 * half
         phi = factor_set.signs
-        table = []
-        for a in range(self.order):
-            sa, va = divmod(a, half)
-            row = []
-            for b in range(self.order):
-                sb, vb = divmod(b, half)
-                s = sa ^ sb ^ (1 if phi[va][vb] < 0 else 0)
-                row.append(s * half + (va ^ vb))
-            table.append(tuple(row))
-        self.table: tuple[tuple[int, ...], ...] = tuple(table)
+        self.table: tuple[tuple[int, ...], ...] = tuple(
+            tuple(a ^ b ^ (half if phi[a % half][b % half] < 0 else 0) for b in range(self.order))
+            for a in range(self.order)
+        )
         # the identity appears once per row: codeword of a, one of its two signs
-        self.inverses: tuple[int, ...] = tuple(row.index(0) for row in table)
+        self.inverses: tuple[int, ...] = tuple(row.index(0) for row in self.table)
 
     # -- element bookkeeping ------------------------------------------------
 

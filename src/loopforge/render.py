@@ -108,11 +108,10 @@ def _ascii_rank4(partition: ClassPartition) -> str:
 
 
 def _svg_text(x: float, y: float, text: str, size: int = 12, anchor: str = "middle") -> str:
-    from xml.sax.saxutils import escape
-
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (
         f'<text x="{x:.0f}" y="{y:.0f}" font-size="{size}" '
-        f'text-anchor="{anchor}" font-family="monospace">{escape(text)}</text>'
+        f'text-anchor="{anchor}" font-family="monospace">{text}</text>'
     )
 
 

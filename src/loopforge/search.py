@@ -149,12 +149,14 @@ class ReducedRepresentation:
         return assemble_representation(self.sizes)
 
 
-def _require_normalized(cv: CharVector) -> None:
+def _require_normalized(cv: CharVector, max_class_size: int) -> None:
     orbit_representatives(cv.rank)  # rejects unclassified ranks
     if not cv.nonassociative:
         raise AssociativeLoop("representation search needs a nonassociative vector")
     if not cv.is_normalized:
         raise ValueError("normalize the vector first (alpha must be 1 / 1000)")
+    if max_class_size < 1:
+        raise ValueError("max_class_size must be at least 1")
 
 
 def _walk_class_sizes(
@@ -222,9 +224,7 @@ def enumerate_reduced(
     Leaves stream straight from the walk; degenerate ones (empty or
     dependent generators) are pruned silently.
     """
-    _require_normalized(cv)
-    if max_class_size < 1:
-        raise ValueError("max_class_size must be at least 1")
+    _require_normalized(cv, max_class_size)
     yield from _representations(cv, max_class_size)
 
 
@@ -254,7 +254,7 @@ def minimal_representations(
     cv: CharVector, max_class_size: int = REDUCED_MAX
 ) -> MinimalReport:
     """Search the reduced family for the least degree and deduplicate."""
-    _require_normalized(cv)
+    _require_normalized(cv, max_class_size)
     loop_id = loop_class(cv)
     # depth-first branch and bound: the incumbent is the least degree of a
     # nondegenerate leaf so far; branches strictly above it are cut, so ties

@@ -200,60 +200,37 @@ def claim_worked_example() -> ClaimResult:
 
 
 def check_loop_laws(entry: catalog.ReferenceEntry) -> list[str]:
-    """Exhaustive law checks for one reference basis: factor-set axioms,
-    the Moufang identity, and sign agreement of squares, commutators and
-    associators with the weight formulas, over all elements/pairs/triples."""
-    problems: list[str] = []
-    basis = entry.basis()
+    """Exhaustive law checks for one reference basis: factor-set axioms, the
+    Moufang identity, and sign agreement of squares, commutators and associators
+    with the weight formulas; each law reports its first counterexample."""
     try:
-        loop = build_loop(basis)
+        loop = build_loop(entry.basis())
     except LoopforgeError as exc:
         return [f"{entry.loop}: factor set failed: {exc}"]
     bad = loop.factor_set.axiom_violations()
     if bad:
         return [f"{entry.loop}: factor set failed: {len(bad)} axiom violations, first: {bad[0]}"]
-    if not is_moufang(loop):
-        problems.append(f"{entry.loop}: Moufang identity fails")
-    table = loop.table
-    half = loop.half
-    words = loop.factor_set.codewords
-    order = loop.order
-    for a in range(order):
-        va = words[a % half]
-        expected = half * ((va.bit_count() // 4) & 1)
-        if table[a][a] != expected:
-            problems.append(f"{entry.loop}: square sign wrong at element {a}")
-            break
-    for a in range(order):
-        va = words[a % half]
-        row_a = table[a]
-        for b in range(order):
-            negated = row_a[b] != table[b][a]
-            if negated != bool((words[b % half] & va).bit_count() // 2 & 1):
-                problems.append(f"{entry.loop}: commutator sign wrong at ({a},{b})")
-                break
-        else:
-            continue
-        break
-    for a in range(order):
-        va = words[a % half]
-        row_a = table[a]
-        for b in range(order):
-            vab = va & words[b % half]
-            ab = row_a[b]
-            row_b = table[b]
-            for c in range(order):
-                negated = table[ab][c] != row_a[row_b[c]]
-                if negated != bool((vab & words[c % half]).bit_count() & 1):
-                    problems.append(f"{entry.loop}: associator sign wrong at ({a},{b},{c})")
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
-    return problems
+    t, half = loop.table, loop.half
+    ids = loop.elements()
+    v = [loop.factor_set.codewords[a % half] for a in ids]
+    # each law's first counterexample in a, then b, then c order, or None; a sign
+    # is wrong where the table's negation and the weight formula's parity disagree
+    laws = {
+        "Moufang identity fails": None if is_moufang(loop) else (),
+        "square sign wrong at element {}": next(
+            ((a,) for a in ids if t[a][a] != half * (v[a].bit_count() >> 2 & 1)), None
+        ),
+        "commutator sign wrong at ({},{})": next(
+            ((a, b) for a in ids for b in ids
+             if (t[a][b] != t[b][a]) != (v[a] & v[b]).bit_count() >> 1 & 1), None
+        ),
+        "associator sign wrong at ({},{},{})": next(
+            ((a, b, c) for a in ids for b in ids
+             for ab, row_a, row_b, vab in [(t[a][b], t[a], t[b], v[a] & v[b])] for c in ids
+             if (t[ab][c] != row_a[row_b[c]]) != (vab & v[c]).bit_count() & 1), None
+        ),
+    }
+    return [f"{entry.loop}: {law.format(*at)}" for law, at in laws.items() if at is not None]
 
 
 def claim_loop_laws() -> ClaimResult:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +117,17 @@ def test_render_output_is_pinned():
         for name, part in parts.items()
     }
     assert digests == RENDER_DIGESTS
+
+
+def test_svg_render_imports_no_xml_escaper():
+    # xml.sax.saxutils pulls in urllib.request, a cold-start cost that
+    # escaping three characters does not need
+    code = (
+        "import os, sys; sys.path[:0] = ['src']; from loopforge import cli; "
+        "cli.main(['render', '--loop', 'C4_3', '--style', 'svg', '--output', os.devnull]); "
+        "print(sorted({'xml.sax.saxutils', 'urllib.request'} & set(sys.modules)))"
+    )
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -482,8 +482,10 @@ def test_max_class_size_override():
     assert report.scope == "reduced(max_class_size=1)"
     bigger = list(enumerate_reduced(cv, max_class_size=9))
     assert len(bigger) > 32  # a looser bound really enlarges the family
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_class_size must be at least 1"):
         list(enumerate_reduced(cv, max_class_size=0))
+    with pytest.raises(ValueError, match="max_class_size must be at least 1"):
+        minimal_representations(cv, max_class_size=0)
 
 
 def _minimal_by_sorting(cv: CharVector, max_class_size: int) -> MinimalReport:

@@ -141,6 +141,60 @@ def test_loop_laws_claim_reports_factor_set_axiom_violations(monkeypatch):
     assert len(res.mismatches) == len(catalog.RANK3) + len(catalog.RANK4)
 
 
+@pytest.mark.parametrize(
+    "loop, cells, expected",
+    [
+        (
+            "C3_1",
+            [(3, 3)],
+            [
+                "C3_1: Moufang identity fails",
+                "C3_1: square sign wrong at element 3",
+                "C3_1: associator sign wrong at (1,2,3)",
+            ],
+        ),
+        (
+            "C3_1",
+            [(2, 5)],
+            [
+                "C3_1: Moufang identity fails",
+                "C3_1: commutator sign wrong at (2,5)",
+                "C3_1: associator sign wrong at (1,2,5)",
+            ],
+        ),
+        (
+            "C4_14",
+            [(0, 0)],
+            [
+                "C4_14: Moufang identity fails",
+                "C4_14: square sign wrong at element 0",
+                "C4_14: associator sign wrong at (0,0,1)",
+            ],
+        ),
+        (
+            "C4_14",
+            [(7, 9), (9, 7)],
+            ["C4_14: Moufang identity fails", "C4_14: associator sign wrong at (1,7,9)"],
+        ),
+    ],
+)
+def test_loop_laws_report_the_first_counterexample_of_each_law(monkeypatch, loop, cells, expected):
+    # flipping the sign bit of a table cell breaks the laws; each law reports
+    # its first counterexample in a, b, c order, the laws in a fixed order
+    build = verify.build_loop
+
+    def tampered(basis):
+        built = build(basis)
+        rows = [list(row) for row in built.table]
+        for a, b in cells:
+            rows[a][b] ^= built.half
+        built.table = tuple(map(tuple, rows))
+        return built
+
+    monkeypatch.setattr(verify, "build_loop", tampered)
+    assert verify.check_loop_laws(catalog.ENTRIES[loop]) == expected
+
+
 def test_unknown_claim_rejected():
     with pytest.raises(ValueError):
         run_claims(only="no-such-claim")
