@@ -240,7 +240,7 @@ def cmd_loop(args: argparse.Namespace) -> str:
     record = {
         "order": loop.order,
         "moufang": is_moufang(loop),
-        "associative": loop.is_associative(),
+        "associative": not cv.nonassociative,
         "center_size": len(loop.center()),
         "loop": str(class_id) if class_id else None,
     }

@@ -1,7 +1,7 @@
 """Text formats: code files, characteristic-vector strings, JSON/CSV records.
 
 Code file format:
-    line 1:            m=<int> n=<int>
+    line 1:            exactly m=<int> n=<int> (each field once, in either order)
     lines 2 .. n+1:    one generator each, either comma-separated 1-based
                        positions (``1,2,3,4``) or a bitstring of length m
                        prefixed ``b:`` (``b:01101...``).
@@ -31,7 +31,8 @@ def parse_code_text(text: str) -> CodeBasis:
         raise ParseError("empty code file")
     head = lines[0].split()
     try:
-        fields = dict(part.split("=") for part in head)
+        # exactly the two fields m and n, each once
+        fields = dict(part.split("=") for part in head) if len(head) == 2 else {}
         m = int(fields["m"])
         n = int(fields["n"])
     except (ValueError, KeyError):

@@ -321,11 +321,11 @@ def label_counts(basis: CodeBasis) -> tuple[int, ...]:
     """Number of positions carrying each nonzero generator-membership label.
 
     Entry tau-1 counts positions p with label mask tau, where bit i-1 of tau
-    says p is in generator i.  Uncovered positions (label 0) are ignored, so
-    padding positions never affect equivalence.
+    says p is in generator i: the Moebius inverse of the meet weights.
+    Uncovered positions (label 0) are ignored, so padding never affects
+    equivalence.
     """
-    masks = basis.masks
-    return tuple(_label_block(masks, tau).bit_count() for tau in range(1, 1 << basis.rank))
+    return tuple(superset_sums(meet_weights(basis.masks), -1)[1:])
 
 
 @lru_cache(maxsize=None)

@@ -29,12 +29,11 @@ ids a and b is a ^ b, its sign bit flipped where phi(v, w) = -1.  Identity is 0.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 from .charvec import char_vector_of, loop_class
 from .errors import NotDoublyEven, UnsupportedRank
+from .fileio import csv_text
 from .gf2 import Codeword, CodeBasis, _xor_span, is_doubly_even, meet_weights
 
 
@@ -226,9 +225,5 @@ def loop_table_csv(loop: CodeLoop) -> str:
         return sign + ",".join(str(p) for p in loop.codeword_of(a).positions)
 
     labels = [label(a) for a in loop.elements()]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + labels)
-    for a, row in enumerate(loop.table):
-        writer.writerow([labels[a]] + [labels[b] for b in row])
-    return out.getvalue()
+    rows = [[labels[a]] + [labels[b] for b in row] for a, row in enumerate(loop.table)]
+    return csv_text([[""] + labels] + rows)

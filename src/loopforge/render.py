@@ -107,11 +107,11 @@ def _ascii_rank4(partition: ClassPartition) -> str:
 # SVG
 
 
-def _svg_text(x: float, y: float, text: str, size: int = 12, anchor: str = "middle") -> str:
+def _svg_text(x: float, y: float, text: str, size: int = 12) -> str:
     text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (
         f'<text x="{x:.0f}" y="{y:.0f}" font-size="{size}" '
-        f'text-anchor="{anchor}" font-family="monospace">{text}</text>'
+        f'text-anchor="middle" font-family="monospace">{text}</text>'
     )
 
 

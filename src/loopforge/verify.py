@@ -49,6 +49,11 @@ class ClaimResult:
     mismatches: tuple[str, ...] = ()
 
 
+def _result(claim: str, detail: str, mismatches: list[str]) -> ClaimResult:
+    """A claim passes iff it found no mismatch."""
+    return ClaimResult(claim, not mismatches, detail, tuple(mismatches))
+
+
 @lru_cache(maxsize=None)
 def minimal_report_for(loop: str) -> MinimalReport:
     class_id = LoopClassId.parse(loop)
@@ -72,16 +77,11 @@ def _claim_orbits(rank: int) -> ClaimResult:
         if cid.index != index or rep != cv or witness.rows != tuple(1 << i for i in range(rank)):
             mismatches.append(f"representative {short} does not canonicalize to itself")
     sizes = " ".join(f"{i}:{members.get(i, 0)}" for i in range(1, len(reps) + 1))
-    return ClaimResult(
-        f"rank{rank}-orbits",
-        not mismatches,
-        f"{total} vectors in {len(members)} orbits ({sizes})",
-        tuple(mismatches),
-    )
+    detail = f"{total} vectors in {len(members)} orbits ({sizes})"
+    return _result(f"rank{rank}-orbits", detail, mismatches)
 
 
 def _claim_minimal(rank: int) -> ClaimResult:
-    name = f"rank{rank}-minimal"
     entries = [e for e in catalog.RANK3 + catalog.RANK4 if e.loop.startswith(f"C{rank}_")]
     mismatches: list[str] = []
     degrees: list[int] = []
@@ -100,12 +100,7 @@ def _claim_minimal(rank: int) -> ClaimResult:
             mismatches.append(
                 f"{entry.loop}: type {report.types[0]}, table says {entry.type}"
             )
-    return ClaimResult(
-        name,
-        not mismatches,
-        "degrees " + ",".join(str(d) for d in degrees),
-        tuple(mismatches),
-    )
+    return _result(f"rank{rank}-minimal", "degrees " + ",".join(map(str, degrees)), mismatches)
 
 
 def _check_reference_basis(entry: catalog.ReferenceEntry) -> list[str]:
@@ -134,7 +129,7 @@ def claim_reference_bases() -> ClaimResult:
     detail = f"{len(catalog.RANK3) + len(catalog.RANK4)} bases verified"
     if corrected:
         detail += " (corrected transcriptions for " + ", ".join(corrected) + ")"
-    return ClaimResult("reference-bases", not mismatches, detail, tuple(mismatches))
+    return _result("reference-bases", detail, mismatches)
 
 
 def _published_defect(entry: catalog.ReferenceEntry) -> str:
@@ -167,12 +162,8 @@ def claim_published_misprints() -> ClaimResult:
         found = _published_defect(entry)
         if found != MISPRINT_DIAGNOSES.get(entry.loop):
             mismatches.append(f"{entry.loop}: published basis {found}, not as documented")
-    return ClaimResult(
-        "published-misprints",
-        not mismatches,
-        f"documented defects confirmed for {', '.join(EXPECTED_MISPRINTS)}",
-        tuple(mismatches),
-    )
+    detail = f"documented defects confirmed for {', '.join(EXPECTED_MISPRINTS)}"
+    return _result("published-misprints", detail, mismatches)
 
 
 def claim_worked_example() -> ClaimResult:
@@ -191,12 +182,8 @@ def claim_worked_example() -> ClaimResult:
     generators = tuple(g.positions for g in basis.generators)
     if generators != catalog.WORKED_EXAMPLE_GENERATORS:
         mismatches.append(f"assembled {generators} != expected {catalog.WORKED_EXAMPLE_GENERATORS}")
-    return ClaimResult(
-        "worked-example",
-        not mismatches,
-        f"degree {sizes.degree} assembly reproduced byte-exact",
-        tuple(mismatches),
-    )
+    detail = f"degree {sizes.degree} assembly reproduced byte-exact"
+    return _result("worked-example", detail, mismatches)
 
 
 def check_loop_laws(entry: catalog.ReferenceEntry) -> list[str]:
@@ -238,12 +225,8 @@ def claim_loop_laws() -> ClaimResult:
     for entry in catalog.RANK3 + catalog.RANK4:
         mismatches.extend(check_loop_laws(entry))
     n = len(catalog.RANK3) + len(catalog.RANK4)
-    return ClaimResult(
-        "loop-laws",
-        not mismatches,
-        f"axioms, Moufang and sign laws hold exhaustively for {n} loops",
-        tuple(mismatches),
-    )
+    detail = f"axioms, Moufang and sign laws hold exhaustively for {n} loops"
+    return _result("loop-laws", detail, mismatches)
 
 
 CLAIMS = {

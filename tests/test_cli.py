@@ -88,6 +88,15 @@ def test_high_rank_code_file_is_rejected_without_its_meet_table(capsys, tmp_path
         assert err == "error: UnsupportedRank: classified loops have rank 3 or 4, got 24\n"
 
 
+def test_code_header_with_extra_or_repeated_fields_exits_1(capsys, tmp_path):
+    path = tmp_path / "header.code"
+    for header in ("m=8 n=3 k=2", "m=8 m=9 n=3"):
+        path.write_text(f"{header}\n1,2,3,4\n1,2,5,6\n1,3,5,7\n")
+        code, out, err = run(capsys, "classify", "--code", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: bad header '{header}'; expected 'm=<int> n=<int>'\n"
+
+
 def test_classify_requires_one_target(capsys):
     code, _, err = run(capsys, "classify")
     assert code == 1 and "exactly one" in err
