@@ -398,22 +398,18 @@ def orbit_sizes(n: int) -> dict[LoopClassId, int]:
 
 
 @lru_cache(maxsize=None)
-def _rep_tables(rep: CharVector) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
-    """The nonzero masks r of a representative's space as bitmask sets, by
-    sigma(r), by beta(r, y) for each y, and by alpha(r, y, z) for each y, z."""
+def _rep_tables(rep: CharVector) -> tuple[list[int], list[int]]:
+    """The nonzero masks r of a representative's space as bitmask sets: by sigma(r), and as
+    odd[y] = {r : beta(r, y) = 1}, which give alpha(r, y, z) = beta(r, y ^ z) + beta(r, y) + beta(r, z)."""
     size = 1 << rep.rank
     S = _squares(rep)
     by_sigma = [0, 0]
-    by_beta = [[0, 0] for _ in range(size)]
-    by_alpha = [[[0, 0] for _ in range(size)] for _ in range(size)]
+    odd = [0] * size
     for r in range(1, size):
-        bit = 1 << r
-        by_sigma[S[r]] |= bit
+        by_sigma[S[r]] |= 1 << r
         for y in range(size):
-            by_beta[y][_beta(S, r, y)] |= bit
-            for z in range(size):
-                by_alpha[y][z][_alpha(S, r, y, z)] |= bit
-    return by_sigma, by_beta, by_alpha
+            odd[y] |= _beta(S, r, y) << r
+    return by_sigma, odd
 
 
 def _first_matrix(rep: CharVector, cv: CharVector) -> GLMatrix:
@@ -421,7 +417,7 @@ def _first_matrix(rep: CharVector, cv: CharVector) -> GLMatrix:
     chosen last to first, each the least mask outside the span of the later
     rows whose sigma, and beta and alpha with those rows, match cv's."""
     n = cv.rank
-    by_sigma, by_beta, by_alpha = _rep_tables(rep)
+    by_sigma, odd = _rep_tables(rep)
     lam = coordinates_by_mask(cv)
     rows = [0] * n
 
@@ -429,11 +425,13 @@ def _first_matrix(rep: CharVector, cv: CharVector) -> GLMatrix:
         if i < 0:
             return True
         e = 1 << i
-        fits = by_sigma[lam[e]]
+        fits = by_sigma[lam[e]]  # masks 1 .. 2^n - 1 only, so complements below stay inside
         for j in range(i + 1, n):
-            fits &= by_beta[rows[j]][lam[e | 1 << j]]
+            y = rows[j]
+            fits &= odd[y] if lam[e | 1 << j] else ~odd[y]
             for k in range(j + 1, n):
-                fits &= by_alpha[rows[j]][rows[k]][lam[e | 1 << j | 1 << k]]
+                a = odd[y ^ rows[k]] ^ odd[y] ^ odd[rows[k]]
+                fits &= a if lam[e | 1 << j | 1 << k] else ~a
         for x in span:
             fits &= ~(1 << x)
         while fits:  # ascending over the set bits

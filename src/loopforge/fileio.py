@@ -2,7 +2,7 @@
 
 Code file format:
     line 1:            exactly m=<int> n=<int> (each field once, in either order)
-    lines 2 .. n+1:    one generator each, either comma-separated 1-based
+    lines 2 .. n+1:    one generator each, either comma-separated distinct 1-based
                        positions (``1,2,3,4``) or a bitstring of length m
                        prefixed ``b:`` (``b:01101...``).
 
@@ -53,6 +53,10 @@ def parse_code_text(text: str) -> CodeBasis:
             try:
                 positions = [int(p) for p in ln.split(",")]
                 generators.append(Codeword.from_positions(m, positions))
+                if generators[-1].weight < len(positions):  # a position was merged
+                    ordered = sorted(positions)
+                    repeated = next(p for p, q in zip(ordered, ordered[1:]) if p == q)
+                    raise ValueError(f"position {clipped(str(repeated))} repeated")
             except ValueError as exc:
                 raise ParseError(f"bad generator line {quoted(ln)}: {exc}") from None
     return CodeBasis(m, tuple(generators))

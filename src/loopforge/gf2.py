@@ -174,11 +174,11 @@ class CodeBasis:
         return f"CodeBasis(m={self.length}, [{gens}])"
 
 
-def _xor_span(columns: Sequence[int]) -> list[int]:
-    """Entry x is the xor of the columns[j] with bit j set in x."""
+def _xor_span(vectors: Sequence[int]) -> list[int]:
+    """Entry x is the xor of the vectors[j] with bit j set in x."""
     out = [0]
-    for col in columns:
-        out += [x ^ col for x in out]
+    for v in vectors:
+        out += [x ^ v for x in out]
     return out
 
 
@@ -213,14 +213,6 @@ def sigma_mask(sigma: Sigma) -> int:
     return mask
 
 
-def _label_block(masks: Sequence[int], tau: int) -> int:
-    """Positions whose generator-membership label is exactly tau (tau != 0)."""
-    bits = -1
-    for i, mask in enumerate(masks):
-        bits &= mask if tau >> i & 1 else ~mask
-    return bits
-
-
 def _lowest_unset(bits: int, limit: int) -> tuple[int, ...]:
     """The first ``limit`` 1-based positions missing from a bitset."""
     free = ~bits
@@ -246,10 +238,7 @@ class ClassPartition:
     blocks: tuple[tuple[Sigma, Codeword], ...]
 
     def block(self, sigma: Sigma) -> Codeword:
-        for s, b in self.blocks:
-            if s == tuple(sigma):
-                return b
-        raise KeyError(sigma)
+        return dict(self.blocks)[tuple(sigma)]
 
     @property
     def sizes(self) -> dict[Sigma, int]:
@@ -266,18 +255,21 @@ class ClassPartition:
 def class_partition(basis: CodeBasis) -> ClassPartition:
     """Split I_m into the blocks v^sigma = (meet of v_i, i in sigma) minus the rest.
 
-    Requires the generators to cover I_m; a non-covering basis is rejected
-    rather than silently shrinking the ambient length.
+    The blocks by label mask come from one doubling pass over the support:
+    generator mask splits every block x into x & ~mask and x & mask.  A basis
+    that does not cover I_m is rejected rather than shrinking the length.
     """
-    missing = basis.length - basis.support.weight
+    support = basis.support.bits
+    missing = basis.length - support.bit_count()
     if missing:
-        shown = _lowest_unset(basis.support.bits, min(missing, 10))
+        shown = _lowest_unset(support, min(missing, 10))
         more = f" and {clipped(str(missing - len(shown)))} more" if missing > len(shown) else ""
         raise NotCovering(f"positions not covered by any generator: {shown}{more}")
-    masks = basis.masks
+    by_label = [support]
+    for mask in basis.masks:
+        by_label = [x & ~mask for x in by_label] + [x & mask for x in by_label]
     blocks = tuple(
-        (sigma, Codeword(basis.length, _label_block(masks, sigma_mask(sigma))))
-        for sigma in class_order(basis.rank)
+        (sigma, Codeword(basis.length, by_label[sigma_mask(sigma)])) for sigma in class_order(basis.rank)
     )
     return ClassPartition(basis.length, basis.rank, blocks)
 
@@ -330,20 +322,17 @@ def label_counts(basis: CodeBasis) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _gl_label_perms(n: int) -> tuple[bytes, ...]:
-    """For each GL(n,2) element, its action on nonzero label masks.
+    """The GL(n,2) actions on nonzero label masks: entry chi - 1 of the k-th
+    is the xor of the rows of ``gl_group(n)[k]`` picked by the bits of chi.
 
-    A basis change with row masks r_i sends a position's label chi to the
-    mask whose bit i is the parity of r_i & chi.  That is linear in chi: the
-    xor of the transposed columns (bit i set when r_i holds bit b) picked
-    by the bits b of chi.
+    A basis change with rows r_i sends label chi to the mask whose bit i is
+    the parity of r_i & chi: the transposed action.  Transposition permutes
+    GL(n,2), so the set of actions, all ``canonical_code_signature`` reads,
+    is the same.
     """
     from .charvec import gl_group  # local import to avoid a module cycle
 
-    perms = []
-    for g in gl_group(n):
-        columns = [sum((r >> b & 1) << i for i, r in enumerate(g.rows)) for b in range(n)]
-        perms.append(bytes(_xor_span(columns)[1:]))
-    return tuple(perms)
+    return tuple(bytes(_xor_span(g.rows)[1:]) for g in gl_group(n))
 
 
 def canonical_code_signature(basis: CodeBasis) -> tuple[int, ...]:

@@ -97,6 +97,15 @@ def test_code_header_with_extra_or_repeated_fields_exits_1(capsys, tmp_path):
         assert err == f"error: bad header '{header}'; expected 'm=<int> n=<int>'\n"
 
 
+def test_repeated_position_in_a_generator_line_exits_1(capsys, tmp_path):
+    path = tmp_path / "repeat.code"
+    path.write_text("m=7 n=3\n1,2,3,4\n1,2,5,6\n1,3,5,7,7\n")
+    for command in ("classify", "loop", "render", "minimal"):
+        code, out, err = run(capsys, command, "--code", str(path))
+        assert code == 1 and out == "", command
+        assert err == "error: bad generator line '1,3,5,7,7': position 7 repeated\n", command
+
+
 def test_classify_requires_one_target(capsys):
     code, _, err = run(capsys, "classify")
     assert code == 1 and "exactly one" in err

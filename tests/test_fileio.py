@@ -41,6 +41,8 @@ def test_code_parse_errors():
         parse_code_text("m=7 n=1\nb:11110\n")  # bitstring length mismatch
     with pytest.raises(ParseError):
         parse_code_text("m=7 n=1\n1,2,9\n")  # position out of range
+    with pytest.raises(ParseError, match="bad generator line '1,3,5,7,7': position 7 repeated"):
+        parse_code_text("m=7 n=3\n1,2,3,4\n1,2,5,6\n1,3,5,7,7\n")
     for header in ("m=7 n=3 k=2", "m=7 m=9 n=3"):  # a field too many, or one twice
         with pytest.raises(ParseError, match="expected 'm=<int> n=<int>'"):
             parse_code_text(f"{header}\n1,2,3,4\n1,2,5,6\n1,3,5,7\n")

@@ -417,16 +417,32 @@ def test_equivalence_relation_properties(rng):
 
 
 def test_label_perms_keep_their_values():
-    # the definition: row masks r_i send label chi to the mask with bit i = parity(r_i & chi)
+    # entry chi of element k is the xor of the rows of gl_group(n)[k] picked by chi;
+    # as a set they are the basis-change actions, which send label chi to the mask
+    # with bit i = parity(r_i & chi) (the transposed action)
     from loopforge.charvec import gl_group
     from loopforge.gf2 import _gl_label_perms
 
     for n in (3, 4):
-        direct = tuple(
+        group = gl_group(n)
+        spans = tuple(
+            tuple(_xor_rows(g.rows, tau) for tau in range(1, 1 << n)) for g in group
+        )
+        parities = tuple(
             tuple(
                 sum((((g.rows[i] & tau).bit_count() & 1) << i) for i in range(n))
                 for tau in range(1, 1 << n)
             )
-            for g in gl_group(n)
+            for g in group
         )
-        assert tuple(map(tuple, _gl_label_perms(n))) == direct
+        perms = tuple(map(tuple, _gl_label_perms(n)))
+        assert perms == spans
+        assert sorted(perms) == sorted(parities)
+
+
+def _xor_rows(rows, tau):
+    out = 0
+    for i, row in enumerate(rows):
+        if tau >> i & 1:
+            out ^= row
+    return out

@@ -8,12 +8,28 @@ see any of the three.  Draws are derandomized, so tier-1 stays reproducible.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loopforge.charvec import char_vector_of, gl_group, gl_transform, loop_class
-from loopforge.gf2 import CodeBasis, Codeword, canonical_code_signature
+from loopforge.charvec import char_vector_of, gl_group, gl_transform, loop_class, normalize_rank4
+from loopforge.cli import main
+from loopforge.fileio import format_code
+from loopforge.gf2 import (
+    CodeBasis,
+    Codeword,
+    canonical_code_signature,
+    class_partition,
+    label_counts,
+    meet_weights,
+    sigma_mask,
+)
 from loopforge.loops import build_factor_set, build_loop, is_moufang
+from loopforge.search import REDUCED_MAX, ReducedRepresentation, _walk_class_sizes
+from loopforge.search import minimal_representations, solve_system
 
 from conftest import transform_basis
 
@@ -93,3 +109,58 @@ def test_factor_set_axioms_and_moufang_hold(case):
 def test_loop_is_associative_iff_its_vector_has_no_associator(case):
     _, _, changed = case
     assert build_loop(changed).is_associative() == (not char_vector_of(changed).nonassociative)
+
+
+@settings(DERANDOMIZED, max_examples=50)
+@given(changed_codes())
+def test_class_blocks_partition_the_support_by_label(case):
+    basis, g, _ = case
+    code = transform_basis(basis, g)  # covering, its labels no longer in layout order
+    partition, counts = class_partition(code), label_counts(code)
+    union = 0
+    for sigma, block in partition.blocks:
+        assert union & block.bits == 0
+        union |= block.bits
+        assert partition.block(sigma).weight == counts[sigma_mask(sigma) - 1]
+    assert union == code.support.bits
+
+
+@st.composite
+def loop_leaves(draw):
+    """(cv, rep): the normalized vector of a generated nonassociative rank-3 or
+    rank-4 code, and the code's own class sizes in its normalized basis as a
+    reduced representation."""
+    basis, g, _ = draw(changed_codes())
+    code = transform_basis(basis, g)
+    cv = char_vector_of(code)
+    assume(code.rank >= 3 and cv.nonassociative)
+    if code.rank == 4:
+        cv, h = normalize_rank4(cv)
+        code = transform_basis(code, h)
+    counts = solve_system(meet_weights(code.masks), max_size=code.length).counts
+    assume(max(counts) <= REDUCED_MAX)
+    return cv, ReducedRepresentation(counts, sum(counts))
+
+
+@settings(DERANDOMIZED, max_examples=15)
+@given(loop_leaves())
+def test_walk_leaves_assemble_and_bound_the_minimum(case):
+    cv, rep = case
+    assert (rep.counts, rep.degree) in _walk_class_sizes(cv, max(rep.counts))
+    assert solve_system(meet_weights(rep.basis.masks)).counts == rep.counts
+    assert minimal_representations(cv).degree <= rep.degree
+
+
+@settings(DERANDOMIZED, max_examples=20)
+@given(changed_codes())
+def test_loop_names_the_class_that_classify_names(case):
+    _, _, changed = case
+    assume(changed.rank >= 3 and char_vector_of(changed).nonassociative)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "code.txt"), Path(tmp, "out.json")
+        path.write_text(format_code(changed))
+        names = []
+        for command in ("loop", "classify"):
+            assert main([command, "--code", str(path), "--format", "json", "--output", str(out)]) == 0
+            names.append(json.loads(out.read_text())["loop"])
+    assert names[0] == names[1]

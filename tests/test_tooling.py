@@ -105,3 +105,17 @@ def test_readme_library_example_runs():
     assert names["cv"].shorthand() == "111111"
     assert str(names["loop_id"]) == "C3_1" and names["loop"].order == 16
     assert names["sizes"].counts == (1,) * 7
+
+
+def test_code_signature_enumerates_gl4_once(monkeypatch):
+    # the benchmark's charvec.gl_group_s samples come from the label actions that
+    # canonical_code_signature builds; a rewrite that drops the call must fail here
+    from loopforge import charvec, gf2
+
+    calls = []
+    real = charvec.gl_group
+    monkeypatch.setattr(charvec, "gl_group", lambda n: calls.append(n) or real(n))
+    gf2._gl_label_perms.cache_clear()
+    basis = gf2.CodeBasis.from_positions(8, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7), (1, 2, 3, 4, 5, 6, 7, 8)])
+    gf2.canonical_code_signature(basis)
+    assert calls == [4]
