@@ -317,12 +317,10 @@ def gl_group(n: int) -> tuple[GLMatrix, ...]:
     then the row before it, and so on (each ascending as an int mask)."""
     if n > 4:
         raise UnsupportedRank("GL(n,2) enumeration is capped at n = 4")
-    every = range(1, 1 << n)
     found: list[tuple[int, ...]] = [()]
-    for _ in range(n):  # put row i before rows i+1..n-1, outside their span
-        found = [
-            (r,) + rows for rows in found for r in every if gf2_rank((r,) + rows) == len(rows) + 1
-        ]
+    for _ in range(n):  # put row i before rows i+1..n-1, outside their span (which holds 0)
+        found = [(r,) + rows for rows in found for spanned in [set(_xor_span(rows))]
+                 for r in range(1 << n) if r not in spanned]
     return tuple(GLMatrix(n, rows) for rows in found)
 
 

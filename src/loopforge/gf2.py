@@ -341,13 +341,15 @@ def canonical_code_signature(basis: CodeBasis) -> tuple[int, ...]:
     Two codes of equal rank are equivalent under a position bijection iff
     their signatures agree: the unlabeled partition is basis-independent, a
     basis change permutes the labels linearly, and matching labeled block
-    sizes yields a block-by-block position matching.
+    sizes yields a block-by-block position matching.  Ranking the distinct
+    counts keeps order and fits a byte, so the byte minimum maps back exactly.
     """
     n = basis.rank
     if n > 4:
         raise UnsupportedRank("code equivalence is implemented for rank <= 4")
-    counts = label_counts(basis)
-    return min(tuple(counts[t - 1] for t in perm) for perm in _gl_label_perms(n))
+    values = sorted(set(counts := label_counts(basis)))
+    table = bytes([0, *map(values.index, counts)]).ljust(256, b"\0")  # label chi -> rank
+    return tuple(values[i] for i in min(perm.translate(table) for perm in _gl_label_perms(n)))
 
 
 def codes_equivalent(a: CodeBasis, b: CodeBasis) -> bool:

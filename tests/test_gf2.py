@@ -15,6 +15,7 @@ from loopforge.gf2 import (
     class_order,
     class_partition,
     codes_equivalent,
+    gf2_rank,
     is_doubly_even,
     label_counts,
     meet_weight,
@@ -446,3 +447,50 @@ def _xor_rows(rows, tau):
         if tau >> i & 1:
             out ^= row
     return out
+
+
+def _signature_by_tuples(basis):
+    # the signature as one tuple per label action, before ranking the counts into bytes
+    from loopforge.gf2 import _gl_label_perms
+
+    counts = label_counts(basis)
+    return min(tuple(counts[t - 1] for t in perm) for perm in _gl_label_perms(basis.rank))
+
+
+def _basis_of_label_counts(n, counts):
+    """A code with exactly counts[tau - 1] positions carrying label tau."""
+    labels = [tau for tau, count in enumerate(counts, 1) for _ in range(count)]
+    gens = [[p for p, tau in enumerate(labels, 1) if tau >> i & 1] for i in range(n)]
+    return CodeBasis.from_positions(len(labels), gens)
+
+
+def _random_label_counts(rng, n):
+    # zero counts, counts of 256 and more (past one byte), all-distinct counts and ties in turn
+    size = (1 << n) - 1
+    draws = (
+        lambda: [rng.choice((0, 0, 1, 2, 3)) for _ in range(size)],
+        lambda: [rng.choice((0, 256, 257, 700, rng.randrange(1, 2000))) for _ in range(size)],
+        lambda: rng.sample(range(1, 3000), size),
+        lambda: [rng.choice((4, 8)) for _ in range(size)],
+    )
+    for draw in draws:
+        counts = draw()
+        while gf2_rank([tau for tau, c in enumerate(counts, 1) if c]) < n:
+            counts = draw()
+        yield tuple(counts)
+
+
+def test_signature_matches_the_tuple_minimum(rng):
+    from loopforge.catalog import ENTRIES
+
+    bases = [b for e in ENTRIES.values() for b in (e.basis(), e.published_basis())]
+    for n in (1, 2, 3, 4):
+        bases += [random_covering_basis(rng, n, rng.randrange(n + 1, 4 * n + 4)) for _ in range(6)]
+        for _ in range(3):
+            for counts in _random_label_counts(rng, n):
+                basis = _basis_of_label_counts(n, counts)
+                assert label_counts(basis) == counts
+                bases.append(basis)
+    assert len(bases) == 42 + 4 * (6 + 3 * 4)
+    for basis in bases:
+        assert canonical_code_signature(basis) == _signature_by_tuples(basis), basis
