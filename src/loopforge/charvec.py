@@ -413,7 +413,8 @@ def _rep_tables(rep: CharVector) -> tuple[list[int], list[int]]:
 def _first_matrix(rep: CharVector, cv: CharVector) -> GLMatrix:
     """The first g in ``gl_group`` order with gl_transform(rep, g) == cv: rows
     chosen last to first, each the least mask outside the span of the later
-    rows whose sigma, and beta and alpha with those rows, match cv's."""
+    rows whose sigma, and beta and alpha with those rows, match cv's.  cv lies
+    in the orbit of rep (``canonicalize`` asks for no other), so g exists."""
     n = cv.rank
     by_sigma, odd = _rep_tables(rep)
     lam = coordinates_by_mask(cv)
@@ -440,8 +441,7 @@ def _first_matrix(rep: CharVector, cv: CharVector) -> GLMatrix:
                 return True
         return False
 
-    if not place(n - 1, [0]):
-        raise RuntimeError(f"no basis change sends {rep.bits()} to {cv.bits()}")
+    place(n - 1, [0])
     return GLMatrix(n, tuple(rows))
 
 

@@ -30,7 +30,7 @@ from .errors import DomainError, ParseError, clipped, quoted
 from .gf2 import CodeBasis, class_partition
 from .loops import build_loop, is_moufang, loop_table_csv
 from .search import REDUCED_MAX, enumerate_reduced, minimal_representations
-from .verify import claim_ids, run_claims
+from .verify import CLAIMS, run_claims
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,7 +71,7 @@ def build_parser() -> _Parser:
     p_render.add_argument("--style", choices=("ascii", "svg"), default="ascii")
     add_common(p_render, cmd_render, formats=())
     p_verify = sub.add_parser("verify-paper", help="run the golden verification suite")
-    p_verify.add_argument("--only", choices=claim_ids())
+    p_verify.add_argument("--only", choices=CLAIMS)
     add_common(p_verify, cmd_verify, target=False, formats=("json", "text"))
     return parser
 
@@ -103,7 +103,8 @@ def _parse_loop_id(text: str) -> LoopClassId:
 
 def _load_code(args: argparse.Namespace) -> CodeBasis:
     try:
-        return fileio.load_code(args.code)
+        with open(args.code, "r", encoding="utf-8") as fh:
+            return fileio.parse_code_text(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {quoted(args.code)}: {getattr(exc, 'strerror', exc)}") from None
 

@@ -62,11 +62,6 @@ def parse_code_text(text: str) -> CodeBasis:
     return CodeBasis(m, tuple(generators))
 
 
-def load_code(path: str) -> CodeBasis:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_code_text(fh.read())
-
-
 def format_code(basis: CodeBasis) -> str:
     lines = [f"m={basis.length} n={basis.rank}"]
     lines.extend(",".join(str(p) for p in g.positions) for g in basis.generators)

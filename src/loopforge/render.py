@@ -8,7 +8,7 @@ degree is at most 20.
 from __future__ import annotations
 
 from .errors import UnsupportedRank
-from .gf2 import ClassPartition, Sigma
+from .gf2 import ClassPartition, Codeword, Sigma
 
 POINT_LABEL_LIMIT = 20
 
@@ -17,20 +17,23 @@ def _label(sigma: Sigma, size: int) -> str:
     return "".join(str(i) for i in sigma) + f":{size}"
 
 
+def _points(partition: ClassPartition, block: Codeword) -> str:
+    """A block's points as {p,q,...}, or nothing past POINT_LABEL_LIMIT positions."""
+    if partition.length > POINT_LABEL_LIMIT:
+        return ""
+    return "{" + ",".join(str(p) for p in block.positions) + "}"
+
+
 def _legend(partition: ClassPartition) -> list[str]:
-    lines = []
-    if partition.length <= POINT_LABEL_LIMIT:
-        for sigma, block in partition.blocks:
-            if block.bits:
-                name = "".join(str(i) for i in sigma)
-                pts = ",".join(str(p) for p in block.positions)
-                lines.append(f"X{name} = {{{pts}}}")
-    return lines
+    return [
+        f"X{''.join(str(i) for i in sigma)} = {pts}"
+        for sigma, block in partition.nonempty()
+        if (pts := _points(partition, block))
+    ]
 
 
 def _summary(partition: ClassPartition) -> str:
-    nonempty = sum(1 for _, b in partition.blocks if b.bits)
-    return f"m={partition.length}  nonempty classes: {nonempty}"
+    return f"m={partition.length}  nonempty classes: {len(partition.nonempty())}"
 
 
 def check_rank(rank: int) -> None:
@@ -120,13 +123,6 @@ def render_svg(partition: ClassPartition) -> str:
     return _svg_rank3(partition) if partition.rank == 3 else _svg_rank4(partition)
 
 
-def _positions_text(partition: ClassPartition, sigma: Sigma) -> str:
-    if partition.length > POINT_LABEL_LIMIT:
-        return ""
-    block = partition.block(sigma)
-    return "{" + ",".join(str(p) for p in block.positions) + "}"
-
-
 def _svg_rank3(partition: ClassPartition) -> str:
     s = partition.sizes
     centers = {
@@ -150,7 +146,7 @@ def _svg_rank3(partition: ClassPartition) -> str:
     ]
     for sigma, (x, y) in centers.items():
         parts.append(_svg_text(x, y, _label(sigma, s[sigma]), size=11))
-        pts = _positions_text(partition, sigma)
+        pts = _points(partition, partition.block(sigma))
         if pts:
             parts.append(_svg_text(x, y + 12, pts, size=8))
     parts.append(_svg_text(200, 310, _summary(partition), size=10))
@@ -186,7 +182,7 @@ def _svg_rank4(partition: ClassPartition) -> str:
             x = ox + col * cw + cw / 2
             y = oy + row * ch + ch / 2
             parts.append(_svg_text(x, y, _label(sigma, s[sigma]), size=11))
-            pts = _positions_text(partition, sigma)
+            pts = _points(partition, partition.block(sigma))
             if pts:
                 parts.append(_svg_text(x, y + 13, pts, size=8))
     parts.append(_svg_text(270, 385, _summary(partition), size=10))

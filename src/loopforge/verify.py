@@ -26,7 +26,7 @@ from .charvec import (
     orbit_sizes,
     representative,
 )
-from .errors import LoopforgeError
+from .errors import LoopforgeError, quoted
 from .gf2 import class_order, codes_equivalent, is_doubly_even, meet_weights, sigma_mask
 from .loops import build_loop, is_moufang
 from .search import MinimalReport, assemble_representation, minimal_representations, solve_system
@@ -241,14 +241,10 @@ CLAIMS = {
 }
 
 
-def claim_ids() -> tuple[str, ...]:
-    return tuple(CLAIMS)
-
-
 def run_claims(only: str | None = None) -> list[ClaimResult]:
     """Run the suite (or one claim); results come back in declaration order."""
     if only is not None:
         if only not in CLAIMS:
-            raise ValueError(f"unknown claim {only!r}; known: {', '.join(CLAIMS)}")
+            raise ValueError(f"unknown claim {quoted(only)}; known: {', '.join(CLAIMS)}")
         return [CLAIMS[only]()]
     return [claim() for claim in CLAIMS.values()]

@@ -97,6 +97,25 @@ def walked_counts(cv: CharVector, bound: int, limit: list[int] | None = None):
         yield counts
 
 
+def center_by_definition(loop) -> tuple[int, ...]:
+    """The center as defined, the reference for ``CodeLoop.center``: the x that
+    commute with every y and lie in the left, middle and right nuclei.  The
+    library tests the left nucleus only, which is enough in a Moufang loop."""
+    t, ids = loop.table, loop.elements()
+    return tuple(
+        x
+        for x in ids
+        if all(t[x][y] == t[y][x] for y in ids)
+        and all(
+            t[t[x][y]][z] == t[x][t[y][z]]  # left nucleus
+            and t[t[y][x]][z] == t[y][t[x][z]]  # middle nucleus
+            and t[t[y][z]][x] == t[y][t[z][x]]  # right nucleus
+            for y in ids
+            for z in ids
+        )
+    )
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0DE)

@@ -11,6 +11,7 @@ import jsonschema
 from loopforge.cli import build_parser, main
 from loopforge.errors import clipped
 from loopforge.search import REDUCED_MAX
+from loopforge.verify import CLAIMS
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -229,8 +230,12 @@ def test_verify_single_claim(capsys):
 
 
 def test_verify_unknown_claim_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify-paper", "--only", "nonsense")
-    assert code == 1
+    code, out, err = run(capsys, "verify-paper", "--only", "nonsense")
+    assert code == 1 and out == ""
+    # one line, argparse's own message, naming all eight claims in CLAIMS order
+    choices = ", ".join(repr(name) for name in CLAIMS)
+    assert err == f"error: argument --only: invalid choice: 'nonsense' (choose from {choices})\n"
+    assert len(CLAIMS) == 8
 
 
 def test_verify_negative_control(capsys, monkeypatch):

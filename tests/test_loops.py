@@ -10,7 +10,7 @@ from typing import Iterator
 
 import pytest
 
-from conftest import random_doubly_even_basis
+from conftest import center_by_definition, random_doubly_even_basis
 from loopforge.catalog import ENTRIES
 from loopforge.charvec import char_vector_of
 from loopforge.errors import NotDoublyEven, UnsupportedRank
@@ -239,6 +239,16 @@ def test_center_sizes():
         # the radical generator e4 is central iff it commutes with a, b, c
         central_d = cv.beta[2] == cv.beta[4] == cv.beta[5] == 0
         assert len(loop.center()) == (4 if central_d else 2), name
+
+
+def test_center_matches_its_definition():
+    # the 21 reference loops and the 16 coboundary twists of V1's factor set
+    loops = [build_loop(entry.basis()) for entry in ENTRIES.values()]
+    twists = {fs.signs: fs for fs in iter_factor_sets(V1_R3)}
+    assert len(loops) == 21 and len(twists) == 16
+    loops += [CodeLoop(fs) for fs in twists.values()]
+    for loop in loops:
+        assert loop.center() == center_by_definition(loop)
 
 
 def test_all_coboundary_twists_give_valid_isomorphic_loops():

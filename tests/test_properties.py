@@ -31,10 +31,10 @@ from loopforge.loops import build_factor_set, build_loop, is_moufang
 from loopforge.search import REDUCED_MAX, ReducedRepresentation, _walk_class_sizes
 from loopforge.search import minimal_representations, solve_system
 
-from conftest import transform_basis
+from conftest import center_by_definition, transform_basis
 
 DERANDOMIZED = settings(derandomize=True, deadline=None)
-GL = {n: gl_group(n) for n in (2, 3, 4)}
+GL = {n: gl_group(n) for n in (1, 2, 3, 4)}
 
 
 def _doubly_even_basis(rank: int, counts: tuple[int, ...]) -> CodeBasis:
@@ -64,10 +64,10 @@ def _doubly_even_basis(rank: int, counts: tuple[int, ...]) -> CodeBasis:
 
 
 @st.composite
-def changed_codes(draw):
+def changed_codes(draw, ranks=(4, 3, 2)):
     """(basis, g, changed): ``changed`` is ``basis`` with generators changed by
     g, its positions permuted, and padded with uncovered positions."""
-    rank = draw(st.sampled_from((4, 3, 2)))  # draws lean to the first: rank 4
+    rank = draw(st.sampled_from(ranks))  # draws lean to the first
     labels = range(1, 1 << rank)
     counts = draw(st.tuples(*(st.integers(1 if t & (t - 1) == 0 else 0, 5) for t in labels)))
     basis = _doubly_even_basis(rank, counts)
@@ -102,6 +102,14 @@ def test_factor_set_axioms_and_moufang_hold(case):
     _, _, changed = case
     assert build_factor_set(changed).axiom_violations() == []
     assert is_moufang(build_loop(changed))
+
+
+@settings(DERANDOMIZED, max_examples=50)
+@given(changed_codes(ranks=(4, 3, 2, 1)))
+def test_center_matches_its_definition(case):
+    _, _, changed = case
+    loop = build_loop(changed)
+    assert loop.center() == center_by_definition(loop)
 
 
 @settings(DERANDOMIZED, max_examples=100)

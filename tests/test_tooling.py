@@ -27,6 +27,20 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+def test_the_library_raises_no_runtime_error():
+    # an internal invariant belongs to the tests; bad inputs raise DomainError,
+    # ParseError or ValueError, so a RuntimeError guards nothing a caller can reach
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+        and isinstance(exc := node.exc.func if isinstance(node.exc, ast.Call) else node.exc, ast.Name)
+        and exc.id == "RuntimeError"
+    ]
+    assert found == []
+
+
 def test_no_unused_imports_in_the_library():
     # a module-level import that nothing reads outlives the code that used it
     found = []

@@ -10,8 +10,8 @@ from loopforge.charvec import LoopClassId, loop_class, nonassociative_count, orb
 from loopforge.loops import FactorSet
 from loopforge.verify import (
     ClaimResult,
+    CLAIMS,
     EXPECTED_MISPRINTS,
-    claim_ids,
     claim_published_misprints,
     claim_reference_bases,
     claim_worked_example,
@@ -20,7 +20,7 @@ from loopforge.verify import (
 
 
 def test_claim_ids_stable():
-    assert claim_ids() == (
+    assert tuple(CLAIMS) == (
         "rank3-orbits",
         "rank4-orbits",
         "rank3-minimal",
@@ -34,7 +34,7 @@ def test_claim_ids_stable():
 
 def test_full_suite_passes():
     results = run_claims()
-    assert [r.claim for r in results] == list(claim_ids())
+    assert [r.claim for r in results] == list(CLAIMS)
     for res in results:
         assert res.passed, f"{res.claim}: {res.mismatches}"
 
@@ -196,8 +196,12 @@ def test_loop_laws_report_the_first_counterexample_of_each_law(monkeypatch, loop
 
 
 def test_unknown_claim_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown claim 'no-such-claim'; known: rank3-orbits"):
         run_claims(only="no-such-claim")
+    # a huge name is clipped, not echoed whole
+    with pytest.raises(ValueError) as exc:
+        run_claims(only="x" * 100_000)
+    assert "(100000 characters)" in str(exc.value) and len(str(exc.value)) < 300
 
 
 def test_run_claims_preserves_declaration_order(monkeypatch):
