@@ -28,7 +28,7 @@ from .charvec import (
 )
 from .errors import LoopforgeError, quoted
 from .gf2 import class_order, codes_equivalent, is_doubly_even, meet_weights, sigma_mask
-from .loops import build_loop, is_moufang
+from .loops import _left_maps, build_loop, is_moufang
 from .search import MinimalReport, assemble_representation, minimal_representations, solve_system
 
 # What each misprinted listing shows as published, in the words of
@@ -111,8 +111,8 @@ def _check_reference_basis(entry: catalog.ReferenceEntry) -> list[str]:
     class_id = loop_class(char_vector_of(basis))
     if str(class_id) != entry.loop:
         problems.append(f"{entry.loop}: classifies into {class_id}")
-    if basis.length != entry.degree or not basis.covers:
-        problems.append(f"{entry.loop}: degree {basis.length}, table says {entry.degree}")
+    if basis.support.weight != entry.degree:
+        problems.append(f"{entry.loop}: degree {basis.support.weight}, table says {entry.degree}")
     report = minimal_report_for(entry.loop)
     if not any(codes_equivalent(basis, rep.basis) for rep in report.representations):
         problems.append(f"{entry.loop}: not equivalent to any computed minimal representation")
@@ -197,9 +197,13 @@ def check_loop_laws(entry: catalog.ReferenceEntry) -> list[str]:
     bad = loop.factor_set.axiom_violations()
     if bad:
         return [f"{entry.loop}: factor set failed: {len(bad)} axiom violations, first: {bad[0]}"]
-    t, half = loop.table, loop.half
-    ids = loop.elements()
-    v = [loop.factor_set.codewords[a % half] for a in ids]
+    t, half, cw = loop.table, loop.half, loop.factor_set.codewords
+    ids, v, left = loop.elements(), cw * 2, _left_maps(t)
+    # byte c of L_(ab) xor L_a L_b is where (ab)c and a(bc) differ; the weight
+    # formula's, per meet m = v_a & v_b, is half where |m & v_c| is odd
+    as_int = partial(int.from_bytes, byteorder="little")
+    meets = {x & y for x in cw for y in cw}
+    flips = {m: as_int(bytes(half * ((m & w).bit_count() & 1) for w in cw) * 2) for m in meets}
     # each law's first counterexample in a, then b, then c order, or None; a sign
     # is wrong where the table's negation and the weight formula's parity disagree
     laws = {
@@ -213,8 +217,9 @@ def check_loop_laws(entry: catalog.ReferenceEntry) -> list[str]:
         ),
         "associator sign wrong at ({},{},{})": next(
             ((a, b, c) for a in ids for b in ids
-             for ab, row_a, row_b, vab in [(t[a][b], t[a], t[b], v[a] & v[b])] for c in ids
-             if (t[ab][c] != row_a[row_b[c]]) != (vab & v[c]).bit_count() & 1), None
+             if as_int(left[t[a][b]]) ^ as_int(left[b].translate(left[a])) != flips[v[a] & v[b]]
+             for c in ids
+             if (t[t[a][b]][c] != t[a][t[b][c]]) != (v[a] & v[b] & v[c]).bit_count() & 1), None
         ),
     }
     return [f"{entry.loop}: {law.format(*at)}" for law, at in laws.items() if at is not None]

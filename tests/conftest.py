@@ -100,7 +100,7 @@ def walked_counts(cv: CharVector, bound: int, limit: list[int] | None = None):
 def center_by_definition(loop) -> tuple[int, ...]:
     """The center as defined, the reference for ``CodeLoop.center``: the x that
     commute with every y and lie in the left, middle and right nuclei.  The
-    library tests the left nucleus only, which is enough in a Moufang loop."""
+    library keeps the commutant only, which is the center of a code loop."""
     t, ids = loop.table, loop.elements()
     return tuple(
         x
@@ -114,6 +114,13 @@ def center_by_definition(loop) -> tuple[int, ...]:
             for z in ids
         )
     )
+
+
+def moufang_by_definition(loop) -> bool:
+    """The Moufang identity ((x y) x) z = x (y (x z)) cell by cell, the reference
+    for ``is_moufang``, which compares whole rows."""
+    t, ids = loop.table, loop.elements()
+    return all(t[t[t[x][y]][x]][z] == t[x][t[y][t[x][z]]] for x in ids for y in ids for z in ids)
 
 
 @pytest.fixture

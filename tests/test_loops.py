@@ -10,7 +10,7 @@ from typing import Iterator
 
 import pytest
 
-from conftest import center_by_definition, random_doubly_even_basis
+from conftest import center_by_definition, moufang_by_definition, random_doubly_even_basis
 from loopforge.catalog import ENTRIES
 from loopforge.charvec import char_vector_of
 from loopforge.errors import NotDoublyEven, UnsupportedRank
@@ -172,6 +172,29 @@ def test_associative_loop_is_moufang():
 def test_moufang_for_all_reference_bases():
     for entry in ENTRIES.values():
         assert is_moufang(build_loop(entry.basis())), entry.loop
+
+
+def test_moufang_matches_its_definition():
+    # the 21 reference loops and the 16 coboundary twists of V1's factor set;
+    # tampered tables are compared in test_verify
+    loops = [build_loop(entry.basis()) for entry in ENTRIES.values()]
+    loops += [CodeLoop(fs) for fs in {fs.signs: fs for fs in iter_factor_sets(V1_R3)}.values()]
+    assert len(loops) == 37
+    for loop in loops:
+        assert is_moufang(loop) and moufang_by_definition(loop)
+
+
+def test_moufang_check_is_capped_at_order_64():
+    # six disjoint blocks of 4 span order 128; phi(v, w) = (-1)^(blocks v and w
+    # share) is a valid factor set there, which build_factor_set refuses at rank 6
+    basis = CodeBasis.from_positions(24, [tuple(range(4 * i + 1, 4 * i + 5)) for i in range(6)])
+    masks = range(64)
+    words = tuple(sum(0b1111 << 4 * i for i in range(6) if x >> i & 1) for x in masks)
+    signs = tuple(tuple(-1 if (x & y).bit_count() & 1 else 1 for y in masks) for x in masks)
+    loop = CodeLoop(FactorSet(basis, words, signs))
+    assert loop.order == 128
+    with pytest.raises(UnsupportedRank, match="exhaustive identity check is capped at order 64"):
+        is_moufang(loop)
 
 
 def test_square_commutator_associator_signs_v5():

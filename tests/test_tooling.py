@@ -6,6 +6,7 @@ import ast
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,8 +104,20 @@ def test_every_error_class_is_read_outside_errors_py():
 
 def test_benchmark_tracer_finds_every_function_it_wraps():
     # perfbench/tracer.py wraps library functions by module and name, so a
-    # rename in src/ must fail here, not only in a traced benchmark run
-    code = "import sys; sys.path[:0] = ['perfbench', 'src']; from tracer import Tracer; Tracer().install()"
+    # rename in src/ must fail here, not only in a traced benchmark run; the
+    # wrapped loop checks are called too, so a method turned property or a
+    # changed signature fails here as well
+    code = textwrap.dedent(
+        """
+        import sys; sys.path[:0] = ['perfbench', 'src']
+        from tracer import Tracer
+        tracer = Tracer(); tracer.install()
+        from loopforge import catalog, loops
+        loop = loops.build_loop(catalog.ENTRIES['C4_14'].basis())
+        assert loops.is_moufang(loop) and loop.center() == (0, loop.half)
+        assert {name for name, _ in tracer.stats} >= {'loops.is_moufang', 'loops.center'}
+        """
+    )
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
 

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
+from conftest import moufang_by_definition
 import loopforge.catalog as catalog
 import loopforge.verify as verify
 from loopforge.charvec import LoopClassId, loop_class, nonassociative_count, orbit_sizes
-from loopforge.loops import FactorSet
+from loopforge.loops import FactorSet, is_moufang
 from loopforge.verify import (
     ClaimResult,
     CLAIMS,
@@ -193,6 +197,80 @@ def test_loop_laws_report_the_first_counterexample_of_each_law(monkeypatch, loop
 
     monkeypatch.setattr(verify, "build_loop", tampered)
     assert verify.check_loop_laws(catalog.ENTRIES[loop]) == expected
+
+
+def _first_associator_by_definition(loop):
+    """The associator law cell by cell, the reference for ``check_loop_laws``."""
+    t, ids, half = loop.table, loop.elements(), loop.half
+    v = [loop.factor_set.codewords[a % half] for a in ids]
+    return next(
+        (f"associator sign wrong at ({a},{b},{c})" for a in ids for b in ids for c in ids
+         if (t[t[a][b]][c] != t[a][t[b][c]]) != (v[a] & v[b] & v[c]).bit_count() & 1),
+        None,
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("loop", ["C3_1", "C3_5", "C4_1", "C4_14"])
+def test_row_laws_agree_with_the_cell_laws_on_tampered_tables(monkeypatch, loop, seed):
+    # the row checks compare whole maps; a wrong cell must make its row fail, so
+    # they find what the cell-by-cell definitions find: one or two sign bits
+    # flipped, or one cell moved to another codeword
+    rng = random.Random(seed)
+    build = verify.build_loop
+    built = build(catalog.ENTRIES[loop].basis())
+    order, half = built.order, built.half
+    cells = [(rng.randrange(order), rng.randrange(order)) for _ in range(4)]
+    tamperings = [
+        [(cells[0], half)],
+        [(cells[1], half), (cells[2], half)],
+        [(cells[3], rng.randrange(1, half))],
+    ]
+    for changes in tamperings:
+        rows = [list(row) for row in built.table]
+        for (a, b), flip in changes:
+            rows[a][b] ^= flip
+        tampered = build(catalog.ENTRIES[loop].basis())
+        tampered.table = tuple(map(tuple, rows))
+        monkeypatch.setattr(verify, "build_loop", lambda basis: tampered)
+        found = verify.check_loop_laws(catalog.ENTRIES[loop])
+        moufang = f"{loop}: Moufang identity fails" not in found
+        assert is_moufang(tampered) == moufang == moufang_by_definition(tampered), changes
+        associator = [m.removeprefix(f"{loop}: ") for m in found if "associator" in m]
+        assert associator == [_first_associator_by_definition(tampered)], changes
+
+
+class _CountedTable(tuple):
+    reads = 0
+
+    def __getitem__(self, index):
+        _CountedTable.reads += 1
+        return tuple.__getitem__(self, index)
+
+
+def test_loop_laws_scan_no_cell_of_a_valid_table(monkeypatch):
+    # on a valid table every pair's rows agree, so the laws read O(order^2)
+    # cells; a row map or sign row that is off sends pairs to the cell scan,
+    # which reads 4 cells per c, order^3 in all
+    build = verify.build_loop
+
+    def counted(basis):
+        loop = build(basis)
+        loop.table = _CountedTable(loop.table)
+        return loop
+
+    monkeypatch.setattr(verify, "build_loop", counted)
+    for entry in catalog.RANK3 + catalog.RANK4:
+        _CountedTable.reads = 0
+        assert verify.check_loop_laws(entry) == []
+        order = len(build(entry.basis()).table)
+        assert _CountedTable.reads < 6 * order**2, entry.loop
+
+
+def test_reference_basis_degree_is_its_support():
+    # a basis that leaves a position uncovered has the degree of its support
+    entry = dataclasses.replace(catalog.ENTRIES["C3_1"], degree=8)
+    assert verify._check_reference_basis(entry) == ["C3_1: degree 7, table says 8"]
 
 
 def test_unknown_claim_rejected():
