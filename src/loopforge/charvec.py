@@ -305,11 +305,18 @@ class GLMatrix:
             for r in range(n):
                 if r != col and aug[r] >> col & 1:
                     aug[r] ^= aug[col]
-        mask = (1 << n) - 1
-        return GLMatrix(n, tuple((row >> n) & mask for row in aug))
+        return _invertible(n, tuple(row >> n for row in aug))  # the low n bits now hold the identity
 
     def row_bitstrings(self) -> tuple[str, ...]:
         return tuple("".join(str(r >> j & 1) for j in range(self.rank)) for r in self.rows)
+
+
+def _invertible(n: int, rows: tuple[int, ...]) -> GLMatrix:
+    """``GLMatrix(n, rows)`` for rows independent by construction: no re-ranking."""
+    g = object.__new__(GLMatrix)
+    object.__setattr__(g, "rank", n)
+    object.__setattr__(g, "rows", rows)
+    return g
 
 
 def gl_group(n: int) -> tuple[GLMatrix, ...]:
@@ -321,7 +328,7 @@ def gl_group(n: int) -> tuple[GLMatrix, ...]:
     for _ in range(n):  # put row i before rows i+1..n-1, outside their span (which holds 0)
         found = [(r,) + rows for rows in found for spanned in [set(_xor_span(rows))]
                  for r in range(1 << n) if r not in spanned]
-    return tuple(GLMatrix(n, rows) for rows in found)
+    return tuple(_invertible(n, rows) for rows in found)
 
 
 def gl_transform(cv: CharVector, g: GLMatrix) -> CharVector:
@@ -442,7 +449,7 @@ def _first_matrix(rep: CharVector, cv: CharVector) -> GLMatrix:
         return False
 
     place(n - 1, [0])
-    return GLMatrix(n, tuple(rows))
+    return _invertible(n, tuple(rows))
 
 
 def loop_class(cv: CharVector) -> LoopClassId:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, count
+from itertools import combinations, compress, count, repeat
 from typing import Iterable, Sequence
 
 from .errors import DegenerateBasis, EmptyMeet, NotCovering, UnsupportedRank, clipped, quoted
@@ -332,7 +332,15 @@ def _gl_label_perms(n: int) -> tuple[bytes, ...]:
     """
     from .charvec import gl_group  # local import to avoid a module cycle
 
-    return tuple(bytes(_xor_span(g.rows)[1:]) for g in gl_group(n))
+    group, run = gl_group(n), 1 << (n - 1)  # row 0 varies fastest: runs of 2^(n-1) share rows[1:]
+    xor_by = [bytes(x ^ r for x in range(256)) for r in range(1 << n)]
+    span, perms = bytearray(1 << n), []
+    for k in range(0, len(group), run):  # span entry x: suffix entry x >> 1, xor row 0 if x is odd
+        span[::2] = suffix = bytes(_xor_span(group[k].rows[1:]))
+        for g in group[k : k + run]:
+            span[1::2] = suffix.translate(xor_by[g.rows[0]])
+            perms.append(bytes(span[1:]))
+    return tuple(perms)
 
 
 def canonical_code_signature(basis: CodeBasis) -> tuple[int, ...]:
@@ -349,7 +357,7 @@ def canonical_code_signature(basis: CodeBasis) -> tuple[int, ...]:
         raise UnsupportedRank("code equivalence is implemented for rank <= 4")
     values = sorted(set(counts := label_counts(basis)))
     table = bytes([0, *map(values.index, counts)]).ljust(256, b"\0")  # label chi -> rank
-    return tuple(values[i] for i in min(perm.translate(table) for perm in _gl_label_perms(n)))
+    return tuple(values[i] for i in min(map(bytes.translate, _gl_label_perms(n), repeat(table))))
 
 
 def codes_equivalent(a: CodeBasis, b: CodeBasis) -> bool:

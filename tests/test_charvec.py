@@ -485,6 +485,7 @@ def test_canonicalize_matches_the_full_group_sweep(first_writer):
         assert cid == LoopClassId(cv.rank, index)
         assert rep == CharVector.from_shorthand(cv.rank, REPRESENTATIVES[cv.rank][index - 1])
         assert witness.rows == GLMatrix(cv.rank, rows).inverse().rows
+        assert witness == GLMatrix(cv.rank, witness.rows)  # built without re-ranking
         assert gl_transform(cv, witness) == rep  # the library does not re-check it
 
 
@@ -513,5 +514,10 @@ def test_alpha_radical_matches_a_scan(rng):
 
 
 def test_gl_group_keeps_its_order():
-    for n in (3, 4):
-        assert [g.rows for g in gl_group(n)] == old_gl_group(n)
+    for n in (1, 2, 3, 4):
+        group = gl_group(n)
+        assert [g.rows for g in group] == old_gl_group(n)
+        # built without re-ranking, each still equals and hashes as the validated matrix
+        for g in group:
+            checked = GLMatrix(n, g.rows)
+            assert g == checked and hash(g) == hash(checked)

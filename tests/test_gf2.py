@@ -424,7 +424,7 @@ def test_label_perms_keep_their_values():
     from loopforge.charvec import gl_group
     from loopforge.gf2 import _gl_label_perms
 
-    for n in (3, 4):
+    for n in (1, 2, 3, 4):  # n = 1: row 0 alone, over an empty suffix
         group = gl_group(n)
         spans = tuple(
             tuple(_xor_rows(g.rows, tau) for tau in range(1, 1 << n)) for g in group
@@ -465,13 +465,16 @@ def _basis_of_label_counts(n, counts):
 
 
 def _random_label_counts(rng, n):
-    # zero counts, counts of 256 and more (past one byte), all-distinct counts and ties in turn
+    # zero counts, counts of 256 and more (past one byte), all-distinct counts and ties
+    # in turn, then the tie-heavy worst cases: every count equal, and counts in {1, 2}
     size = (1 << n) - 1
     draws = (
         lambda: [rng.choice((0, 0, 1, 2, 3)) for _ in range(size)],
         lambda: [rng.choice((0, 256, 257, 700, rng.randrange(1, 2000))) for _ in range(size)],
         lambda: rng.sample(range(1, 3000), size),
         lambda: [rng.choice((4, 8)) for _ in range(size)],
+        lambda: [rng.randrange(1, 400)] * size,
+        lambda: [rng.choice((1, 2)) for _ in range(size)],
     )
     for draw in draws:
         counts = draw()
@@ -491,6 +494,6 @@ def test_signature_matches_the_tuple_minimum(rng):
                 basis = _basis_of_label_counts(n, counts)
                 assert label_counts(basis) == counts
                 bases.append(basis)
-    assert len(bases) == 42 + 4 * (6 + 3 * 4)
+    assert len(bases) == 42 + 4 * (6 + 3 * 6)
     for basis in bases:
         assert canonical_code_signature(basis) == _signature_by_tuples(basis), basis

@@ -146,3 +146,16 @@ def test_code_signature_enumerates_gl4_once(monkeypatch):
     basis = gf2.CodeBasis.from_positions(8, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7), (1, 2, 3, 4, 5, 6, 7, 8)])
     gf2.canonical_code_signature(basis)
     assert calls == [4]
+
+
+def test_verify_paper_enumerates_each_gl_group_once(monkeypatch):
+    # building the label actions is a one-off cost of every cold verify-paper;
+    # all claims together may build each rank's actions only once
+    from loopforge import charvec, gf2, verify
+
+    calls = []
+    real = charvec.gl_group
+    monkeypatch.setattr(charvec, "gl_group", lambda n: calls.append(n) or real(n))
+    gf2._gl_label_perms.cache_clear()
+    verify.run_claims()
+    assert calls == [3, 4]
