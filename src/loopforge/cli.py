@@ -10,27 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from . import fileio, render
-from .catalog import ENTRIES
-from .charvec import (
-    REPRESENTATIVES,
-    CharVector,
-    LoopClassId,
-    canonicalize,
-    char_vector_of,
-    loop_class,
-    normalize_rank4,
-    orbit_representatives,
-    orbit_sizes,
-    representative,
-)
+# render is imported here because perfbench/tracer.py reads it after importing cli and verify
+from . import render
 from .errors import DomainError, ParseError, clipped, quoted
-from .gf2 import CodeBasis, class_partition
-from .loops import build_loop, is_moufang, loop_table_csv
-from .search import REDUCED_MAX, enumerate_reduced, minimal_representations
-from .verify import CLAIMS, run_claims
+
+if TYPE_CHECKING:
+    from .charvec import CharVector, LoopClassId
+    from .gf2 import CodeBasis
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,6 +27,14 @@ EXIT_VERIFY = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    setup = None  # a subcommand's arguments, added when it is first parsed
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.setup:
+            self.setup, setup = None, self.setup
+            setup(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message: str):  # usage problems exit 1, not argparse's 2
         print(f"error: {clipped(message, 250)}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -48,31 +44,43 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="loopforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: _Parser, run, target=True, formats=("json", "csv", "text"), bound=False) -> None:
-        p.set_defaults(run=run)
-        if target:
-            p.add_argument("--loop", help="loop id such as C3_1 or C4_16")
-            p.add_argument("--lambda", dest="lam", help="characteristic vector bits")
-            p.add_argument("--code", help="path to a code file")
-        if formats:
-            p.add_argument("--format", choices=formats, default="text")
-        if bound:  # only the searches read it
-            p.add_argument("--max-class-size", type=int, default=REDUCED_MAX)
-        p.add_argument("--output", help="write primary output to this path")
+    def add(name: str, summary: str, run, first=None, target=True, formats=("json", "csv", "text"), bound=False):
+        def setup(p: _Parser) -> None:  # imports only what this subcommand's options read
+            if first:
+                first(p)
+            if target:
+                p.add_argument("--loop", help="loop id such as C3_1 or C4_16")
+                p.add_argument("--lambda", dest="lam", help="characteristic vector bits")
+                p.add_argument("--code", help="path to a code file")
+            if formats:
+                p.add_argument("--format", choices=formats, default="text")
+            if bound:  # only the searches read it
+                from .search import REDUCED_MAX
+                p.add_argument("--max-class-size", type=int, default=REDUCED_MAX)
+            p.add_argument("--output", help="write primary output to this path")
 
-    add_common(sub.add_parser("classify", help="name the loop of a vector or code"), cmd_classify)
-    p_orbits = sub.add_parser("orbits", help="orbit table for one rank")
-    p_orbits.add_argument("--rank", type=int, choices=tuple(REPRESENTATIVES), required=True)
-    add_common(p_orbits, cmd_orbits, target=False)
-    add_common(sub.add_parser("enumerate", help="stream every reduced representation"), cmd_enumerate, bound=True)
-    add_common(sub.add_parser("minimal", help="minimal representations of a loop"), cmd_minimal, bound=True)
-    add_common(sub.add_parser("loop", help="build the explicit loop of a code"), cmd_loop)
-    p_render = sub.add_parser("render", help="class diagram of a representation")
-    p_render.add_argument("--style", choices=("ascii", "svg"), default="ascii")
-    add_common(p_render, cmd_render, formats=())
-    p_verify = sub.add_parser("verify-paper", help="run the golden verification suite")
-    p_verify.add_argument("--only", choices=CLAIMS)
-    add_common(p_verify, cmd_verify, target=False, formats=("json", "text"))
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        p.setup = setup
+
+    def rank(p: _Parser) -> None:
+        from .charvec import REPRESENTATIVES
+        p.add_argument("--rank", type=int, choices=tuple(REPRESENTATIVES), required=True)
+
+    def claim(p: _Parser) -> None:
+        from .verify import CLAIMS
+        p.add_argument("--only", choices=CLAIMS)
+
+    def style(p: _Parser) -> None:
+        p.add_argument("--style", choices=("ascii", "svg"), default="ascii")
+
+    add("classify", "name the loop of a vector or code", cmd_classify)
+    add("orbits", "orbit table for one rank", cmd_orbits, rank, target=False)
+    add("enumerate", "stream every reduced representation", cmd_enumerate, bound=True)
+    add("minimal", "minimal representations of a loop", cmd_minimal, bound=True)
+    add("loop", "build the explicit loop of a code", cmd_loop)
+    add("render", "class diagram of a representation", cmd_render, style, formats=())
+    add("verify-paper", "run the golden verification suite", cmd_verify, claim, target=False, formats=("json", "text"))
     return parser
 
 
@@ -82,26 +90,34 @@ def _require_one_target(args: argparse.Namespace) -> None:
         raise ParseError(f"exactly one of --loop/--lambda/--code is required (got {given or 'none'})")
 
 
-def _resolve_vector(args: argparse.Namespace) -> CharVector:
-    """Characteristic vector from exactly one of --loop/--lambda/--code."""
+def _resolve_vector(args: argparse.Namespace, normalize: bool = False) -> CharVector:
+    """Characteristic vector from exactly one of --loop/--lambda/--code; with
+    ``normalize``, a rank-4 vector in the normal form the searches take."""
+    from . import charvec, fileio
     _require_one_target(args)
     if args.loop:
-        return representative(_parse_loop_id(args.loop))
+        return charvec.representative(_parse_loop_id(args.loop))
     if args.lam:
-        return fileio.parse_lambda(args.lam)
-    basis = _load_code(args)
-    orbit_representatives(basis.rank)  # before the meets, which grow as the rank cubed
-    return char_vector_of(basis)
+        cv = fileio.parse_lambda(args.lam)
+    else:
+        basis = _load_code(args)
+        charvec.orbit_representatives(basis.rank)  # before the meets, which grow as the rank cubed
+        cv = charvec.char_vector_of(basis)
+    if normalize and cv.rank == 4 and not cv.is_normalized:
+        cv, _ = charvec.normalize_rank4(cv)
+    return cv
 
 
 def _parse_loop_id(text: str) -> LoopClassId:
+    from . import charvec
     try:
-        return LoopClassId.parse(text)
+        return charvec.LoopClassId.parse(text)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
 def _load_code(args: argparse.Namespace) -> CodeBasis:
+    from . import fileio
     try:
         with open(args.code, "r", encoding="utf-8") as fh:
             return fileio.parse_code_text(fh.read())
@@ -111,35 +127,30 @@ def _load_code(args: argparse.Namespace) -> CodeBasis:
 
 def _resolve_basis(args: argparse.Namespace) -> CodeBasis:
     """Explicit code from --code, or the reference basis of a loop id / vector."""
+    from . import catalog, charvec, fileio
     _require_one_target(args)
     if args.code:
         return _load_code(args)
     if args.loop:
         class_id = _parse_loop_id(args.loop)
     else:
-        class_id = loop_class(fileio.parse_lambda(args.lam))
-    return ENTRIES[str(class_id)].basis()
+        class_id = charvec.loop_class(fileio.parse_lambda(args.lam))
+    return catalog.ENTRIES[str(class_id)].basis()
 
 
-def _normalized(cv: CharVector) -> CharVector:
-    if cv.rank == 4 and not cv.is_normalized:
-        cv, _ = normalize_rank4(cv)
-    return cv
-
-
-# -- subcommands -------------------------------------------------------------
+# -- subcommands: each imports what it runs ------------------------------------
 
 
 def cmd_classify(args: argparse.Namespace) -> str:
+    from . import charvec, fileio
     cv = _resolve_vector(args)
-    class_id, rep, witness = canonicalize(cv)
+    class_id, rep, witness = charvec.canonicalize(cv)
     record = fileio.classify_record(cv, class_id, rep, witness)
     if args.format == "json":
         return fileio.dumps(record)
     if args.format == "csv":
-        return fileio.csv_text(
-            [["loop", "lambda", "representative"], [record["loop"], record["lambda"], record["representative"]]]
-        )
+        fields = ["loop", "lambda", "representative"]
+        return fileio.csv_text([fields, [record[k] for k in fields]])
     lines = [
         f"loop: {record['loop']}",
         f"lambda: {record['lambda']}",
@@ -150,23 +161,13 @@ def cmd_classify(args: argparse.Namespace) -> str:
 
 
 def cmd_orbits(args: argparse.Namespace) -> str:
-    sizes = orbit_sizes(args.rank)
-    rows = [
-        [str(cid), representative(cid).shorthand(), size]
-        for cid, size in sizes.items()
-    ]
-    total = sum(size for _, _, size in rows)
+    from . import charvec, fileio
+    sizes = charvec.orbit_sizes(args.rank)
+    rows = [[str(cid), charvec.representative(cid).shorthand(), size] for cid, size in sizes.items()]
+    total = sum(sizes.values())
     if args.format == "json":
-        return fileio.dumps(
-            {
-                "rank": args.rank,
-                "total": total,
-                "orbits": [
-                    {"loop": loop, "representative": rep, "size": size}
-                    for loop, rep, size in rows
-                ],
-            }
-        )
+        orbits = [{"loop": loop, "representative": rep, "size": size} for loop, rep, size in rows]
+        return fileio.dumps({"rank": args.rank, "total": total, "orbits": orbits})
     if args.format == "csv":
         return fileio.csv_text([["loop", "representative", "size"]] + rows)
     width = max(len(r[1]) for r in rows)
@@ -177,13 +178,14 @@ def cmd_orbits(args: argparse.Namespace) -> str:
 
 def cmd_enumerate(args: argparse.Namespace):
     """Streamed: yields one chunk per representation, then a summary record."""
-    cv = _normalized(_resolve_vector(args))
-    class_id = loop_class(cv)
+    from . import charvec, fileio, search
+    cv = _resolve_vector(args, normalize=True)
+    class_id = charvec.loop_class(cv)
 
     def stream():
         count = 0
         min_degree: int | None = None
-        for rep in enumerate_reduced(cv, max_class_size=args.max_class_size):
+        for rep in search.enumerate_reduced(cv, max_class_size=args.max_class_size):
             count += 1
             if min_degree is None or rep.degree < min_degree:
                 min_degree = rep.degree
@@ -209,8 +211,9 @@ def cmd_enumerate(args: argparse.Namespace):
 
 
 def cmd_minimal(args: argparse.Namespace) -> str:
-    cv = _normalized(_resolve_vector(args))
-    report = minimal_representations(cv, max_class_size=args.max_class_size)
+    from . import fileio, search
+    cv = _resolve_vector(args, normalize=True)
+    report = search.minimal_representations(cv, max_class_size=args.max_class_size)
     record = fileio.minimal_report_record(report)
     if args.format == "json":
         return fileio.dumps(record)
@@ -232,15 +235,16 @@ def cmd_minimal(args: argparse.Namespace) -> str:
 
 
 def cmd_loop(args: argparse.Namespace) -> str:
+    from . import charvec, fileio, loops
     basis = _resolve_basis(args)
-    loop = build_loop(basis)
+    loop = loops.build_loop(basis)
     if args.format == "csv":
-        return loop_table_csv(loop)
-    cv = char_vector_of(basis)
-    class_id = loop_class(cv) if cv.nonassociative else None
+        return loops.loop_table_csv(loop)
+    cv = charvec.char_vector_of(basis)
+    class_id = charvec.loop_class(cv) if cv.nonassociative else None
     record = {
         "order": loop.order,
-        "moufang": is_moufang(loop),
+        "moufang": loops.is_moufang(loop),
         "associative": not cv.nonassociative,
         "center_size": len(loop.center()),
         "loop": str(class_id) if class_id else None,
@@ -258,19 +262,21 @@ def cmd_loop(args: argparse.Namespace) -> str:
 
 
 def cmd_render(args: argparse.Namespace) -> str:
+    from . import gf2
     basis = _resolve_basis(args)
     render.check_rank(basis.rank)  # before the 2^n - 1 blocks of the partition
-    partition = class_partition(basis)
+    partition = gf2.class_partition(basis)
     if args.style == "svg":
         return render.render_svg(partition)
     return render.render_ascii(partition)
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    results = run_claims(only=args.only)
+    from . import fileio, verify
+    results = verify.run_claims(only=args.only)
     code = EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
     if args.format == "json":
-        return fileio.dumps([asdict(res) for res in results]), code
+        return fileio.dumps([vars(res) for res in results]), code
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -287,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "max_class_size", REDUCED_MAX) < 1:
+        if getattr(args, "max_class_size", 1) < 1:
             raise ParseError("--max-class-size must be at least 1")
         result = args.run(args)  # verify-paper also returns its exit code
         text, code = result if isinstance(result, tuple) else (result, EXIT_OK)

@@ -17,12 +17,14 @@ import csv
 import io
 import json
 from math import comb
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .charvec import REPRESENTATIVES, CharVector, GLMatrix, LoopClassId
 from .errors import ParseError, clipped, quoted
 from .gf2 import CodeBasis, Codeword
-from .search import MinimalReport, ReducedRepresentation
+
+if TYPE_CHECKING:
+    from .search import MinimalReport, ReducedRepresentation
 
 
 def parse_code_text(text: str) -> CodeBasis:

@@ -31,6 +31,7 @@ identity compares composed maps, and the center is the commutant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .charvec import char_vector_of, loop_class
 from .errors import NotDoublyEven, UnsupportedRank
@@ -54,10 +55,22 @@ class FactorSet:
         return len(self.codewords)
 
     def axiom_violations(self) -> list[str]:
-        """Exhaustive check of all four axioms; empty list means a valid table."""
-        cw = self.codewords
-        phi = self.signs
+        """Exhaustive check of all four axioms; empty list means a valid table.
+
+        With bit 1 for -1, the cocycle axiom says that phi(v+w, u), phi(v, w+u) and
+        phi(w, u) xor to phi(v, w) plus |v & w & u| mod 2.  That is one compare per
+        (v, w), over all u at once; cells are scanned only in a row that fails, or in
+        all rows of a table with an entry other than +1 and -1."""
+        cw, phi = self.codewords, self.signs
         size = len(cw)
+        as_int = partial(int.from_bytes, byteorder="little")
+        # row x as a translate table u -> bit of phi(x, u) and as an int, a byte per u
+        tables = [bytes(s == -1 for s in row).ljust(256, b"\0") for row in phi]
+        rows = [as_int(table[:size]) for table in tables]
+        shifts = [bytes(w ^ u for u in range(size)) for w in range(size)]  # w + u by u
+        ones = as_int(b"\1" * size)
+        signed = {s for row in phi for s in row} <= {1, -1}
+        odd: dict[int, int] = {}  # meet z -> bits of |z & codeword u| mod 2
         bad: list[str] = []
         for v in range(size):
             if phi[v][v] != (-1 if (cw[v].bit_count() // 4) % 2 else 1):
@@ -65,9 +78,14 @@ class FactorSet:
             if phi[0][v] != 1 or phi[v][0] != 1:
                 bad.append(f"identity row/column wrong at v={v}")
             for w in range(size):
-                twist = -1 if ((cw[v] & cw[w]).bit_count() // 2) % 2 else 1
-                if phi[v][w] != twist * phi[w][v]:
+                meet = cw[v] & cw[w]
+                if phi[v][w] != (-1 if (meet.bit_count() // 2) % 2 else 1) * phi[w][v]:
                     bad.append(f"symmetry twist wrong at ({v},{w})")
+                if meet not in odd:
+                    odd[meet] = as_int(bytes((meet & c).bit_count() & 1 for c in cw))
+                row = rows[v ^ w] ^ as_int(shifts[w].translate(tables[v])) ^ rows[w]
+                if signed and row == odd[meet] ^ ones * tables[v][w]:
+                    continue
                 for u in range(size):
                     sign = -1 if (cw[v] & cw[w] & cw[u]).bit_count() % 2 else 1
                     if phi[v ^ w][u] != phi[v][w ^ u] * phi[v][w] * phi[w][u] * sign:

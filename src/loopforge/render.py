@@ -7,8 +7,12 @@ degree is at most 20.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import UnsupportedRank
-from .gf2 import ClassPartition, Codeword, Sigma
+
+if TYPE_CHECKING:
+    from .gf2 import ClassPartition, Codeword, Sigma
 
 POINT_LABEL_LIMIT = 20
 

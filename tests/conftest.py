@@ -123,6 +123,30 @@ def moufang_by_definition(loop) -> bool:
     return all(t[t[t[x][y]][x]][z] == t[x][t[y][t[x][z]]] for x in ids for y in ids for z in ids)
 
 
+def axiom_violations_by_definition(fs) -> list[str]:
+    """The four factor-set axioms checked one cell at a time, the reference for
+    ``FactorSet.axiom_violations``, which compares a whole row of the cocycle
+    axiom per (v, w) and scans cells only in a row that fails."""
+    cw = fs.codewords
+    phi = fs.signs
+    size = len(cw)
+    bad: list[str] = []
+    for v in range(size):
+        if phi[v][v] != (-1 if (cw[v].bit_count() // 4) % 2 else 1):
+            bad.append(f"square sign wrong at v={v}")
+        if phi[0][v] != 1 or phi[v][0] != 1:
+            bad.append(f"identity row/column wrong at v={v}")
+        for w in range(size):
+            twist = -1 if ((cw[v] & cw[w]).bit_count() // 2) % 2 else 1
+            if phi[v][w] != twist * phi[w][v]:
+                bad.append(f"symmetry twist wrong at ({v},{w})")
+            for u in range(size):
+                sign = -1 if (cw[v] & cw[w] & cw[u]).bit_count() % 2 else 1
+                if phi[v ^ w][u] != phi[v][w ^ u] * phi[v][w] * phi[w][u] * sign:
+                    bad.append(f"cocycle axiom fails at ({v},{w},{u})")
+    return bad
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0DE)

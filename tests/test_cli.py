@@ -381,12 +381,13 @@ def test_usage_errors_are_clipped_only_when_long(capsys):
 
 
 def test_render_rejects_the_rank_before_partitioning(capsys, tmp_path, monkeypatch):
-    import loopforge.cli as cli
+    # patched where it is defined: the command imports it when it runs
+    import loopforge.gf2 as gf2
 
     def forbidden(basis):
         raise AssertionError("class_partition was called")
 
-    monkeypatch.setattr(cli, "class_partition", forbidden)
+    monkeypatch.setattr(gf2, "class_partition", forbidden)
     path = tmp_path / "rank16.code"  # 16 disjoint weight-4 blocks: doubly even, independent
     rows = [",".join(str(4 * i + p) for p in (1, 2, 3, 4)) for i in range(16)]
     path.write_text("m=64 n=16\n" + "\n".join(rows) + "\n")
@@ -398,11 +399,11 @@ def test_render_rejects_the_rank_before_partitioning(capsys, tmp_path, monkeypat
 def test_code_rank_is_checked_before_the_vector(capsys, tmp_path, monkeypatch):
     # the meets of at most three generators grow as the rank cubed, so an
     # unclassified rank is rejected before char_vector_of builds them
-    import loopforge.cli as cli
+    import loopforge.charvec as charvec
 
     calls = []
-    real = cli.char_vector_of
-    monkeypatch.setattr(cli, "char_vector_of", lambda basis: calls.append(basis) or real(basis))
+    real = charvec.char_vector_of
+    monkeypatch.setattr(charvec, "char_vector_of", lambda basis: calls.append(basis) or real(basis))
     path = tmp_path / "rank6.code"  # 6 disjoint weight-4 blocks: doubly even, independent
     rows = [",".join(str(4 * i + p) for p in (1, 2, 3, 4)) for i in range(6)]
     path.write_text("m=24 n=6\n" + "\n".join(rows) + "\n")

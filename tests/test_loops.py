@@ -10,7 +10,12 @@ from typing import Iterator
 
 import pytest
 
-from conftest import center_by_definition, moufang_by_definition, random_doubly_even_basis
+from conftest import (
+    axiom_violations_by_definition,
+    center_by_definition,
+    moufang_by_definition,
+    random_doubly_even_basis,
+)
 from loopforge.catalog import ENTRIES
 from loopforge.charvec import char_vector_of
 from loopforge.errors import NotDoublyEven, UnsupportedRank
@@ -101,6 +106,36 @@ def test_factor_set_axioms_random_codes(rng):
         rank = rng.choice((2, 3, 4))
         basis = random_doubly_even_basis(rng, rank, rng.randrange(3 + 2 * rank, 22))
         assert build_factor_set(basis).axiom_violations() == []
+
+
+def _tampered(fs: FactorSet, cells=(), identity_row=False) -> FactorSet:
+    signs = [list(row) for row in fs.signs]
+    for v, w in cells:
+        signs[v][w] = -signs[v][w]
+    if identity_row:
+        signs[0] = [-s for s in signs[0]]
+    return FactorSet(fs.basis, fs.codewords, tuple(map(tuple, signs)))
+
+
+@pytest.mark.parametrize("name", ("C3_1", "C3_5", "C4_1", "C4_14"))
+def test_axiom_violations_match_the_cell_by_cell_check(name, rng):
+    # the row compare must report the same violations, in the same order, as
+    # the cell scan: on the valid table, after one and two sign flips, after a
+    # wrong identity row, and after an entry that is no sign at all
+    fs = build_factor_set(ENTRIES[name].basis())
+    size = fs.size
+    cells = [(rng.randrange(size), rng.randrange(size)) for _ in range(12)]
+    tables = [fs, _tampered(fs, identity_row=True)]
+    tables += [_tampered(fs, [cell]) for cell in cells[:6]]
+    tables += [_tampered(fs, cells[k : k + 2]) for k in range(6, 12, 2)]
+    tables += [_tampered(fs, [(size - 1, 1)]), _tampered(fs, [(1, size - 1), (size - 1, 1)])]
+    zeroed = [list(row) for row in fs.signs]
+    zeroed[1][2] = zeroed[3][1] = 0
+    tables.append(FactorSet(fs.basis, fs.codewords, tuple(map(tuple, zeroed))))
+    reports = [table.axiom_violations() for table in tables]
+    assert reports == [axiom_violations_by_definition(table) for table in tables]
+    assert reports[0] == [] and all(reports[1:])
+    assert any("cocycle" in line for line in reports[2])
 
 
 def test_factor_set_rank_cap():

@@ -46,8 +46,6 @@ def test_no_unused_imports_in_the_library():
     # a module-level import that nothing reads outlives the code that used it
     found = []
     for path in SOURCES:
-        if path.name == "__init__.py":  # the package imports to re-export
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         for node in tree.body:
@@ -120,6 +118,28 @@ def test_benchmark_tracer_finds_every_function_it_wraps():
     )
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def _loaded_modules(code: str) -> set[str]:
+    """The loopforge modules a fresh interpreter holds after running ``code``."""
+    loaded = "print(*sorted(m for m in sys.modules if m.startswith('loopforge')))"
+    script = f"import sys; sys.path[:0] = ['src']\n{code}\n{loaded}"
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_each_command_imports_only_what_it_runs():
+    # a cold command compiles every module it imports, so the CLI loads a
+    # module only when a command runs it; perfbench/tracer.py wraps functions
+    # in the modules that importing cli and verify loads, render among them
+    assert _loaded_modules("import loopforge.cli") == {
+        "loopforge", "loopforge.cli", "loopforge.errors", "loopforge.render"
+    }
+    classify = _loaded_modules("from loopforge.cli import main; main(['classify', '--loop', 'C4_3'])")
+    assert not classify & {"loopforge.verify", "loopforge.loops", "loopforge.catalog", "loopforge.search"}
+    verify = _loaded_modules("from loopforge.cli import main; main(['verify-paper'])")
+    assert verify == {"loopforge"} | {f"loopforge.{p.stem}" for p in SOURCES if p.stem != "__init__"}
 
 
 def test_readme_library_example_runs():
