@@ -13,12 +13,13 @@ sigma are sized, x_sigma is fixed mod 2^(4-|sigma|) and the reduced family
 The walk is a lazy depth-first generator over the cells in the fixed labeling
 order (``gf2.class_order``) with ascending values, so the stream is
 lexicographic in the counts; one packed int per depth holds each t_m in its own
-digit (digit 0: the degree) and sets the next cell and the degree bound, so
-every leaf it yields (its counts and degree) carries the vector unchecked.  A
-leaf is kept iff the labels of its nonempty classes span GF(2)^n (its
-generators are then nonzero and independent).  A kept leaf holds its counts
-and degree: its ``ClassSizes`` and type are derived on each read, and its code
-(consecutive position blocks per cell) is assembled on first read and cached.
+digit (digit 0: the degree) and sets the next cell and the degree bound, so every
+leaf it yields (counts, degree, nonempty labels) carries the vector unchecked.  The
+cells holding generator 1 (the head) come first; a later (tail) cell m reads them
+only through t_m mod its modulus, so heads with equal residues share a tail: while
+the limit cannot cut it, its first walk is recorded (4,096 rows in all) and replayed.
+A kept leaf (its labels span GF(2)^n, so its generators are nonzero and independent)
+holds its counts and degree; its sizes, type and code (cached) are derived on read.
 Minimal representations come from branch and bound over the same walk: any
 branch whose partial degree exceeds the least degree found so far is cut, and
 tied least-degree leaves are deduplicated by code equivalence (a lone one is
@@ -30,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress
+from math import prod
 from typing import Iterator, Sequence
 
 from .charvec import CharVector, LoopClassId, coordinates_by_mask
@@ -161,16 +163,13 @@ def _require_normalized(cv: CharVector, max_class_size: int) -> None:
 
 def _walk_class_sizes(
     cv: CharVector, max_size: int, limit: list[int] | None = None
-) -> Iterator[tuple[tuple[int, ...], int]]:
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Count tuples compatible with the congruences, lazily, in DFS order.
 
-    Yields ``(counts, degree)``.  Every strict superset of a cell comes earlier
-    in ``class_order``, so the cell's value is read off its own digit of the
-    int packed above it (digit m holds t_m, digit 0 the degree).
-    Values ascend within each cell, so the stream is lexicographic in the
-    counts.  ``limit`` is a one-element cell the consumer may lower while
-    iterating: any branch whose partial degree already exceeds ``limit[0]``
-    is cut, so only leaves of degree at most the current limit are yielded.
+    Yields ``(counts, degree, labels)``, bit m of labels set iff cell m is nonempty.
+    Every strict superset of a cell comes earlier in ``class_order``, so the cell's
+    value is read off its own digit of the int packed above it (digit m holds t_m,
+    digit 0 the degree).  The consumer may lower ``limit[0]``: branches above it are cut.
     """
     masks = [sigma_mask(sigma) for sigma in class_order(cv.rank)]
     last = len(masks) - 1
@@ -184,35 +183,60 @@ def _walk_class_sizes(
     lam = coordinates_by_mask(cv)
     target = [lam[m] * 8 >> m.bit_count() for m in masks]
     modulus = [16 >> m.bit_count() for m in masks]
+    bits, split = [1 << m for m in masks], len(masks) + 1 >> 1  # split: the first tail cell
+    tail_bits, tail_max = sum(bits[split:]), max_size * (len(masks) - split)
+    tail_size = prod(max_size // modulus[p] + 1 for p in range(split, len(masks)))  # most leaves
+    key_mask = sum(modulus[p] - 1 << shift[p] for p in range(split, len(masks)))
+    memo, room, rows = {}, 4096, None  # room: rows left, all 128 tails of 32 at rank 4, bound 7
     values = [target[0] % modulus[0]] + [0] * last
     acc = [0] * len(masks)  # acc[p] = sum of values[q] * spread[q] over q < p
-    pos = 0
-    while pos >= 0:
+    pos, bound = 0, limit[0]  # bound is limit[0], re-read after each yield
+    while True:  # hot steps first, end test on backtrack: short jumps (no EXTENDED_ARG)
         value = values[pos]
-        if pos == last:
-            head, partial = tuple(values[:last]), acc[last] & digit
-            while value <= max_size and value <= limit[0] - partial:  # re-read per yield
-                yield head + (value,), partial + value
-                value += modulus[last]
-        elif value <= max_size and value <= limit[0] - (acc[pos] & digit):
-            acc[pos + 1] = packed = acc[pos] + value * spread[pos]
-            pos += 1
-            values[pos] = (target[pos] - (packed >> shift[pos])) % modulus[pos]
+        if value > max_size or value > bound - (acc[pos] & digit):  # cut, and the rest of the cell
+            pos -= 1
+            if pos < 0:
+                return
+            values[pos] += modulus[pos]
             continue
-        # ascending values: the rest of this cell is cut too (values[-1] once the walk ends)
-        pos -= 1
-        values[pos] += modulus[pos]
+        if pos == last:
+            counts = tuple(values)
+            leaf = counts, (acc[last] & digit) + value, sum(compress(bits, counts))
+            if rows is not None:
+                rows += (leaf,)
+            yield leaf
+            bound = limit[0]
+            values[last] += modulus[last]
+            continue
+        acc[pos + 1] = packed = acc[pos] + value * spread[pos]
+        pos += 1
+        values[pos] = (target[pos] - (packed >> shift[pos])) % modulus[pos]
+        if pos != split:
+            continue
+        if rows is not None and bound - base >= tail_max:  # the tail recorded last, uncut
+            memo[key], room = [(c[split:], d - base, ls & tail_bits) for c, d, ls in rows], room - len(rows)
+        rows, base = None, packed & digit
+        if bound - base < tail_max:  # the limit may cut this tail: walk it
+            continue
+        if (key := packed & key_mask) not in memo:  # walk the tail and record its leaves
+            rows = [] if room >= tail_size else None
+            continue
+        labels = sum(compress(bits, head := tuple(values[:split])))
+        for tail, degree, tail_labels in memo[key]:
+            if base + degree <= bound:
+                yield head + tail, base + degree, labels | tail_labels
+                bound = limit[0]
+        values[split] = max_size + 1  # the tail is replayed: its cell is cut next
 
 
 def _representations(
     cv: CharVector, max_size: int, limit: list[int] | None = None
 ) -> Iterator[ReducedRepresentation]:
-    """The nondegenerate leaves of the walk: a leaf is kept iff the labels of
-    its nonempty classes span GF(2)^n; ``limit`` is passed to the walk."""
-    masks = [sigma_mask(sigma) for sigma in class_order(cv.rank)]
-    spanning = lru_cache(maxsize=None)(lambda labels: gf2_rank(labels) == cv.rank)  # per zero pattern
-    for counts, degree in _walk_class_sizes(cv, max_size, limit):
-        if spanning(tuple(compress(masks, counts))):
+    """The leaves of the walk whose labels span GF(2)^n, under ``limit``."""
+    spanning = lru_cache(maxsize=None)(  # per label set
+        lambda labels: gf2_rank([m for m in range(labels.bit_length()) if labels >> m & 1]) == cv.rank)
+    for counts, degree, labels in _walk_class_sizes(cv, max_size, limit):
+        if spanning(labels):
             yield ReducedRepresentation(counts, degree)
 
 

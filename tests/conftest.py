@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from loopforge.charvec import CharVector, GLMatrix, char_vector_of_meets
+from loopforge.charvec import CharVector, GLMatrix, char_vector_of_meets, coordinates_by_mask
 from loopforge.gf2 import CodeBasis, Codeword, class_order, gf2_rank, sigma_mask, superset_sums
 from loopforge.search import _walk_class_sizes
 
@@ -86,13 +86,53 @@ def meets_of_counts(rank: int, counts: tuple[int, ...]) -> list[int]:
     return superset_sums(sizes)
 
 
+def reference_walk(cv: CharVector, max_size: int, limit: list[int] | None = None):
+    """The packed depth-first walk one leaf at a time, the reference for
+    ``search._walk_class_sizes``, which replays each tail subtree it has
+    recorded: the same ``(counts, degree, labels)`` in the same order under
+    the same ``limit``, with no memo.  Digit m of the packed int holds t_m,
+    digit 0 the degree; labels has bit m set iff the cell of mask m is nonempty."""
+    masks = [sigma_mask(sigma) for sigma in class_order(cv.rank)]
+    last = len(masks) - 1
+    if limit is None:
+        limit = [max_size * len(masks)]
+    width = (max_size * len(masks)).bit_length() + 1
+    digit = (1 << width) - 1
+    spread = [sum(1 << width * m for m in range(s + 1) if m & s == m) for s in masks]
+    shift = [width * m for m in masks]
+    lam = coordinates_by_mask(cv)
+    target = [lam[m] * 8 >> m.bit_count() for m in masks]
+    modulus = [16 >> m.bit_count() for m in masks]
+    values = [target[0] % modulus[0]] + [0] * last
+    acc = [0] * len(masks)
+    pos = 0
+    while pos >= 0:
+        value = values[pos]
+        if pos == last:
+            head, partial = tuple(values[:last]), acc[last] & digit
+            while value <= max_size and value <= limit[0] - partial:
+                counts = head + (value,)
+                yield counts, partial + value, sum(1 << m for m, c in zip(masks, counts) if c)
+                value += modulus[last]
+        elif value <= max_size and value <= limit[0] - (acc[pos] & digit):
+            acc[pos + 1] = packed = acc[pos] + value * spread[pos]
+            pos += 1
+            values[pos] = (target[pos] - (packed >> shift[pos])) % modulus[pos]
+            continue
+        pos -= 1
+        values[pos] += modulus[pos]
+
+
 def walked_counts(cv: CharVector, bound: int, limit: list[int] | None = None):
     """The counts of the real walk (bound at import, so a test's seam does not
-    reach it), each checked by the transform: the degree the walk yields is
-    the sum of the counts, and their superset sums carry the vector ``cv``.
-    The library keeps no such check; every test that walks reads it here."""
-    for counts, degree in _walk_class_sizes(cv, bound, limit):
+    reach it), each checked: the degree the walk yields is the sum of the
+    counts, its labels are the masks of the nonempty cells, and the superset
+    sums of the counts carry the vector ``cv``.  The library keeps no such
+    check; every test that walks reads it here."""
+    masks = [sigma_mask(sigma) for sigma in class_order(cv.rank)]
+    for counts, degree, labels in _walk_class_sizes(cv, bound, limit):
         assert degree == sum(counts)
+        assert labels == sum(1 << m for m, c in zip(masks, counts) if c)
         assert char_vector_of_meets(meets_of_counts(cv.rank, counts)) == cv
         yield counts
 

@@ -132,6 +132,9 @@ def test_axiom_violations_match_the_cell_by_cell_check(name, rng):
     zeroed = [list(row) for row in fs.signs]
     zeroed[1][2] = zeroed[3][1] = 0
     tables.append(FactorSet(fs.basis, fs.codewords, tuple(map(tuple, zeroed))))
+    shuffled = list(fs.codewords)  # codewords that are no longer the span in mask order
+    shuffled[3], shuffled[5] = shuffled[5], shuffled[3]
+    tables.append(FactorSet(fs.basis, tuple(shuffled), fs.signs))
     reports = [table.axiom_violations() for table in tables]
     assert reports == [axiom_violations_by_definition(table) for table in tables]
     assert reports[0] == [] and all(reports[1:])

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import comb
 
 import pytest
 
 import loopforge.search as search
-from conftest import meets_of_counts, random_doubly_even_basis, walked_counts
+from conftest import meets_of_counts, random_doubly_even_basis, reference_walk, walked_counts
 from loopforge.catalog import (
     ENTRIES,
     WORKED_EXAMPLE_GENERATORS,
@@ -46,6 +47,7 @@ from loopforge.search import (
     ClassSizes,
     MinimalReport,
     ReducedRepresentation,
+    _walk_class_sizes,
     assemble_representation,
     enumerate_reduced,
     minimal_representations,
@@ -218,9 +220,26 @@ def test_walk_limit_lowered_mid_stream_cuts_later_branches():
 
 
 def test_enumerate_reduced_is_lazy():
-    # the stream starts without materializing the 16^15-scale bound-15 walk
-    rep = next(enumerate_reduced(representative(LoopClassId(4, 1)), max_class_size=15))
-    assert char_vector_of(rep.basis) == representative(LoopClassId(4, 1))
+    # the stream starts without materializing the 16^15-scale bound-15 walk,
+    # or a bound-63 tail of 2^26 leaves that the memo could not hold
+    for bound in (15, 63):
+        rep = next(enumerate_reduced(representative(LoopClassId(4, 1)), max_class_size=bound))
+        assert char_vector_of(rep.basis) == representative(LoopClassId(4, 1))
+
+
+@pytest.mark.parametrize("bound, leaves", [(63, 200_000), (15, 50_000)])
+def test_large_bound_stream_keeps_its_memory_small(bound, leaves):
+    # the tail memo holds at most 4,096 rows: at bound 63 no tail fits, at
+    # bound 15 one tail of 4,096 leaves does; the leaves stream through unkept
+    stream = enumerate_reduced(representative(LoopClassId(4, 1)), bound)
+    tracemalloc.start()
+    try:
+        read = sum(1 for _ in islice(stream, leaves))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == leaves
+    assert peak < 2_000_000
 
 
 def test_enumerate_requires_normalized():
@@ -293,8 +312,9 @@ def test_zero_patterns_decide_degeneracy(monkeypatch):
     degenerate = 0
     for rank in (3, 4):
         cv = CharVector(rank, (0,) * rank, (0,) * comb(rank, 2), (0,) * comb(rank, 3))
+        masks = [sigma_mask(sigma) for sigma in class_order(rank)]
         patterns = [c for c in product((0, 8), repeat=(1 << rank) - 1) if any(c)]
-        leaves = [(c, sum(c)) for c in patterns]
+        leaves = [(c, sum(c), sum(1 << m for m, x in zip(masks, c) if x)) for c in patterns]
         monkeypatch.setattr(search, "_walk_class_sizes", lambda *_: iter(leaves))
         kept = {rep.sizes.counts for rep in search._representations(cv, 8)}
         for counts in patterns:
@@ -324,6 +344,48 @@ def test_kept_leaves_agree_with_their_assembled_code(loop):
         assert rep.type == type_vector(class_partition(rep.basis).sizes.values())
         assert char_vector_of(rep.basis) == cv
     assert reps == {}
+
+
+@pytest.mark.parametrize("loop", ALL_LOOPS, ids=str)
+def test_walk_equals_the_reference_walk(loop):
+    # whole streams, replayed tails and all; bound 7 is the default, where a
+    # rank-4 walk records 128 tails of 32 leaves and replays each 32 times
+    cv = representative(loop)
+    if loop.rank == 3:
+        bounds = (1, 2, 3, 4, 5, 7, 9, 15)
+    else:
+        bounds = (3, 5, 7) if str(loop) in ("C4_1", "C4_4", "C4_13") else (3,)
+    for bound in bounds:
+        assert list(_walk_class_sizes(cv, bound)) == list(reference_walk(cv, bound))
+
+
+def _read(walk, cv: CharVector, bound: int, lower) -> list:
+    """The first 20,000 leaves a consumer reads from ``walk`` when, after its
+    i-th leaf, it sets the limit to ``lower(i, degree, limit)``."""
+    limit, seen = [bound * ((1 << cv.rank) - 1)], []
+    for leaf in islice(walk(cv, bound, limit), 20_000):
+        seen.append(leaf)
+        limit[0] = lower(len(seen), leaf[1], limit[0])
+    return seen
+
+
+# (leaf index, limit): lowering the limit there cuts the tail below a head while
+# that tail is first walked and recorded, but not the same tail below a later,
+# lighter head, which must then walk it anew (found by scanning the reference walk)
+CUT_WHILE_RECORDED = {"C4_3": (193, 57), "C4_7": (225, 65), "C4_9": (1377, 65), "C4_16": (225, 65)}
+
+
+@pytest.mark.parametrize("loop", ALL_LOOPS, ids=str)
+def test_walk_under_a_lowered_limit_equals_the_reference_walk(loop):
+    cv = representative(loop)
+    cases = [(bound, lambda i, degree, limit: degree) for bound in (3, 7, 15, 63)]  # branch and bound
+    # to its degree at the 5,000th leaf, inside a replayed tail: each later row meets the new limit
+    cases.append((REDUCED_MAX, lambda i, degree, limit: degree if i == 5000 else limit))
+    if str(loop) in CUT_WHILE_RECORDED:
+        at, cut = CUT_WHILE_RECORDED[str(loop)]
+        cases.append((REDUCED_MAX, lambda i, degree, limit: cut if i == at else limit))
+    for bound, lower in cases:
+        assert _read(_walk_class_sizes, cv, bound, lower) == _read(reference_walk, cv, bound, lower)
 
 
 def _leaf_by_transform(cv: CharVector, counts: tuple[int, ...]) -> str:
@@ -394,6 +456,35 @@ def test_small_bound_streams_keep_their_digests(loop):
 def test_default_bound_streams_keep_their_digests(loop, digest):
     # C4_9 keeps all 2^17 leaves of the walk, C4_1 prunes 32 degenerate ones
     assert _stream_digest(LoopClassId.parse(loop), REDUCED_MAX) == digest
+
+
+DEFAULT_BOUND_DIGESTS = {  # leaf count and SHA-256 prefix over (counts, degree)
+    "C4_1": (131040, "678dc0aa02cd76e8"),
+    "C4_2": (131040, "54a74c7243b93847"),
+    "C4_3": (131040, "87cde472ace268be"),
+    "C4_4": (131040, "e5588e04b77fe8d1"),
+    "C4_5": (131040, "001587b3ab5e9e87"),
+    "C4_6": (131072, "243c1fe4aa459931"),
+    "C4_7": (131072, "8976a4e87ccb3855"),
+    "C4_8": (131072, "675329130bd12585"),
+    "C4_9": (131072, "6f28113fcc02f1d2"),
+    "C4_10": (131072, "164cf00b28048818"),
+    "C4_11": (131072, "dd529fa7e2aed28e"),
+    "C4_12": (131072, "4163465989b6dc41"),
+    "C4_13": (131072, "f5eb2bf1e6c74e69"),
+    "C4_14": (131072, "b16e601033ab7fe5"),
+    "C4_15": (131072, "e8327f080903e79e"),
+    "C4_16": (131072, "a84ec711774e44ed"),
+}
+
+
+@pytest.mark.parametrize("loop", ALL_LOOPS[5:], ids=str)
+def test_default_bound_stream_of_every_rank4_loop_keeps_its_digest(loop):
+    digest, count = hashlib.sha256(), 0
+    for rep in enumerate_reduced(representative(loop)):
+        digest.update(repr((rep.counts, rep.degree)).encode())
+        count += 1
+    assert (count, digest.hexdigest()[:16]) == DEFAULT_BOUND_DIGESTS[str(loop)]
 
 
 def _count_assemblies(monkeypatch) -> list[ClassSizes]:
@@ -545,6 +636,41 @@ def test_lone_minima_compute_no_code_signature(monkeypatch):
     for loop in ALL_LOOPS:
         assert len(minimal_representations(representative(loop)).representations) == 1
     assert calls == []
+
+
+MINIMAL_AT_63 = {  # degree and the counts of the one least-degree class
+    "C3_1": (7, (1, 1, 1, 1, 1, 1, 1)),
+    "C3_2": (13, (1, 3, 3, 1, 3, 1, 1)),
+    "C3_3": (11, (5, 1, 1, 1, 1, 1, 1)),
+    "C3_4": (17, (1, 7, 3, 1, 3, 1, 1)),
+    "C3_5": (17, (1, 3, 3, 5, 3, 1, 1)),
+    "C4_1": (8, (1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
+    "C4_2": (14, (1, 0, 1, 1, 2, 2, 1, 0, 1, 2, 1, 0, 1, 0, 1)),
+    "C4_3": (12, (1, 4, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
+    "C4_4": (18, (1, 2, 1, 1, 2, 0, 1, 0, 1, 0, 1, 0, 1, 6, 1)),
+    "C4_5": (18, (1, 0, 1, 1, 2, 0, 1, 2, 1, 0, 1, 2, 1, 4, 1)),
+    "C4_6": (11, (0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 4)),
+    "C4_7": (17, (0, 1, 0, 0, 3, 3, 0, 1, 0, 3, 0, 1, 0, 1, 4)),
+    "C4_8": (17, (2, 1, 0, 0, 1, 1, 0, 3, 0, 1, 2, 1, 2, 1, 2)),
+    "C4_9": (19, (0, 1, 0, 2, 3, 1, 0, 1, 2, 1, 2, 3, 0, 1, 2)),
+    "C4_10": (19, (0, 1, 0, 0, 1, 1, 2, 3, 0, 3, 0, 3, 0, 3, 2)),
+    "C4_11": (17, (0, 3, 0, 0, 1, 1, 2, 1, 0, 1, 0, 3, 0, 3, 2)),
+    "C4_12": (17, (2, 1, 0, 0, 1, 1, 0, 3, 2, 1, 0, 1, 0, 1, 4)),
+    "C4_13": (17, (0, 1, 0, 0, 1, 1, 2, 3, 0, 1, 0, 1, 0, 1, 6)),
+    "C4_14": (13, (2, 1, 0, 0, 1, 1, 0, 3, 2, 1, 0, 1, 0, 1, 0)),
+    "C4_15": (17, (2, 1, 0, 0, 1, 1, 0, 7, 2, 1, 0, 1, 0, 1, 0)),
+    "C4_16": (17, (0, 1, 0, 0, 1, 1, 2, 3, 0, 5, 0, 1, 0, 1, 2)),
+}
+
+
+def test_minimal_at_bound_63_keeps_its_reports():
+    # the first tail is recorded under a loose limit and dropped once the
+    # first leaf tightens it; the search is otherwise the plain walk
+    for loop in ALL_LOOPS:
+        report = minimal_representations(representative(loop), 63)
+        degree, counts = MINIMAL_AT_63[str(loop)]
+        assert (report.loop, report.degree, report.max_class_size) == (loop, degree, 63)
+        assert [rep.counts for rep in report.representations] == [counts]
 
 
 def test_minimal_degree_unchanged_by_larger_bound():
