@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 from .errors import AssociativeLoop, NotDoublyEven, NotInvertible
 from .errors import UnsupportedRank, quoted
@@ -170,35 +170,24 @@ def _unpack(n: int, packed: int) -> CharVector:
     return CharVector(n, bits[:n], bits[n : n + comb(n, 2)], bits[n + comb(n, 2) :])
 
 
-def char_vector_of_meets(meets: Sequence[int]) -> CharVector:
-    """Characteristic vector of a basis from its meet weights, indexed by
-    coefficient mask as ``gf2.meet_weights`` gives them.
+def char_vector_of(basis: CodeBasis) -> CharVector:
+    """Characteristic vector of a doubly even code basis, from meets of at most 3 generators.
 
     The code is doubly even iff every t_i = 0 mod 4 and every t_ij is even,
     since |v_x| = sum of t_i - 2 * sum of t_ij mod 4 over the i, j in x.
     """
-    return _char_vector(len(meets).bit_length() - 1, meets)
-
-
-def _char_vector(n: int, meets: Mapping[int, int] | Sequence[int]) -> CharVector:
-    """``char_vector_of_meets`` at rank n; only the meets[s] with 1 <= |s| <= 3 are read."""
-    packed = 0
-    for k, s in enumerate(coordinate_masks(n)):
-        low = 3 - s.bit_count()  # lambda_s is bit 3 - |s| of t_s; doubly even: none below it
-        if meets[s] % (1 << low):
-            raise NotDoublyEven("characteristic vectors require a doubly even code")
-        packed |= (meets[s] >> low & 1) << k
-    if n < 2:
-        raise UnsupportedRank(f"characteristic vectors need rank at least 2, got {n}")
-    return _unpack(n, packed)
-
-
-def char_vector_of(basis: CodeBasis) -> CharVector:
-    """Characteristic vector of a doubly even code basis, from meets of at most 3 generators."""
     meets = {0: -1}  # the empty meet: every position
     for i, mask in enumerate(basis.masks):
         meets.update([(x | 1 << i, bits & mask) for x, bits in meets.items() if x.bit_count() < 3])
-    return _char_vector(basis.rank, {x: bits.bit_count() for x, bits in meets.items()})
+    packed = 0
+    for k, s in enumerate(coordinate_masks(basis.rank)):
+        t, low = meets[s].bit_count(), 3 - s.bit_count()  # lambda_s is bit low of t_s
+        if t % (1 << low):  # doubly even: no set bit below it
+            raise NotDoublyEven("characteristic vectors require a doubly even code")
+        packed |= (t >> low & 1) << k
+    if basis.rank < 2:
+        raise UnsupportedRank(f"characteristic vectors need rank at least 2, got {basis.rank}")
+    return _unpack(basis.rank, packed)
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +283,12 @@ class GLMatrix:
         """Composition with row-vector convention: x @ (M * N) = (x @ M) @ N."""
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return GLMatrix(self.rank, tuple(other.apply(r) for r in self.rows))
+        span = _xor_span(other.rows)  # entry x is x @ N
+        return _invertible(self.rank, tuple(span[r] for r in self.rows))
 
     def inverse(self) -> "GLMatrix":
-        n = self.rank
-        aug = [self.rows[i] | (1 << (n + i)) for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r] >> col & 1)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            for r in range(n):
-                if r != col and aug[r] >> col & 1:
-                    aug[r] ^= aug[col]
-        return _invertible(n, tuple(row >> n for row in aug))  # the low n bits now hold the identity
+        span = _xor_span(self.rows)  # entry x is x @ M, so row i of the inverse is the x sent to e_i
+        return _invertible(self.rank, tuple(span.index(1 << i) for i in range(self.rank)))
 
     def row_bitstrings(self) -> tuple[str, ...]:
         return tuple("".join(str(r >> j & 1) for j in range(self.rank)) for r in self.rows)
@@ -498,8 +481,8 @@ def normalize_rank4(cv: CharVector) -> tuple[CharVector, GLMatrix]:
     # a nonzero alternating trilinear form on GF(2)^4 has a 1-dimensional radical
     (d,) = alpha_radical(cv) - {0}
     rows: list[int] = []
-    for cand in range(1, 16):
-        if len(rows) < 3 and gf2_rank(tuple(rows) + (cand, d)) == len(rows) + 2:
-            rows.append(cand)
-    g = GLMatrix(4, tuple(rows) + (d,))
+    for _ in range(3):  # each the least mask outside the span of d and the rows so far
+        spanned = _xor_span(rows + [d])
+        rows.append(min(set(range(16)).difference(spanned)))
+    g = _invertible(4, tuple(rows) + (d,))
     return gl_transform(cv, g), g

@@ -70,13 +70,7 @@ class FactorSet:
         shifts = [bytes(w ^ u for u in range(size)) for w in range(size)]  # w + u by u
         ones = as_int(b"\1" * size)
         signed = {s for row in phi for s in row} <= {1, -1}
-        # byte u of odd[z] is |z & codeword u| mod 2; on a span (as built) that is the low bit
-        # of the count of generators in u that z meets oddly, a sum of units (j: bit j of u)
-        gens = [cw[1 << j] for j in range(size.bit_length() - 1)]
-        units = [as_int(bytes(u >> j & 1 for u in range(size))) for j in range(len(gens))]
-        if list(cw) != _xor_span(gens):  # any other codewords: one unit per codeword
-            gens, units = list(cw), [1 << 8 * u for u in range(size)]
-        odd: dict[int, int] = {}
+        odd: dict[int, int] = {}  # byte u of odd[z] is |z & codeword u| mod 2
         bad: list[str] = []
         for v in range(size):
             if phi[v][v] != (-1 if (cw[v].bit_count() // 4) % 2 else 1):
@@ -88,7 +82,7 @@ class FactorSet:
                 if phi[v][w] != (-1 if (meet.bit_count() // 2) % 2 else 1) * phi[w][v]:
                     bad.append(f"symmetry twist wrong at ({v},{w})")
                 if meet not in odd:
-                    odd[meet] = sum(unit for g, unit in zip(gens, units) if (meet & g).bit_count() & 1) & ones
+                    odd[meet] = as_int(bytes((meet & c).bit_count() & 1 for c in cw))
                 row = rows[v ^ w] ^ as_int(shifts[w].translate(tables[v])) ^ rows[w]
                 if signed and row == odd[meet] ^ ones * tables[v][w]:
                     continue

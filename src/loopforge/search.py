@@ -246,10 +246,11 @@ def enumerate_reduced(
     """Every reduced representation with the given characteristic vector.
 
     Leaves stream straight from the walk; degenerate ones (empty or
-    dependent generators) are pruned silently.
+    dependent generators) are pruned silently.  A vector the walk cannot
+    take raises here, at the call, not at the first leaf.
     """
     _require_normalized(cv, max_class_size)
-    yield from _representations(cv, max_class_size)
+    return _representations(cv, max_class_size)
 
 
 @dataclass(frozen=True)

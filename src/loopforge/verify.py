@@ -204,6 +204,7 @@ def check_loop_laws(entry: catalog.ReferenceEntry) -> list[str]:
     as_int = partial(int.from_bytes, byteorder="little")
     meets = {x & y for x in cw for y in cw}
     flips = {m: as_int(bytes(half * ((m & w).bit_count() & 1) for w in cw) * 2) for m in meets}
+    rows = [as_int(row) for row in left]
     # each law's first counterexample in a, then b, then c order, or None; a sign
     # is wrong where the table's negation and the weight formula's parity disagree
     laws = {
@@ -217,7 +218,7 @@ def check_loop_laws(entry: catalog.ReferenceEntry) -> list[str]:
         ),
         "associator sign wrong at ({},{},{})": next(
             ((a, b, c) for a in ids for b in ids
-             if as_int(left[t[a][b]]) ^ as_int(left[b].translate(left[a])) != flips[v[a] & v[b]]
+             if rows[t[a][b]] ^ as_int(left[b].translate(left[a])) != flips[v[a] & v[b]]
              for c in ids
              if (t[t[a][b]][c] != t[a][t[b][c]]) != (v[a] & v[b] & v[c]).bit_count() & 1), None
         ),

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
-from loopforge.charvec import CharVector, GLMatrix, char_vector_of_meets, coordinates_by_mask
+from loopforge.charvec import CharVector, GLMatrix, coordinates_by_mask
+from loopforge.errors import NotDoublyEven, UnsupportedRank
 from loopforge.gf2 import CodeBasis, Codeword, class_order, gf2_rank, sigma_mask, superset_sums
 from loopforge.search import _walk_class_sizes
 
@@ -33,6 +35,20 @@ def random_doubly_even_basis(rng: random.Random, rank: int, length: int) -> Code
         if len(gens) == rank:
             return CodeBasis(length, tuple(Codeword(length, b) for b in gens))
     raise RuntimeError(f"no doubly even basis of rank {rank} found at length {length}")
+
+
+def char_vector_of_meets(meets) -> CharVector:
+    """The characteristic vector from the full meet-weight table, indexed by
+    coefficient mask as ``gf2.meet_weights`` gives it, by the rule itself:
+    lambda_i = (t_i/4) mod 2, lambda_ij = (t_ij/2) mod 2 and lambda_ijk = t_ijk
+    mod 2, and a set bit of t_s below bit 3 - |s| means the code is not doubly even."""
+    n = len(meets).bit_length() - 1
+    parts = [[meets[sum(1 << i for i in s)] for s in combinations(range(n), size)] for size in (1, 2, 3)]
+    if any(t % 4 for t in parts[0]) or any(t % 2 for t in parts[1]):
+        raise NotDoublyEven("characteristic vectors require a doubly even code")
+    if n < 2:
+        raise UnsupportedRank(f"characteristic vectors need rank at least 2, got {n}")
+    return CharVector(n, *(tuple(t >> low & 1 for t in part) for part, low in zip(parts, (2, 1, 0))))
 
 
 def random_covering_basis(rng: random.Random, rank: int, length: int) -> CodeBasis:

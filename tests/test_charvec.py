@@ -9,7 +9,13 @@ from math import comb
 
 import pytest
 
-from conftest import random_covering_basis, random_doubly_even_basis, random_gl, transform_basis
+from conftest import (
+    char_vector_of_meets,
+    random_covering_basis,
+    random_doubly_even_basis,
+    random_gl,
+    transform_basis,
+)
 from loopforge.catalog import ENTRIES
 from loopforge.charvec import (
     MAX_FORM_RANK,
@@ -20,7 +26,6 @@ from loopforge.charvec import (
     alpha_radical,
     canonicalize,
     char_vector_of,
-    char_vector_of_meets,
     enumerate_nonassociative,
     eval_alpha,
     eval_beta,
@@ -230,13 +235,13 @@ def test_singular_matrix_rejected():
 
 
 def test_glmatrix_inverse_and_product(rng):
-    for n in (3, 4):
-        for _ in range(20):
-            g = random_gl(rng, n)
-            assert (g * g.inverse()).rows == GLMatrix.identity(n).rows
+    # the library reads both off a span table; the reference is row-by-row apply
+    for n in (1, 2, 3, 4):
+        identity = GLMatrix.identity(n)
+        for g in gl_group(n):
+            assert (g * g.inverse()).rows == (g.inverse() * g).rows == identity.rows
             h = random_gl(rng, n)
-            x = rng.getrandbits(n)
-            assert (g * h).apply(x) == h.apply(g.apply(x))
+            assert (g * h).rows == tuple(h.apply(r) for r in g.rows)
 
 
 def test_gl_transform_is_a_right_action(rng):
@@ -357,12 +362,22 @@ def test_normalize_recovers_orbit(rng):
 
 def test_normalize_rank4_normalizes_every_rank4_vector():
     # the library does not re-check its result: the radical generator comes
-    # last, so alpha vanishes on every triple that holds it
+    # last, so alpha vanishes on every triple that holds it.  The rows are the
+    # greedy choice written out here: each candidate 1..15 in turn, kept while
+    # it raises the rank, so every normalized vector (and each minimal search
+    # or stream started from one) is the same whichever way the span is tested
     for cv in enumerate_nonassociative(4):
         normalized, witness = normalize_rank4(cv)
         assert normalized.is_normalized
         assert gl_transform(cv, witness) == normalized
         assert loop_class(normalized) == loop_class(cv)
+        assert witness == GLMatrix(4, witness.rows)  # the constructor re-ranks the rows
+        (d,) = alpha_radical(cv) - {0}
+        greedy: list[int] = []
+        for cand in range(1, 16):
+            if len(greedy) < 3 and gf2_rank(tuple(greedy) + (cand, d)) == len(greedy) + 2:
+                greedy.append(cand)
+        assert witness.rows == tuple(greedy) + (d,)
 
 
 def test_normalize_requires_nonassociative():

@@ -11,7 +11,13 @@ from math import comb
 import pytest
 
 import loopforge.search as search
-from conftest import meets_of_counts, random_doubly_even_basis, reference_walk, walked_counts
+from conftest import (
+    char_vector_of_meets,
+    meets_of_counts,
+    random_doubly_even_basis,
+    reference_walk,
+    walked_counts,
+)
 from loopforge.catalog import (
     ENTRIES,
     WORKED_EXAMPLE_GENERATORS,
@@ -23,10 +29,10 @@ from loopforge.charvec import (
     LoopClassId,
     canonicalize,
     char_vector_of,
-    char_vector_of_meets,
     representative,
 )
 from loopforge.errors import (
+    AssociativeLoop,
     DegenerateBasis,
     InfeasibleProfile,
     NotDoublyEven,
@@ -243,11 +249,14 @@ def test_large_bound_stream_keeps_its_memory_small(bound, leaves):
 
 
 def test_enumerate_requires_normalized():
+    # a vector the walk cannot take raises at the call, before any leaf is read
     skewed = CharVector(4, (0,) * 4, (0,) * 6, (0, 1, 0, 0))
-    with pytest.raises(ValueError):
-        list(enumerate_reduced(skewed))
+    with pytest.raises(ValueError, match="normalize the vector first"):
+        enumerate_reduced(skewed)
+    with pytest.raises(AssociativeLoop):
+        enumerate_reduced(CharVector(4, (0,) * 4, (0,) * 6, (0,) * 4))
     with pytest.raises(UnsupportedRank):
-        list(enumerate_reduced(CharVector(5, (0,) * 5, (0,) * 10, (1,) + (0,) * 9)))
+        enumerate_reduced(CharVector(5, (0,) * 5, (0,) * 10, (1,) + (0,) * 9))
 
 
 def test_minimal_c4_1_degree_8():

@@ -154,6 +154,53 @@ def test_readme_library_example_runs():
     assert names["sizes"].counts == (1,) * 7
 
 
+def _readme_names() -> list[str]:
+    """Backticked tokens of README.md outside fenced blocks that are dotted or
+    underscored identifiers (a test's parametrize id stripped); flags, file
+    paths, claim names and expressions are not."""
+    text = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.M | re.S)
+    tokens = (re.sub(r"\[.*\]$", "", token) for token in re.findall(r"`([^`]+)`", text))
+    return [
+        token for token in tokens
+        if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", token) and re.search(r"[._]", token)
+        and not token.endswith(".py")
+    ]
+
+
+def test_readme_names_only_what_exists():
+    # a name the README puts in backticks must still be there: an attribute of
+    # the package, a submodule or a library class, a builtin, or a test
+    import builtins
+    import importlib
+    import pkgutil
+
+    import loopforge
+
+    submodules = pkgutil.iter_modules(loopforge.__path__)
+    modules = [loopforge, builtins] + [importlib.import_module(f"loopforge.{m.name}") for m in submodules]
+    tests = {
+        node.name
+        for path in (ROOT / "tests").glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+    }
+
+    def resolves(token: str) -> bool:
+        head, *rest = token.split(".")
+        roots = [getattr(m, head) for m in modules if hasattr(m, head)]
+        roots += [loopforge] if head == "loopforge" else []
+        for obj in roots:
+            for attr in rest:
+                obj = getattr(obj, attr, None)
+            if obj is not None:
+                return True
+        return token in tests
+
+    names = _readme_names()
+    assert {"GLMatrix.inverse", "bytes.translate", "__getattr__"} <= set(names)
+    assert [token for token in names if not resolves(token)] == []
+
+
 def test_code_signature_enumerates_gl4_once(monkeypatch):
     # the benchmark's charvec.gl_group_s samples come from the label actions that
     # canonical_code_signature builds; a rewrite that drops the call must fail here
