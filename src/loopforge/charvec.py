@@ -27,10 +27,9 @@ not the library, check it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 from typing import Iterator
 
@@ -60,11 +59,6 @@ def orbit_representatives(n: int) -> tuple[str, ...]:
     except KeyError:
         ranks = " or ".join(map(str, REPRESENTATIVES))
         raise UnsupportedRank(f"classified loops have rank {ranks}, got {n}") from None
-
-
-def shorthand_alpha(n: int) -> tuple[int, ...]:
-    """The alpha part the shorthand omits: lambda_123 = 1, every other zero."""
-    return (1,) + (0,) * (comb(n, 3) - 1)
 
 
 def nonassociative_count(n: int) -> int:
@@ -105,48 +99,52 @@ class LoopClassId:
             raise ValueError(f"bad loop id {quoted(text)}; expected e.g. C3_1 or C4_16") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CharVector:
     """Square, commutator and associator signs of an ordered generating set.
 
     Coordinates are bits in lexicographic order: sigma = (lambda_1..lambda_n),
     beta = (lambda_12, lambda_13, ..., lambda_(n-1)n), alpha = (lambda_123, ...).
+    They are held as one int, ``packed``, coordinate k of ``bits()`` at bit k.
     """
 
     rank: int
-    sigma: tuple[int, ...]
-    beta: tuple[int, ...]
-    alpha: tuple[int, ...]
+    packed: int
 
-    def __post_init__(self) -> None:
-        n = self.rank
-        if n < 2:
+    def __init__(self, rank: int, sigma: tuple[int, ...], beta: tuple[int, ...], alpha: tuple[int, ...]) -> None:
+        if rank < 2:
             raise ValueError("rank must be at least 2")
-        if len(self.sigma) != n or len(self.beta) != comb(n, 2):
+        if len(sigma) != rank or len(beta) != comb(rank, 2):
             raise ValueError("wrong coordinate count")
-        if len(self.alpha) != comb(n, 3):
+        if len(alpha) != comb(rank, 3):
             raise ValueError("wrong associator coordinate count")
-        for part in (self.sigma, self.beta, self.alpha):
-            if any(b not in (0, 1) for b in part):
-                raise ValueError("coordinates must be bits")
+        coordinates = (*sigma, *beta, *alpha)
+        if any(b not in (0, 1) for b in coordinates):
+            raise ValueError("coordinates must be bits")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "packed", sum(1 << k for k, b in enumerate(coordinates) if b))
+
+    sigma = property(lambda self: tuple(map(int, self.bits()[: self.rank])))
+    beta = property(lambda self: tuple(map(int, self.bits()[self.rank : self.rank + comb(self.rank, 2)])))
+    alpha = property(lambda self: tuple(map(int, self.bits()[self.rank + comb(self.rank, 2) :])))
 
     @property
     def nonassociative(self) -> bool:
-        return any(self.alpha)
+        return self.packed >> self.rank + comb(self.rank, 2) != 0
 
     @property
     def is_normalized(self) -> bool:
-        """True when the rank is classified and alpha is ``shorthand_alpha``."""
-        return self.rank in REPRESENTATIVES and self.alpha == shorthand_alpha(self.rank)
+        """True when the rank is classified and alpha is (1, 0, ..., 0): lambda_123 alone."""
+        return self.rank in REPRESENTATIVES and self.packed >> self.rank + comb(self.rank, 2) == 1
 
     def bits(self) -> str:
-        return "".join(str(b) for b in self.sigma + self.beta + self.alpha)
+        return format(self.packed, f"0{len(coordinate_masks(self.rank))}b")[::-1]
 
     def shorthand(self) -> str:
         """Compact bitstring with the conventional alpha coordinates omitted."""
         if not self.is_normalized:
             raise ValueError("only normalized rank-3/4 vectors have a shorthand form")
-        return "".join(str(b) for b in self.sigma + self.beta)
+        return self.bits()[: self.rank + comb(self.rank, 2)]
 
     @classmethod
     def from_shorthand(cls, rank: int, text: str) -> "CharVector":
@@ -154,20 +152,24 @@ class CharVector:
         want = rank + comb(rank, 2)
         if len(text) != want or set(text) - {"0", "1"}:
             raise ValueError(f"rank-{rank} shorthand needs {want} bits, got {quoted(text)}")
-        return cls.from_bits(rank, text + "".join(map(str, shorthand_alpha(rank))))
+        return _vector(rank, int(text[::-1], 2) | 1 << want)  # alpha: lambda_123 = 1
 
     @classmethod
     def from_bits(cls, rank: int, text: str) -> "CharVector":
         want = len(coordinate_masks(rank))
         if len(text) != want or set(text) - {"0", "1"}:
             raise ValueError(f"rank-{rank} full form needs {want} bits, got {quoted(text)}")
-        return _unpack(rank, int(text[::-1], 2))
+        if rank < 2:
+            raise ValueError("rank must be at least 2")
+        return _vector(rank, int(text[::-1], 2))
 
 
-def _unpack(n: int, packed: int) -> CharVector:
-    """The rank-n vector whose coordinate k is bit k of ``packed`` (``_pack`` inverts it)."""
-    bits = tuple(packed >> k & 1 for k in range(len(coordinate_masks(n))))
-    return CharVector(n, bits[:n], bits[n : n + comb(n, 2)], bits[n + comb(n, 2) :])
+def _vector(n: int, packed: int) -> CharVector:
+    """The rank-n vector whose coordinate k is bit k of ``packed``, unchecked."""
+    cv = object.__new__(CharVector)
+    object.__setattr__(cv, "rank", n)
+    object.__setattr__(cv, "packed", packed)
+    return cv
 
 
 def char_vector_of(basis: CodeBasis) -> CharVector:
@@ -187,7 +189,7 @@ def char_vector_of(basis: CodeBasis) -> CharVector:
         packed |= (t >> low & 1) << k
     if basis.rank < 2:
         raise UnsupportedRank(f"characteristic vectors need rank at least 2, got {basis.rank}")
-    return _unpack(basis.rank, packed)
+    return _vector(basis.rank, packed)
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +205,26 @@ def _check_mask(x: int, n: int) -> None:
 
 def coordinates_by_mask(cv: CharVector) -> list[int]:
     """Entry s is the coordinate lambda_s for 1 <= |s| <= 3, else 0."""
-    lam = dict(zip(coordinate_masks(cv.rank), cv.sigma + cv.beta + cv.alpha))
+    lam = dict(zip(coordinate_masks(cv.rank), map(int, cv.bits())))
     return [lam.get(s, 0) for s in range(1 << cv.rank)]
 
 
 @lru_cache(maxsize=1024)
 def _squares(cv: CharVector) -> tuple[int, ...]:
     """S[x] = sigma(x) for every mask x: the xor of the coordinates lambda_s
-    over the nonempty s within x, |s| <= 3, by one subset-sum pass."""
+    over the nonempty s within x, |s| <= 3."""
     n = cv.rank
     if n > MAX_FORM_RANK:
         raise UnsupportedRank(f"forms are evaluated up to rank {MAX_FORM_RANK}, got {n}")
-    S = coordinates_by_mask(cv)
+    return tuple(_subset_xor(coordinates_by_mask(cv), n))
+
+
+def _subset_xor(T: list[int], n: int) -> list[int]:
+    """Entry x becomes the xor of the entries at the masks within x, one pass
+    per bit; over GF(2) the transform is its own inverse."""
     for b in (1 << i for i in range(n)):  # add in the value at x without b
-        S = [s ^ S[x ^ b] if x & b else s for x, s in enumerate(S)]
-    return tuple(S)
+        T = [t ^ T[x ^ b] if x & b else t for x, t in enumerate(T)]
+    return T
 
 
 def _beta(S: tuple[int, ...], x: int, y: int) -> int:
@@ -271,14 +278,6 @@ class GLMatrix:
     def identity(cls, n: int) -> "GLMatrix":
         return cls(n, tuple(1 << i for i in range(n)))
 
-    def apply(self, x: int) -> int:
-        """Row-vector action x -> x @ M (xor of the rows selected by x)."""
-        out = 0
-        for i in range(self.rank):
-            if x >> i & 1:
-                out ^= self.rows[i]
-        return out
-
     def __mul__(self, other: "GLMatrix") -> "GLMatrix":
         """Composition with row-vector convention: x @ (M * N) = (x @ M) @ N."""
         if self.rank != other.rank:
@@ -315,15 +314,14 @@ def gl_group(n: int) -> tuple[GLMatrix, ...]:
 
 
 def gl_transform(cv: CharVector, g: GLMatrix) -> CharVector:
-    """Characteristic vector of the same loop w.r.t. the generating set g rows."""
+    """Characteristic vector of the same loop w.r.t. the generating set g rows:
+    its square form is x -> sigma(x @ g), and ``_subset_xor`` of that table
+    holds its coordinates."""
     if g.rank != cv.rank:
         raise ValueError(f"rank mismatch: vector {cv.rank}, matrix {g.rank}")
     S = _squares(cv)
-    rows = g.rows
-    sigma = tuple(S[r] for r in rows)
-    beta = tuple(_beta(S, x, y) for x, y in combinations(rows, 2))
-    alpha = tuple(_alpha(S, x, y, z) for x, y, z in combinations(rows, 3))
-    return CharVector(cv.rank, sigma, beta, alpha)
+    lam = _subset_xor([S[y] for y in _xor_span(g.rows)], cv.rank)
+    return _vector(cv.rank, sum(lam[s] << k for k, s in enumerate(coordinate_masks(cv.rank))))
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +337,10 @@ def enumerate_nonassociative(n: int) -> Iterator[CharVector]:
             yield CharVector.from_bits(n, format(word, f"0{length}b"))
 
 
-def _pack(cv: CharVector) -> int:
-    """The coordinates of ``cv.bits()`` as one int, coordinate k at bit k."""
-    return sum(bit << k for k, bit in enumerate(cv.sigma + cv.beta + cv.alpha))
-
-
 def _packed_action(g: GLMatrix) -> list[int]:
     """``gl_transform(., g)`` on every packed vector, built from the images
     of the unit vectors because the action is GF(2)-linear."""
-    units = (_unpack(g.rank, 1 << k) for k in range(len(coordinate_masks(g.rank))))
-    return _xor_span([_pack(gl_transform(unit, g)) for unit in units])
+    return _xor_span([gl_transform(_vector(g.rank, 1 << k), g).packed for k in range(len(coordinate_masks(g.rank)))])
 
 
 @lru_cache(maxsize=None)
@@ -358,46 +350,52 @@ def representative(class_id: LoopClassId) -> CharVector:
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(n: int) -> dict[int, int]:
-    """Map every packed nonassociative vector (``_pack``) to its class index,
+def _orbit_table(n: int) -> dict[int, LoopClassId]:
+    """Map every nonassociative vector, by ``packed``, to its class id,
     walking each representative's orbit breadth-first under two generators of
     GL(n,2) applied through their action tables."""
     unit = tuple(1 << i for i in range(n))
     transvection = GLMatrix(n, (unit[0] | unit[1],) + unit[1:])
     shift = GLMatrix(n, unit[1:] + unit[:1])
     generators = (_packed_action(transvection), _packed_action(shift))
-    table: dict[int, int] = {}
+    table: dict[int, LoopClassId] = {}
     for index in range(1, len(orbit_representatives(n)) + 1):
-        orbit = [_pack(representative(LoopClassId(n, index)))]
-        table[orbit[0]] = index
+        class_id = LoopClassId(n, index)
+        orbit = [representative(class_id).packed]
+        table[orbit[0]] = class_id
         for v in orbit:  # appended to while walked: a breadth-first queue
             for action in generators:
                 w = action[v]
                 if w not in table:
-                    table[w] = index
+                    table[w] = class_id
                     orbit.append(w)
     return table
 
 
 def orbit_sizes(n: int) -> dict[LoopClassId, int]:
     """Orbit cardinalities of the classified loops of rank n."""
-    sizes = Counter(_orbit_table(n).values())
-    return {LoopClassId(n, index): sizes[index] for index in sorted(sizes)}
+    # the table is filled class by class, so each class is one run of its values
+    return {class_id: len(list(run)) for class_id, run in groupby(_orbit_table(n).values())}
 
 
 @lru_cache(maxsize=None)
-def _rep_tables(rep: CharVector) -> tuple[list[int], list[int]]:
-    """The nonzero masks r of a representative's space as bitmask sets: by sigma(r), and as
-    odd[y] = {r : beta(r, y) = 1}, which give alpha(r, y, z) = beta(r, y ^ z) + beta(r, y) + beta(r, z)."""
-    size = 1 << rep.rank
+def _rep_tables(rep: CharVector) -> tuple[list[int], list[int], tuple]:
+    """What ``_first_matrix`` reads for rep.  The nonzero masks r of its space as bitmask sets: by
+    sigma(r), and as odd[y] = {r : beta(r, y) = 1}, which give alpha(r, y, z) = beta(r, y ^ z) +
+    beta(r, y) + beta(r, z).  Then per row i, the bit of ``packed`` that holds lambda_i, and
+    (j, bit) of each lambda_ij and (j, l, bit) of each lambda_ijl over later rows j < l."""
+    n, size = rep.rank, 1 << rep.rank
     S = _squares(rep)
-    by_sigma = [0, 0]
-    odd = [0] * size
+    by_sigma, odd = [0, 0], [0] * size
     for r in range(1, size):
         by_sigma[S[r]] |= 1 << r
         for y in range(size):
             odd[y] |= _beta(S, r, y) << r
-    return by_sigma, odd
+    at = coordinate_masks(n).index
+    plan = tuple((at(1 << i), tuple((j, at(1 << i | 1 << j)) for j in range(i + 1, n)),
+                  tuple((j, l, at(1 << i | 1 << j | 1 << l)) for j, l in combinations(range(i + 1, n), 2)))
+                 for i in range(n))
+    return by_sigma, odd, plan
 
 
 def _first_matrix(rep: CharVector, cv: CharVector) -> GLMatrix:
@@ -405,34 +403,36 @@ def _first_matrix(rep: CharVector, cv: CharVector) -> GLMatrix:
     chosen last to first, each the least mask outside the span of the later
     rows whose sigma, and beta and alpha with those rows, match cv's.  cv lies
     in the orbit of rep (``canonicalize`` asks for no other), so g exists."""
-    n = cv.rank
-    by_sigma, odd = _rep_tables(rep)
-    lam = coordinates_by_mask(cv)
+    n, packed = cv.rank, cv.packed
+    by_sigma, odd, plan = _rep_tables(rep)
     rows = [0] * n
 
-    def place(i: int, span: list[int]) -> bool:
+    def place(i: int, spanned: int) -> bool:
         if i < 0:
             return True
-        e = 1 << i
-        fits = by_sigma[lam[e]]  # masks 1 .. 2^n - 1 only, so complements below stay inside
-        for j in range(i + 1, n):
-            y = rows[j]
-            fits &= odd[y] if lam[e | 1 << j] else ~odd[y]
-            for k in range(j + 1, n):
-                a = odd[y ^ rows[k]] ^ odd[y] ^ odd[rows[k]]
-                fits &= a if lam[e | 1 << j | 1 << k] else ~a
-        for x in span:
-            fits &= ~(1 << x)
+        c, pairs, triples = plan[i]
+        fits = by_sigma[packed >> c & 1] & ~spanned  # masks 1 .. 2^n - 1 only, so complements below stay inside
+        for j, k in pairs:
+            fits &= odd[rows[j]] if packed >> k & 1 else ~odd[rows[j]]
+        for j, l, k in triples:
+            a = odd[rows[j] ^ rows[l]] ^ odd[rows[j]] ^ odd[rows[l]]
+            fits &= a if packed >> k & 1 else ~a
         while fits:  # ascending over the set bits
             low = fits & -fits
             fits ^= low
             rows[i] = r = low.bit_length() - 1
-            if place(i - 1, span + [x ^ r for x in span]):
+            if place(i - 1, _spanned_with(spanned, r)):
                 return True
         return False
 
-    place(n - 1, [0])
+    place(n - 1, 1)  # bit x of ``spanned``: x is in the span of the later rows
     return _invertible(n, tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def _spanned_with(spanned: int, r: int) -> int:
+    """The span bitmask ``spanned`` grown by the row r (bit x ^ r for each bit x)."""
+    return spanned | sum(1 << (x ^ r) for x in range(spanned.bit_length()) if spanned >> x & 1)
 
 
 def loop_class(cv: CharVector) -> LoopClassId:
@@ -440,7 +440,7 @@ def loop_class(cv: CharVector) -> LoopClassId:
     orbit_representatives(cv.rank)  # rejects unclassified ranks
     if not cv.nonassociative:
         raise AssociativeLoop("associative vector: every associator sign is trivial")
-    return LoopClassId(cv.rank, _orbit_table(cv.rank)[_pack(cv)])
+    return _orbit_table(cv.rank)[cv.packed]
 
 
 def canonicalize(cv: CharVector) -> tuple[LoopClassId, CharVector, GLMatrix]:

@@ -28,20 +28,15 @@ its own class).  ``solve_system`` is the Moebius inverse of the transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, compress
 from math import prod
 from typing import Iterator, Sequence
 
 from .charvec import CharVector, LoopClassId, coordinates_by_mask
 from .charvec import loop_class, orbit_representatives
-from .errors import (
-    AssociativeLoop,
-    InfeasibleProfile,
-    DegenerateBasis,
-    NotReduced,
-)
+from .errors import AssociativeLoop, DegenerateBasis, InfeasibleProfile, NotReduced
 from .gf2 import (
     CodeBasis,
     Codeword,
@@ -129,13 +124,14 @@ def assemble_representation(sizes: ClassSizes) -> CodeBasis:
     return CodeBasis(length, tuple(Codeword(length, b) for b in gen_bits))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)  # a plain __init__; equal and hashed by (counts, degree)
 class ReducedRepresentation:
     """One solved member of the reduced family of a loop: its class sizes in
     class_order and degree; sizes and type derived on read, basis cached."""
 
     counts: tuple[int, ...]
     degree: int
+    _basis: CodeBasis | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def sizes(self) -> ClassSizes:
@@ -145,10 +141,12 @@ class ReducedRepresentation:
     def type(self) -> tuple[int, ...]:
         return type_vector(self.counts)
 
-    @cached_property
+    @property
     def basis(self) -> CodeBasis:
         """The code laid out from ``sizes``, assembled when first read."""
-        return assemble_representation(self.sizes)
+        if self._basis is None:
+            self._basis = assemble_representation(self.sizes)
+        return self._basis
 
 
 def _require_normalized(cv: CharVector, max_class_size: int) -> None:
@@ -233,10 +231,11 @@ def _representations(
     cv: CharVector, max_size: int, limit: list[int] | None = None
 ) -> Iterator[ReducedRepresentation]:
     """The leaves of the walk whose labels span GF(2)^n, under ``limit``."""
-    spanning = lru_cache(maxsize=None)(  # per label set
-        lambda labels: gf2_rank([m for m in range(labels.bit_length()) if labels >> m & 1]) == cv.rank)
+    spanning: dict[int, bool] = {}  # per label set
     for counts, degree, labels in _walk_class_sizes(cv, max_size, limit):
-        if spanning(labels):
+        if (spans := spanning.get(labels)) is None:
+            spans = spanning[labels] = gf2_rank([m for m in range(labels.bit_length()) if labels >> m & 1]) == cv.rank
+        if spans:
             yield ReducedRepresentation(counts, degree)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -35,6 +36,11 @@ def random_doubly_even_basis(rng: random.Random, rank: int, length: int) -> Code
         if len(gens) == rank:
             return CodeBasis(length, tuple(Codeword(length, b) for b in gens))
     raise RuntimeError(f"no doubly even basis of rank {rank} found at length {length}")
+
+
+def shorthand_alpha(n: int) -> tuple[int, ...]:
+    """The alpha part the shorthand omits: lambda_123 = 1, every other zero."""
+    return (1,) + (0,) * (comb(n, 3) - 1)
 
 
 def char_vector_of_meets(meets) -> CharVector:
@@ -78,6 +84,15 @@ def random_gl(rng: random.Random, n: int) -> GLMatrix:
         rows = tuple(rng.getrandbits(n) for _ in range(n))
         if gf2_rank(rows) == n:
             return GLMatrix(n, rows)
+
+
+def row_action(g: GLMatrix, x: int) -> int:
+    """x @ g by the definition: the xor of the rows of g that x selects."""
+    out = 0
+    for i, row in enumerate(g.rows):
+        if x >> i & 1:
+            out ^= row
+    return out
 
 
 def transform_basis(basis: CodeBasis, g: GLMatrix) -> CodeBasis:

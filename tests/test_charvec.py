@@ -14,6 +14,8 @@ from conftest import (
     random_covering_basis,
     random_doubly_even_basis,
     random_gl,
+    row_action,
+    shorthand_alpha,
     transform_basis,
 )
 from loopforge.catalog import ENTRIES
@@ -37,7 +39,6 @@ from loopforge.charvec import (
     normalize_rank4,
     orbit_representatives,
     representative,
-    shorthand_alpha,
 )
 from loopforge.errors import (
     AssociativeLoop,
@@ -235,13 +236,13 @@ def test_singular_matrix_rejected():
 
 
 def test_glmatrix_inverse_and_product(rng):
-    # the library reads both off a span table; the reference is row-by-row apply
+    # the library reads both off a span table; the reference is the row-by-row action
     for n in (1, 2, 3, 4):
         identity = GLMatrix.identity(n)
         for g in gl_group(n):
             assert (g * g.inverse()).rows == (g.inverse() * g).rows == identity.rows
             h = random_gl(rng, n)
-            assert (g * h).rows == tuple(h.apply(r) for r in g.rows)
+            assert (g * h).rows == tuple(row_action(h, r) for r in g.rows)
 
 
 def test_gl_transform_is_a_right_action(rng):
@@ -395,6 +396,63 @@ def test_shorthand_round_trip():
     with pytest.raises(ValueError):
         cv.shorthand()
     assert CharVector.from_bits(4, cv.bits()) == cv
+
+
+def test_every_packed_word_is_one_vector():
+    # coordinate k of ``bits()`` is bit k of ``packed``; the tuple constructor,
+    # ``from_bits`` and the flags read the same word
+    for n in (2, 3, 4):
+        length = n + comb(n, 2) + comb(n, 3)
+        for word in range(1 << length):
+            text = format(word, f"0{length}b")[::-1]
+            cv = CharVector.from_bits(n, text)
+            assert cv.packed == word and cv.bits() == text
+            assert cv.sigma + cv.beta + cv.alpha == tuple(map(int, text))
+            assert len(cv.sigma) == n and len(cv.beta) == comb(n, 2)
+            same = CharVector(n, cv.sigma, cv.beta, cv.alpha)
+            assert same == cv and hash(same) == hash(cv)
+            assert cv.nonassociative == any(cv.alpha)
+            assert cv.is_normalized == (n in REPRESENTATIVES and cv.alpha == shorthand_alpha(n))
+    for args, message in (
+        ((1, (1,), (), ()), "rank must be at least 2"),
+        ((3, (1, 1), (0, 0, 0), (1,)), "wrong coordinate count"),
+        ((3, (1, 1, 1), (0, 0), (1,)), "wrong coordinate count"),
+        ((3, (1, 1, 1), (0, 0, 0), ()), "wrong associator coordinate count"),
+        ((3, (1, 2, 1), (0, 0, 0), (1,)), "coordinates must be bits"),
+        ((3, (1, 1, 1), (0, 0, 0), ("1",)), "coordinates must be bits"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CharVector(*args)
+    for call, message in (
+        (lambda: CharVector.from_bits(3, "0101"), "rank-3 full form needs 7 bits, got '0101'"),
+        (lambda: CharVector.from_bits(3, "01012x1"), "rank-3 full form needs 7 bits, got '01012x1'"),
+        (lambda: CharVector.from_bits(1, "1"), "rank must be at least 2"),
+        (lambda: CharVector.from_shorthand(4, "0" * 9 + "_"), "rank-4 shorthand needs 10 bits, got '000000000_'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_classification_reads_no_coordinate_list(monkeypatch, rng):
+    # the class, representative and witness come off the packed word: after a
+    # warm pass, nothing on the path from text to witness lists coordinates
+    import loopforge.charvec as charvec
+
+    classes = [LoopClassId(n, i) for n, reps in REPRESENTATIVES.items() for i in range(1, len(reps) + 1)]
+    vectors = [gl_transform(representative(cid), g) for cid in classes for g in rng.sample(gl_group(cid.rank), 12)]
+    vectors += [normalize_rank4(cv)[0] for cv in vectors if cv.rank == 4]
+    texts = [f"full:{cv.bits()}" for cv in vectors] + [cv.shorthand() for cv in vectors if cv.is_normalized]
+    expected = [canonicalize(parse_lambda(text)) for text in texts]
+    assert {cid for cid, _, _ in expected} == set(classes)
+    charvec._squares.cache_clear()  # no form table of an input is left to reuse
+
+    def refuse(cv):
+        raise AssertionError(f"coordinate list of {cv.bits()} read")
+
+    monkeypatch.setattr(charvec, "coordinates_by_mask", refuse)
+    for text, (cid, rep, witness) in zip(texts, expected):
+        got_cid, got_rep, got_witness = canonicalize(parse_lambda(text))
+        assert (got_cid, got_rep, got_witness.rows) == (cid, rep, witness.rows)
 
 
 # -- rank conventions derived from n ------------------------------------------

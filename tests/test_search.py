@@ -513,6 +513,12 @@ def test_stream_assembles_no_basis_unless_read(monkeypatch):
     assert len(reps) == 5041 and calls == []
     assert reps[0].basis is reps[0].basis
     assert calls == [reps[0].sizes]
+    # a leaf is a value of (counts, degree), with a slot of its own for the basis
+    leaf = ReducedRepresentation(reps[0].counts, reps[0].degree)
+    assert leaf == reps[0] and hash(leaf) == hash(reps[0]) and leaf != reps[1]
+    assert leaf != ReducedRepresentation(leaf.counts, leaf.degree + 1)
+    assert leaf.basis is leaf.basis and leaf.basis == reps[0].basis
+    assert calls == [reps[0].sizes] * 2
 
 
 def test_stream_builds_no_sizes_or_type_unless_read(monkeypatch):
