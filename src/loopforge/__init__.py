@@ -11,8 +11,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "charvec": """CharVector GLMatrix LoopClassId alpha_radical canonicalize char_vector_of
-        enumerate_nonassociative eval_alpha eval_beta eval_sigma gl_group gl_transform
-        loop_class normalize_rank4 orbit_sizes representative""",
+        gl_group gl_transform loop_class normalize_rank4 orbit_sizes representative""",
     "gf2": """ClassPartition CodeBasis Codeword class_partition codes_equivalent
         is_doubly_even meet_weight meet_weights span type_vector weight""",
     "loops": "CodeLoop FactorSet build_factor_set build_loop is_moufang loops_isomorphic",

@@ -20,18 +20,19 @@ Changing the generating set by an invertible matrix pulls the three forms
 back along the row action, which is how the natural GL(n,2) action on
 characteristic vectors is computed here.  It is GF(2)-linear, so orbits are
 walked on packed vectors from fixed class representatives (nonassociative
-loops of rank 3 and 4 fall into 5 and 16 orbits).  A witness is built row by
-row from the vector's coordinates, so it is exact by construction; the tests,
-not the library, check it.
+loops of rank 3 and 4 fall into 5 and 16 orbits) into one class byte per
+packed vector.  A witness is built row by row from the vector's coordinates,
+so it is exact by construction; the tests, not the library, check it.  Each
+is kept in 2 bytes per packed vector once found.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import combinations
 from math import comb
-from typing import Iterator
 
 from .errors import AssociativeLoop, NotDoublyEven, NotInvertible
 from .errors import UnsupportedRank, quoted
@@ -198,11 +199,6 @@ def char_vector_of(basis: CodeBasis) -> CharVector:
 MAX_FORM_RANK = 10  # the square table of a vector has 2^rank entries
 
 
-def _check_mask(x: int, n: int) -> None:
-    if not 0 <= x < (1 << n):
-        raise ValueError(f"coefficient mask {x} outside rank-{n} space")
-
-
 def coordinates_by_mask(cv: CharVector) -> list[int]:
     """Entry s is the coordinate lambda_s for 1 <= |s| <= 3, else 0."""
     lam = dict(zip(coordinate_masks(cv.rank), map(int, cv.bits())))
@@ -233,26 +229,6 @@ def _beta(S: tuple[int, ...], x: int, y: int) -> int:
 
 def _alpha(S: tuple[int, ...], x: int, y: int, z: int) -> int:
     return S[x ^ y ^ z] ^ S[x ^ y] ^ S[x ^ z] ^ S[y ^ z] ^ S[x] ^ S[y] ^ S[z]
-
-
-def eval_alpha(cv: CharVector, x: int, y: int, z: int) -> int:
-    """Associator form: the third difference of the square form."""
-    for m in (x, y, z):
-        _check_mask(m, cv.rank)
-    return _alpha(_squares(cv), x, y, z)
-
-
-def eval_beta(cv: CharVector, x: int, y: int) -> int:
-    """Commutator form: the second difference of the square form."""
-    _check_mask(x, cv.rank)
-    _check_mask(y, cv.rank)
-    return _beta(_squares(cv), x, y)
-
-
-def eval_sigma(cv: CharVector, x: int) -> int:
-    """Square form, cubic in x."""
-    _check_mask(x, cv.rank)
-    return _squares(cv)[x]
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +304,6 @@ def gl_transform(cv: CharVector, g: GLMatrix) -> CharVector:
 # Orbit enumeration and canonicalization
 
 
-def enumerate_nonassociative(n: int) -> Iterator[CharVector]:
-    """All characteristic vectors of nonassociative loops of a classified rank."""
-    orbit_representatives(n)  # rejects unclassified ranks
-    length, alphas = len(coordinate_masks(n)), 1 << comb(n, 3)
-    for word in range(1 << length):  # ``bits()`` ascending; alpha is the low C(n,3) bits
-        if word % alphas:
-            yield CharVector.from_bits(n, format(word, f"0{length}b"))
-
-
 def _packed_action(g: GLMatrix) -> list[int]:
     """``gl_transform(., g)`` on every packed vector, built from the images
     of the unit vectors because the action is GF(2)-linear."""
@@ -350,32 +317,47 @@ def representative(class_id: LoopClassId) -> CharVector:
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(n: int) -> dict[int, LoopClassId]:
-    """Map every nonassociative vector, by ``packed``, to its class id,
-    walking each representative's orbit breadth-first under two generators of
-    GL(n,2) applied through their action tables."""
+def _orbit_table(n: int) -> bytearray:
+    """Byte v is the class index of the vector packed as v, 0 for an
+    associative one.  Each representative's orbit is walked breadth-first
+    under two generators of GL(n,2), applied through their action tables,
+    which are dropped after the walk.  Unclassified ranks build nothing."""
+    reps = orbit_representatives(n)
     unit = tuple(1 << i for i in range(n))
     transvection = GLMatrix(n, (unit[0] | unit[1],) + unit[1:])
     shift = GLMatrix(n, unit[1:] + unit[:1])
     generators = (_packed_action(transvection), _packed_action(shift))
-    table: dict[int, LoopClassId] = {}
-    for index in range(1, len(orbit_representatives(n)) + 1):
-        class_id = LoopClassId(n, index)
-        orbit = [representative(class_id).packed]
-        table[orbit[0]] = class_id
+    table = bytearray(1 << len(coordinate_masks(n)))
+    for index, short in enumerate(reps, start=1):
+        orbit = [CharVector.from_shorthand(n, short).packed]
+        table[orbit[0]] = index
         for v in orbit:  # appended to while walked: a breadth-first queue
             for action in generators:
                 w = action[v]
-                if w not in table:
-                    table[w] = class_id
+                if not table[w]:
+                    table[w] = index
                     orbit.append(w)
     return table
 
 
+@lru_cache(maxsize=None)
+def _class_ids(n: int) -> tuple[LoopClassId | None, ...]:
+    """Entry i is the class id of orbit-table byte i (None at 0, associative)."""
+    return (None, *(LoopClassId(n, i) for i in range(1, len(orbit_representatives(n)) + 1)))
+
+
+@lru_cache(maxsize=None)
+def _witness_table(n: int) -> array:
+    """Entry v is the witness ``canonicalize`` returns for the vector packed
+    as v, row i at bits n*i, or 0 until it is first asked for (an invertible
+    matrix has no zero row).  2 bytes per packed vector, filled lazily."""
+    return array("H", bytes(2 << len(coordinate_masks(n))))
+
+
 def orbit_sizes(n: int) -> dict[LoopClassId, int]:
     """Orbit cardinalities of the classified loops of rank n."""
-    # the table is filled class by class, so each class is one run of its values
-    return {class_id: len(list(run)) for class_id, run in groupby(_orbit_table(n).values())}
+    table = _orbit_table(n)
+    return {class_id: table.count(class_id.index) for class_id in _class_ids(n)[1:]}
 
 
 @lru_cache(maxsize=None)
@@ -436,11 +418,12 @@ def _spanned_with(spanned: int, r: int) -> int:
 
 
 def loop_class(cv: CharVector) -> LoopClassId:
-    """Class of a nonassociative vector of a classified rank (no witness)."""
-    orbit_representatives(cv.rank)  # rejects unclassified ranks
-    if not cv.nonassociative:
+    """Class of a nonassociative vector of a classified rank (no witness):
+    one byte of the orbit table."""
+    index = _orbit_table(cv.rank)[cv.packed]
+    if not index:
         raise AssociativeLoop("associative vector: every associator sign is trivial")
-    return _orbit_table(cv.rank)[cv.packed]
+    return _class_ids(cv.rank)[index]
 
 
 def canonicalize(cv: CharVector) -> tuple[LoopClassId, CharVector, GLMatrix]:
@@ -449,11 +432,17 @@ def canonicalize(cv: CharVector) -> tuple[LoopClassId, CharVector, GLMatrix]:
     Returns the class id, its fixed orbit representative, and a witness w
     with gl_transform(cv, w) equal to the representative (the inverse of the
     first matrix of (identity,) + gl_group(n) sending the representative to cv).
+    The witness is searched for once per vector and process, then read back
+    from its 2-byte entry of the witness table.
     """
     class_id = loop_class(cv)
     rep = representative(class_id)
-    g = GLMatrix.identity(cv.rank) if cv == rep else _first_matrix(rep, cv)
-    return class_id, rep, g.inverse()
+    n, witnesses = cv.rank, _witness_table(cv.rank)
+    word = witnesses[cv.packed]
+    if not word:
+        g = GLMatrix.identity(n) if cv == rep else _first_matrix(rep, cv)
+        word = witnesses[cv.packed] = sum(r << n * i for i, r in enumerate(g.inverse().rows))
+    return class_id, rep, _invertible(n, tuple(word >> n * i & ~(-1 << n) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------

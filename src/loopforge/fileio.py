@@ -70,14 +70,18 @@ def format_code(basis: CodeBasis) -> str:
     return "\n".join(lines) + "\n"
 
 
+# text length -> rank, per form: n + C(n,2) sign and commutator bits, plus
+# C(n,3) associator bits in full
+_RANKS = {full: {n + comb(n, 2) + (comb(n, 3) if full else 0): n for n in REPRESENTATIVES} for full in (False, True)}
+
+
 def parse_lambda(text: str) -> CharVector:
     """Parse shorthand or ``full:``-prefixed characteristic vector strings."""
     text = text.strip()
     full = text.startswith("full:")
     bits = text[len("full:") :] if full else text
     form = "full form" if full else "shorthand"
-    # n + C(n,2) sign and commutator bits, plus C(n,3) associator bits in full
-    ranks = {n + comb(n, 2) + (comb(n, 3) if full else 0): n for n in REPRESENTATIVES}
+    ranks = _RANKS[full]
     try:
         inferred = ranks.get(len(bits))
         if inferred is None:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -41,6 +42,37 @@ def random_doubly_even_basis(rng: random.Random, rank: int, length: int) -> Code
 def shorthand_alpha(n: int) -> tuple[int, ...]:
     """The alpha part the shorthand omits: lambda_123 = 1, every other zero."""
     return (1,) + (0,) * (comb(n, 3) - 1)
+
+
+def enumerate_nonassociative(n: int):
+    """Every rank-n characteristic vector with a nonzero alpha part, sigma
+    then beta then alpha, each ascending as a bitstring."""
+    for sigma, beta, alpha in product(*(product((0, 1), repeat=comb(n, size)) for size in (1, 2, 3))):
+        if any(alpha):
+            yield CharVector(n, sigma, beta, alpha)
+
+
+@lru_cache(maxsize=None)
+def _sigma_table(cv: CharVector) -> tuple[int, ...]:
+    """Entry x: the xor of the coordinates lambda_s over the nonempty s within x, |s| <= 3."""
+    masks = [sum(1 << i for i in s) for size in (1, 2, 3) for s in combinations(range(cv.rank), size)]
+    terms = [s for s, bit in zip(masks, cv.bits()) if bit == "1"]
+    return tuple(sum(s & x == s for s in terms) % 2 for x in range(1 << cv.rank))
+
+
+def eval_sigma(cv: CharVector, x: int) -> int:
+    """Square form sigma(x) = |u_x|/4 mod 2, by inclusion-exclusion over the coordinates."""
+    return _sigma_table(cv)[x]
+
+
+def eval_beta(cv: CharVector, x: int, y: int) -> int:
+    """Commutator form: beta(x, y) = sigma(x+y) + sigma(x) + sigma(y)."""
+    return eval_sigma(cv, x ^ y) ^ eval_sigma(cv, x) ^ eval_sigma(cv, y)
+
+
+def eval_alpha(cv: CharVector, x: int, y: int, z: int) -> int:
+    """Associator form: alpha(x, y, z) = beta(x+y, z) + beta(x, z) + beta(y, z)."""
+    return eval_beta(cv, x ^ y, z) ^ eval_beta(cv, x, z) ^ eval_beta(cv, y, z)
 
 
 def char_vector_of_meets(meets) -> CharVector:

@@ -18,6 +18,7 @@ import pytest
 
 import loopforge.catalog as catalog
 from conftest import (
+    enumerate_nonassociative,
     random_covering_basis,
     random_doubly_even_basis,
     random_gl,
@@ -29,7 +30,6 @@ from loopforge.charvec import (
     LoopClassId,
     canonicalize,
     char_vector_of,
-    enumerate_nonassociative,
     gl_transform,
     representative,
 )

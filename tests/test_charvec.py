@@ -11,6 +11,10 @@ import pytest
 
 from conftest import (
     char_vector_of_meets,
+    enumerate_nonassociative,
+    eval_alpha,
+    eval_beta,
+    eval_sigma,
     random_covering_basis,
     random_doubly_even_basis,
     random_gl,
@@ -27,11 +31,8 @@ from loopforge.charvec import (
     REPRESENTATIVES,
     alpha_radical,
     canonicalize,
+    _squares,
     char_vector_of,
-    enumerate_nonassociative,
-    eval_alpha,
-    eval_beta,
-    eval_sigma,
     gl_group,
     gl_transform,
     loop_class,
@@ -166,7 +167,7 @@ def test_forms_are_the_weights_of_the_span(rng):
         cv = char_vector_of(basis)
         u = [w.bits for w in span(basis)]
         for x, ux in enumerate(u):
-            assert eval_sigma(cv, x) == ux.bit_count() // 4 % 2
+            assert eval_sigma(cv, x) == _squares(cv)[x] == ux.bit_count() // 4 % 2
             for y, uy in enumerate(u):
                 assert eval_beta(cv, x, y) == (ux & uy).bit_count() // 2 % 2
                 for z, uz in enumerate(u):
@@ -177,14 +178,12 @@ def test_forms_refuse_ranks_above_the_table_cap():
     n = MAX_FORM_RANK
     assert n >= 5
     cv = CharVector(n, (1,) * n, (0,) * comb(n, 2), (0,) * comb(n, 3))
-    assert eval_sigma(cv, (1 << n) - 1) == n % 2
+    assert _squares(cv)[(1 << n) - 1] == n % 2
     # at rank 40 a table of 2^40 entries could not be built: refusing is quick
     for n in (MAX_FORM_RANK + 1, 40):
         cv = CharVector(n, (0,) * n, (0,) * comb(n, 2), (1,) + (0,) * (comb(n, 3) - 1))
         for call in (
-            lambda: eval_sigma(cv, 1),
-            lambda: eval_beta(cv, 1, 2),
-            lambda: eval_alpha(cv, 1, 2, 4),
+            lambda: _squares(cv),
             lambda: gl_transform(cv, GLMatrix.identity(n)),
             lambda: alpha_radical(cv),
         ):
@@ -266,8 +265,6 @@ def test_gl_group_sizes():
 def test_enumerate_counts():
     assert sum(1 for _ in enumerate_nonassociative(3)) == 64
     assert sum(1 for _ in enumerate_nonassociative(4)) == 15360
-    with pytest.raises(UnsupportedRank):
-        next(enumerate_nonassociative(5))
 
 
 def test_enumerate_nonassociative_keeps_its_order():
@@ -445,6 +442,7 @@ def test_classification_reads_no_coordinate_list(monkeypatch, rng):
     expected = [canonicalize(parse_lambda(text)) for text in texts]
     assert {cid for cid, _, _ in expected} == set(classes)
     charvec._squares.cache_clear()  # no form table of an input is left to reuse
+    charvec._witness_table.cache_clear()  # so the refused pass searches each witness again
 
     def refuse(cv):
         raise AssertionError(f"coordinate list of {cv.bits()} read")
@@ -503,8 +501,6 @@ def test_unclassified_ranks_are_rejected_everywhere():
         with pytest.raises(UnsupportedRank):
             canonicalize(cv)
         with pytest.raises(UnsupportedRank):
-            next(enumerate_nonassociative(n))
-        with pytest.raises(UnsupportedRank):
             minimal_representations(cv)
         assert not cv.is_normalized
 
@@ -552,14 +548,61 @@ def first_writer() -> dict[CharVector, tuple[int, tuple[int, ...]]]:
     return table
 
 
-def test_canonicalize_matches_the_full_group_sweep(first_writer):
-    for cv, (index, rows) in first_writer.items():
-        cid, rep, witness = canonicalize(cv)
-        assert cid == LoopClassId(cv.rank, index)
-        assert rep == CharVector.from_shorthand(cv.rank, REPRESENTATIVES[cv.rank][index - 1])
-        assert witness.rows == GLMatrix(cv.rank, rows).inverse().rows
-        assert witness == GLMatrix(cv.rank, witness.rows)  # built without re-ranking
-        assert gl_transform(cv, witness) == rep  # the library does not re-check it
+def test_canonicalize_matches_the_full_group_sweep(first_writer, monkeypatch):
+    # the first pass searches every witness and stores it, the second reads
+    # every one back from the witness table, with the search refused
+    import loopforge.charvec as charvec
+
+    charvec._orbit_table.cache_clear()
+    charvec._witness_table.cache_clear()
+    for sweep in ("search", "read back"):
+        for cv, (index, rows) in first_writer.items():
+            cid, rep, witness = canonicalize(cv)
+            assert cid == LoopClassId(cv.rank, index)
+            assert rep == CharVector.from_shorthand(cv.rank, REPRESENTATIVES[cv.rank][index - 1])
+            assert witness.rows == GLMatrix(cv.rank, rows).inverse().rows, sweep
+            assert witness == GLMatrix(cv.rank, witness.rows)  # built without re-ranking
+            assert gl_transform(cv, witness) == rep  # the library does not re-check it
+        monkeypatch.setattr(charvec, "_first_matrix", lambda rep, cv: pytest.fail("witness searched again"))
+    for n in (3, 4):  # one witness per nonassociative vector, none elsewhere
+        assert [bool(w) for w in charvec._witness_table(n)] == [bool(c) for c in charvec._orbit_table(n)]
+
+
+def test_classification_tables_are_packed():
+    # one byte of class index and two bytes of witness per packed vector
+    import loopforge.charvec as charvec
+
+    for n, length in ((3, 7), (4, 14)):
+        classes, witnesses = charvec._orbit_table(n), charvec._witness_table(n)
+        assert type(classes) is bytearray and len(classes) == 1 << length
+        assert witnesses.typecode == "H" and witnesses.itemsize == 2 and len(witnesses) == 1 << length
+        assert classes.count(0) == (1 << length) - nonassociative_count(n)
+
+
+def test_orbits_and_loop_build_no_witness_table(capsys):
+    import loopforge.charvec as charvec
+    from loopforge.cli import main
+
+    charvec._witness_table.cache_clear()
+    for argv in (["orbits", "--rank", "3"], ["orbits", "--rank", "4"], ["loop", "--loop", "C4_16"],
+                 ["loop", "--lambda", "000111", "--format", "json"]):
+        assert main(argv) == 0, argv
+        assert charvec._witness_table.cache_info().currsize == 0, argv
+    assert main(["classify", "--loop", "C4_16"]) == 0
+    assert charvec._witness_table.cache_info().currsize == 1
+    capsys.readouterr()
+
+
+def test_orbit_sizes_rejects_unclassified_ranks_first(monkeypatch):
+    # no generator action is built for a rank without representatives: at
+    # rank 5 one would hold 2^25 entries
+    import loopforge.charvec as charvec
+
+    monkeypatch.setattr(charvec, "_packed_action", lambda g: pytest.fail("action table built"))
+    for n in (0, 1, 2, 5, 6):
+        with pytest.raises(UnsupportedRank, match=f"got {n}$"):
+            charvec.orbit_sizes(n)
+    assert charvec.orbit_sizes(3) == {LoopClassId(3, i): size for i, size in enumerate((1, 7, 7, 21, 28), 1)}
 
 
 def test_loop_class_is_the_class_of_canonicalize(first_writer):
