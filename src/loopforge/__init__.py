@@ -13,8 +13,8 @@ _EXPORTS = {
     "charvec": """CharVector GLMatrix LoopClassId alpha_radical canonicalize char_vector_of
         gl_group gl_transform loop_class normalize_rank4 orbit_sizes representative""",
     "gf2": """ClassPartition CodeBasis Codeword class_partition codes_equivalent
-        is_doubly_even meet_weight meet_weights span type_vector weight""",
-    "loops": "CodeLoop FactorSet build_factor_set build_loop is_moufang loops_isomorphic",
+        is_doubly_even meet_weights span type_vector weight""",
+    "loops": "CodeLoop FactorSet build_factor_set build_loop is_moufang",
     "search": """ClassSizes MinimalReport ReducedRepresentation assemble_representation
         enumerate_reduced minimal_representations solve_system""",
 }

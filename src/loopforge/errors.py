@@ -31,10 +31,6 @@ class DomainError(LoopforgeError):
     """Input violates a mathematical precondition."""
 
 
-class EmptyMeet(DomainError):
-    """Intersection of an empty collection of codewords."""
-
-
 class NotCovering(DomainError):
     """Generators do not cover all ambient positions."""
 

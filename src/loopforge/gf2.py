@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations, compress, count, repeat
 from typing import Iterable, Sequence
 
-from .errors import DegenerateBasis, EmptyMeet, NotCovering, UnsupportedRank, clipped, quoted
+from .errors import DegenerateBasis, NotCovering, UnsupportedRank, clipped, quoted
 
 Sigma = tuple[int, ...]
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -94,17 +94,6 @@ class Codeword:
 def weight(v: Codeword) -> int:
     """Hamming weight |v|."""
     return v.weight
-
-
-def meet_weight(vs: Sequence[Codeword]) -> int:
-    """Cardinality of the intersection of all given codewords."""
-    if not vs:
-        raise EmptyMeet("meet of an empty collection")
-    bits = vs[0].bits
-    for v in vs[1:]:
-        vs[0]._check_length(v)
-        bits &= v.bits
-    return bits.bit_count()
 
 
 def gf2_rank(rows: Sequence[int]) -> int:

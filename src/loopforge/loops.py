@@ -18,8 +18,9 @@ loops*, J. Algebra 100, 1986)
 
 theta is linear in x, so for each y it is the parity of x & rows[y].  Any
 other valid phi differs from this one by a coboundary and gives an isomorphic
-loop.  ``FactorSet.axiom_violations`` checks all four axioms exhaustively, in
-the tests and the ``loop-laws`` claim of ``verify-paper``, not in the build.
+loop.  The build checks no axiom: on the loop table they are the square,
+commutator and associator sign laws, which the ``loop-laws`` claim of
+``verify-paper`` checks exhaustively (``verify.check_loop_laws``).
 
 ``CodeLoop`` numbers (e, v) as id = sign bit * |V| | mask of v, the sign bit set
 for e = -1, so a ^ b multiplies the signs and adds the codewords: the product of
@@ -31,9 +32,7 @@ identity compares composed maps, and the center is the commutant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from .charvec import char_vector_of, loop_class
 from .errors import NotDoublyEven, UnsupportedRank
 from .fileio import csv_text
 from .gf2 import Codeword, CodeBasis, _xor_span, is_doubly_even, meet_weights
@@ -53,44 +52,6 @@ class FactorSet:
     @property
     def size(self) -> int:
         return len(self.codewords)
-
-    def axiom_violations(self) -> list[str]:
-        """Exhaustive check of all four axioms; empty list means a valid table.
-
-        With bit 1 for -1, the cocycle axiom says that phi(v+w, u), phi(v, w+u) and
-        phi(w, u) xor to phi(v, w) plus |v & w & u| mod 2.  That is one compare per
-        (v, w), over all u at once; cells are scanned only in a row that fails, or in
-        all rows of a table with an entry other than +1 and -1."""
-        cw, phi = self.codewords, self.signs
-        size = len(cw)
-        as_int = partial(int.from_bytes, byteorder="little")
-        # row x as a translate table u -> bit of phi(x, u) and as an int, a byte per u
-        tables = [bytes(s == -1 for s in row).ljust(256, b"\0") for row in phi]
-        rows = [as_int(table[:size]) for table in tables]
-        shifts = [bytes(w ^ u for u in range(size)) for w in range(size)]  # w + u by u
-        ones = as_int(b"\1" * size)
-        signed = {s for row in phi for s in row} <= {1, -1}
-        odd: dict[int, int] = {}  # byte u of odd[z] is |z & codeword u| mod 2
-        bad: list[str] = []
-        for v in range(size):
-            if phi[v][v] != (-1 if (cw[v].bit_count() // 4) % 2 else 1):
-                bad.append(f"square sign wrong at v={v}")
-            if phi[0][v] != 1 or phi[v][0] != 1:
-                bad.append(f"identity row/column wrong at v={v}")
-            for w in range(size):
-                meet = cw[v] & cw[w]
-                if phi[v][w] != (-1 if (meet.bit_count() // 2) % 2 else 1) * phi[w][v]:
-                    bad.append(f"symmetry twist wrong at ({v},{w})")
-                if meet not in odd:
-                    odd[meet] = as_int(bytes((meet & c).bit_count() & 1 for c in cw))
-                row = rows[v ^ w] ^ as_int(shifts[w].translate(tables[v])) ^ rows[w]
-                if signed and row == odd[meet] ^ ones * tables[v][w]:
-                    continue
-                for u in range(size):
-                    sign = -1 if (cw[v] & cw[w] & cw[u]).bit_count() % 2 else 1
-                    if phi[v ^ w][u] != phi[v][w ^ u] * phi[v][w] * phi[w][u] * sign:
-                        bad.append(f"cocycle axiom fails at ({v},{w},{u})")
-        return bad
 
 
 def build_factor_set(basis: CodeBasis) -> FactorSet:
@@ -218,11 +179,6 @@ def is_moufang(loop: CodeLoop) -> bool:
         left[t[t[x][y]][x]] == lx.translate(left[y]).translate(lx)
         for x, lx in enumerate(left) for y in range(loop.order)
     )
-
-
-def loops_isomorphic(a: CodeBasis, b: CodeBasis) -> bool:
-    """Classification-level isomorphism: equal orbit class ids."""
-    return loop_class(char_vector_of(a)) == loop_class(char_vector_of(b))
 
 
 def loop_table_csv(loop: CodeLoop) -> str:

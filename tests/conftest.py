@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import comb
+from operator import and_
 
 import pytest
 
@@ -87,6 +88,11 @@ def char_vector_of_meets(meets) -> CharVector:
     if n < 2:
         raise UnsupportedRank(f"characteristic vectors need rank at least 2, got {n}")
     return CharVector(n, *(tuple(t >> low & 1 for t in part) for part, low in zip(parts, (2, 1, 0))))
+
+
+def meet_weight(masks) -> int:
+    """|v_1 & ... & v_k| of the given codeword masks, by definition."""
+    return reduce(and_, masks).bit_count()
 
 
 def random_covering_basis(rng: random.Random, rank: int, length: int) -> CodeBasis:
@@ -228,8 +234,8 @@ def moufang_by_definition(loop) -> bool:
 
 def axiom_violations_by_definition(fs) -> list[str]:
     """The four factor-set axioms checked one cell at a time, the reference for
-    ``FactorSet.axiom_violations``, which compares a whole row of the cocycle
-    axiom per (v, w) and scans cells only in a row that fails."""
+    ``verify.check_loop_laws``, which reads them as the square, commutator and
+    associator sign laws of the loop table built from ``fs``."""
     cw = fs.codewords
     phi = fs.signs
     size = len(cw)

@@ -11,7 +11,7 @@ from conftest import moufang_by_definition
 import loopforge.catalog as catalog
 import loopforge.verify as verify
 from loopforge.charvec import LoopClassId, loop_class, nonassociative_count, orbit_sizes
-from loopforge.loops import FactorSet, is_moufang
+from loopforge.loops import CodeLoop, FactorSet, build_factor_set, is_moufang
 from loopforge.verify import (
     ClaimResult,
     CLAIMS,
@@ -137,12 +137,27 @@ def test_orbit_claim_reports_a_missing_orbit(monkeypatch):
 
 
 def test_loop_laws_claim_reports_factor_set_axiom_violations(monkeypatch):
-    monkeypatch.setattr(FactorSet, "axiom_violations", lambda self: ["cocycle axiom fails at (1,2,3)"])
+    # one sign of C3_1's factor set flipped: phi(2, 5) no longer equals the
+    # twist times phi(5, 2), which the claim reads off the loop's rows
+    target = catalog.ENTRIES["C3_1"]
+    build = verify.build_loop
+
+    def tampered(basis):
+        if basis != target.basis():
+            return build(basis)
+        fs = build_factor_set(basis)
+        signs = [list(row) for row in fs.signs]
+        signs[2][5] = -signs[2][5]
+        return CodeLoop(FactorSet(fs.basis, fs.codewords, tuple(map(tuple, signs))))
+
+    monkeypatch.setattr(verify, "build_loop", tampered)
     (res,) = run_claims(only="loop-laws")
     assert not res.passed
-    first = (catalog.RANK3 + catalog.RANK4)[0].loop
-    assert res.mismatches[0] == f"{first}: factor set failed: 1 axiom violations, first: cocycle axiom fails at (1,2,3)"
-    assert len(res.mismatches) == len(catalog.RANK3) + len(catalog.RANK4)
+    assert res.mismatches == (
+        "C3_1: Moufang identity fails",
+        "C3_1: commutator sign wrong at (2,5)",
+        "C3_1: associator sign wrong at (1,2,5)",
+    )
 
 
 @pytest.mark.parametrize(
