@@ -22,6 +22,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from loopforge.catalog import ENTRIES
 from loopforge.cli import main
 from loopforge.fileio import format_code
@@ -118,11 +120,26 @@ def test_cli_output_matches_the_golden_table():
     assert mismatched == []
 
 
+# all 131,040 representations of C4_1 at the default bound; the table above
+# pins rank-4 streams at bound 3 only
+FULL_BOUND_DIGESTS = {
+    "csv": "5e90859a18a4c275b451b48f717d38cd64ecc074ad1facd8f27a4e7f62594d3d",
+    "json": "45bd2eae348e65816963b4e17fc2570501b44d466aa2413175d7221401c5deee",
+    "text": "2bf65a120396ad7afa14b2b68320bbfa8990a44de75c1f0ed027475cbfdc2fd9",
+}
+
+
 def test_full_bound_csv_stream_keeps_its_digest():
-    # all 131,040 representations of C4_1 at the default bound; the table
-    # above pins rank-4 streams at bound 3 only
     argv = ["enumerate", "--loop", "C4_1", "--format", "csv"]
-    sha = "5e90859a18a4c275b451b48f717d38cd64ecc074ad1facd8f27a4e7f62594d3d"
+    sha = FULL_BOUND_DIGESTS["csv"]
+    assert _run(argv) == {"argv": argv, "exit": 0, "stdout_sha256": sha, "stderr": ""}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_full_bound_record_stream_keeps_its_digest(fmt):
+    # json and text lay out every leaf's generators and sizes
+    argv = ["enumerate", "--loop", "C4_1", "--format", fmt]
+    sha = FULL_BOUND_DIGESTS[fmt]
     assert _run(argv) == {"argv": argv, "exit": 0, "stdout_sha256": sha, "stderr": ""}
 
 
