@@ -15,7 +15,7 @@ _EXPORTS = {
     "gf2": """ClassPartition CodeBasis Codeword class_partition codes_equivalent
         is_doubly_even meet_weights span type_vector weight""",
     "loops": "CodeLoop FactorSet build_factor_set build_loop is_moufang",
-    "search": """ClassSizes MinimalReport ReducedRepresentation assemble_representation
+    "search": """MinimalReport ReducedRepresentation assemble_representation
         enumerate_reduced minimal_representations solve_system""",
 }
 # each public name's module; a module name is its own home

@@ -106,13 +106,12 @@ def format_lambda(cv: CharVector) -> str:
 
 
 def representation_record(loop: LoopClassId | str, rep: ReducedRepresentation) -> dict[str, Any]:
-    sizes = rep.sizes
     return {
         "loop": str(loop),
         "degree": rep.degree,
         "type": list(rep.type),
-        "sizes": sizes.as_dict(),
-        "generators": [[p for r in blocks for p in r] for blocks in sizes.generator_blocks()],
+        "sizes": rep.as_dict(),
+        "generators": [[p for r in blocks for p in r] for blocks in rep.generator_blocks()],
     }
 
 

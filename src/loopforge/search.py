@@ -19,7 +19,8 @@ cells holding generator 1 (the head) come first; a later (tail) cell m reads the
 only through t_m mod its modulus, so heads with equal residues share a tail: while
 the limit cannot cut it, its first walk is recorded (4,096 rows in all) and replayed.
 A kept leaf (its labels span GF(2)^n, so its generators are nonzero and independent)
-holds its counts and degree; its sizes, type and code (cached) are derived on read.
+is a ``ReducedRepresentation``, as a ``solve_system`` result is: its counts and
+degree, with its type and code (cached) derived on read.
 Minimal representations come from branch and bound over the same walk: any
 branch whose partial degree exceeds the least degree found so far is cut, and
 tied least-degree leaves are deduplicated by code equivalence (a lone one is
@@ -52,25 +53,32 @@ from .gf2 import (
 REDUCED_MAX = 7
 
 
-@dataclass(frozen=True)
-class ClassSizes:
-    """Cardinalities x_sigma of the position classes, in class_order."""
+@dataclass(unsafe_hash=True, slots=True)  # a plain __init__; equal and hashed by (counts, degree)
+class ReducedRepresentation:
+    """A code fixed by its class sizes x_sigma (``counts``, in class_order) and
+    its degree, their sum; type derived on read, basis cached."""
 
-    rank: int
     counts: tuple[int, ...]
+    degree: int
+    _basis: CodeBasis | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != (1 << self.rank) - 1:
-            raise ValueError("one count per nonempty subset required")
-        if min(self.counts, default=0) < 0:
-            raise ValueError("counts must be nonnegative")
+    @property
+    def rank(self) -> int:
+        return len(self.counts).bit_length()  # 2^n - 1 counts
 
     def __getitem__(self, sigma: Sigma) -> int:
         return self.counts[class_order(self.rank).index(tuple(sigma))]
 
     @property
-    def degree(self) -> int:
-        return sum(self.counts)
+    def type(self) -> tuple[int, ...]:
+        return type_vector(self.counts)
+
+    @property
+    def basis(self) -> CodeBasis:
+        """The code laid out from the counts, assembled when first read."""
+        if self._basis is None:
+            self._basis = assemble_representation(self)
+        return self._basis
 
     def generator_blocks(self) -> list[list[range]]:
         """Per generator i, the 1-based position ranges of the classes holding
@@ -89,7 +97,7 @@ def _class_names(rank: int) -> tuple[str, ...]:
     return tuple("".join(map(str, sigma)) for sigma in class_order(rank))
 
 
-def solve_system(weights: Sequence[int], max_size: int = REDUCED_MAX) -> ClassSizes:
+def solve_system(weights: Sequence[int], max_size: int = REDUCED_MAX) -> ReducedRepresentation:
     """Class cardinalities from meet weights by coefficient mask (as
     ``gf2.meet_weights`` gives them, entry 0 unread), by Moebius inversion:
     x_sigma = sum over supersets tau of (-1)^|tau - sigma| t_tau.
@@ -108,45 +116,27 @@ def solve_system(weights: Sequence[int], max_size: int = REDUCED_MAX) -> ClassSi
             raise InfeasibleProfile(f"x_{name} = {x} < 0")
         if x > max_size:
             raise NotReduced(f"x_{name} = {x} > {max_size}")
-    return ClassSizes(n, counts)
+    return ReducedRepresentation(counts, sum(counts))
 
 
-def assemble_representation(sizes: ClassSizes) -> CodeBasis:
-    """Take the generators as unions of their blocks, ``sizes.generator_blocks()``.
+def assemble_representation(rep: ReducedRepresentation) -> CodeBasis:
+    """Take the generators as unions of their blocks, ``rep.generator_blocks()``.
 
-    Blocks follow the fixed labeling order, so equal sizes always rebuild the
-    identical basis.  Empty or dependent generators raise DegenerateBasis.
+    Blocks follow the fixed labeling order, so equal counts always rebuild the
+    identical basis.  Malformed counts raise ValueError; empty or dependent
+    generators raise DegenerateBasis.
     """
-    length = sizes.degree
+    counts, length = rep.counts, rep.degree
+    if len(counts) != (1 << rep.rank) - 1:
+        raise ValueError("one count per nonempty subset required")
+    if min(counts, default=0) < 0:
+        raise ValueError("counts must be nonnegative")
+    if sum(counts) != length:
+        raise ValueError(f"degree {length} is not the sum of the counts, {sum(counts)}")
     if length == 0:
         raise DegenerateBasis("empty representation")
-    gen_bits = [sum((1 << len(b)) - 1 << b.start - 1 for b in r) for r in sizes.generator_blocks()]
+    gen_bits = [sum((1 << len(b)) - 1 << b.start - 1 for b in r) for r in rep.generator_blocks()]
     return CodeBasis(length, tuple(Codeword(length, b) for b in gen_bits))
-
-
-@dataclass(unsafe_hash=True, slots=True)  # a plain __init__; equal and hashed by (counts, degree)
-class ReducedRepresentation:
-    """One solved member of the reduced family of a loop: its class sizes in
-    class_order and degree; sizes and type derived on read, basis cached."""
-
-    counts: tuple[int, ...]
-    degree: int
-    _basis: CodeBasis | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def sizes(self) -> ClassSizes:
-        return ClassSizes(len(self.counts).bit_length(), self.counts)  # 2^n - 1 counts
-
-    @property
-    def type(self) -> tuple[int, ...]:
-        return type_vector(self.counts)
-
-    @property
-    def basis(self) -> CodeBasis:
-        """The code laid out from ``sizes``, assembled when first read."""
-        if self._basis is None:
-            self._basis = assemble_representation(self.sizes)
-        return self._basis
 
 
 def _require_normalized(cv: CharVector, max_class_size: int) -> None:

@@ -14,7 +14,7 @@ import loopforge
 from loopforge.cli import main
 
 PUBLIC_NAMES = [
-    "CharVector", "ClassPartition", "ClassSizes", "CodeBasis", "CodeLoop", "Codeword",
+    "CharVector", "ClassPartition", "CodeBasis", "CodeLoop", "Codeword",
     "FactorSet", "GLMatrix", "LoopClassId", "MinimalReport", "ReducedRepresentation",
     "alpha_radical", "assemble_representation", "build_factor_set", "build_loop",
     "canonicalize", "char_vector_of", "charvec", "class_partition", "codes_equivalent",
@@ -39,7 +39,7 @@ HELP_DIGESTS = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 39
     assert sorted(loopforge.__all__) == PUBLIC_NAMES
 
 

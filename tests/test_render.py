@@ -14,7 +14,7 @@ from loopforge.catalog import ENTRIES
 from loopforge.errors import UnsupportedRank
 from loopforge.gf2 import CodeBasis, class_partition
 from loopforge.render import render_ascii, render_svg
-from loopforge.search import ClassSizes, assemble_representation
+from loopforge.search import ReducedRepresentation, assemble_representation
 
 
 def part_for(loop: str):
@@ -110,8 +110,8 @@ def test_render_output_is_pinned():
     # the catalog bases, and two codes too long for point labels
     parts = {name: part_for(name) for name in ENTRIES}
     for n, counts in ((3, (1, 3, 3, 7, 3, 7, 7)), (4, (0, 1, 0, 0, 3, 3, 2, 7, 0, 1, 0, 3, 0, 3, 2))):
-        sizes = ClassSizes(n, counts)
-        parts[f"rank {n}, degree {sizes.degree}"] = class_partition(assemble_representation(sizes))
+        rep = ReducedRepresentation(counts, sum(counts))
+        parts[f"rank {n}, degree {rep.degree}"] = class_partition(assemble_representation(rep))
     digests = {
         name: tuple(hashlib.sha256(draw(part).encode()).hexdigest()[:16] for draw in (render_ascii, render_svg))
         for name, part in parts.items()

@@ -50,7 +50,6 @@ from loopforge.gf2 import (
 )
 from loopforge.search import (
     REDUCED_MAX,
-    ClassSizes,
     MinimalReport,
     ReducedRepresentation,
     _walk_class_sizes,
@@ -72,7 +71,7 @@ def _incidence(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(p for p, tau in enumerate(order) if s <= set(tau)) for s in picked)
 
 
-def profile_from_sizes(sizes: ClassSizes) -> tuple[int, ...]:
+def profile_from_sizes(sizes: ReducedRepresentation) -> tuple[int, ...]:
     """Oracle for ``solve_system``: meet weights by coefficient mask, t_sigma =
     sum of x_tau over tau containing sigma (entry 0: the degree)."""
     return tuple(sum(sizes.counts[p] for p in cells) for cells in _incidence(sizes.rank))
@@ -165,7 +164,7 @@ def test_assemble_worked_example_byte_exact():
 
 
 def test_assemble_all_singletons_is_seven_point_basis():
-    sizes = ClassSizes(3, (1,) * 7)
+    sizes = ReducedRepresentation((1,) * 7, 7)
     basis = assemble_representation(sizes)
     assert tuple(g.positions for g in basis.generators) == (
         (1, 2, 3, 4),
@@ -178,7 +177,7 @@ def test_assemble_partition_round_trip(rng):
     for _ in range(30):
         rank = rng.choice((3, 4))
         counts = tuple(rng.randrange(0, 5) for _ in range((1 << rank) - 1))
-        sizes = ClassSizes(rank, counts)
+        sizes = ReducedRepresentation(counts, sum(counts))
         try:
             basis = assemble_representation(sizes)
         except DegenerateBasis:
@@ -187,13 +186,24 @@ def test_assemble_partition_round_trip(rng):
         assert tuple(part.sizes[sigma] for sigma in part.sizes) == counts
 
 
+def test_assemble_rejects_malformed_counts():
+    # hand-built counts are checked where they are laid out
+    with pytest.raises(ValueError, match="^one count per nonempty subset required$"):
+        assemble_representation(ReducedRepresentation((1,) * 6, 6))
+    with pytest.raises(ValueError, match="^counts must be nonnegative$"):
+        assemble_representation(ReducedRepresentation((2, 1, 1, 1, 1, 1, -1), 6))
+    with pytest.raises(ValueError, match="^degree 8 is not the sum of the counts, 7$"):
+        assemble_representation(ReducedRepresentation((1,) * 7, 8))
+    assert assemble_representation(ReducedRepresentation((1,) * 7, 7)).length == 7
+
+
 def test_enumerate_reduced_rank3_matches_vector():
     cv = representative(LoopClassId(3, 1))
     reps = list(enumerate_reduced(cv))
     assert reps, "the reduced family is never empty"
     for rep in reps:
         assert char_vector_of(rep.basis) == cv
-        assert max(rep.sizes.counts) <= 7
+        assert max(rep.counts) <= 7
         assert 7 <= rep.degree <= 49
 
 
@@ -325,10 +335,10 @@ def test_zero_patterns_decide_degeneracy(monkeypatch):
         patterns = [c for c in product((0, 8), repeat=(1 << rank) - 1) if any(c)]
         leaves = [(c, sum(c), sum(1 << m for m, x in zip(masks, c) if x)) for c in patterns]
         monkeypatch.setattr(search, "_walk_class_sizes", lambda *_: iter(leaves))
-        kept = {rep.sizes.counts for rep in search._representations(cv, 8)}
+        kept = {rep.counts for rep in search._representations(cv, 8)}
         for counts in patterns:
             try:
-                assemble_representation(ClassSizes(rank, counts))
+                assemble_representation(ReducedRepresentation(counts, sum(counts)))
             except DegenerateBasis:
                 degenerate += 1
                 assert counts not in kept
@@ -341,10 +351,10 @@ def test_zero_patterns_decide_degeneracy(monkeypatch):
 def test_kept_leaves_agree_with_their_assembled_code(loop):
     cv = representative(loop)
     bound = 7 if loop.rank == 3 else 4
-    reps = {rep.sizes.counts: rep for rep in enumerate_reduced(cv, bound)}
+    reps = {rep.counts: rep for rep in enumerate_reduced(cv, bound)}
     for counts in walked_counts(cv, bound):
         try:
-            basis = assemble_representation(ClassSizes(loop.rank, counts))
+            basis = assemble_representation(ReducedRepresentation(counts, sum(counts)))
         except DegenerateBasis:
             assert counts not in reps
             continue
@@ -413,7 +423,7 @@ def test_large_bound_stream_is_checked_leaf_by_leaf():
     cv = representative(LoopClassId(3, 1))
     leaves = list(walked_counts(cv, 15))
     assert len(leaves) == 4096
-    kept = {rep.sizes.counts for rep in enumerate_reduced(cv, 15)}
+    kept = {rep.counts for rep in enumerate_reduced(cv, 15)}
     for counts in leaves:
         assert (counts in kept) == (_leaf_by_transform(cv, counts) == "kept")
 
@@ -422,7 +432,7 @@ def _stream_digest(loop: LoopClassId, bound: int) -> tuple[int, str]:
     """Leaf count and SHA-256 prefix over (counts, degree, type) of the stream."""
     digest, count = hashlib.sha256(), 0
     for rep in enumerate_reduced(representative(loop), bound):
-        digest.update(repr((rep.sizes.counts, rep.degree, rep.type)).encode())
+        digest.update(repr((rep.counts, rep.degree, rep.type)).encode())
         count += 1
     return count, digest.hexdigest()[:16]
 
@@ -496,12 +506,12 @@ def test_default_bound_stream_of_every_rank4_loop_keeps_its_digest(loop):
     assert (count, digest.hexdigest()[:16]) == DEFAULT_BOUND_DIGESTS[str(loop)]
 
 
-def _count_assemblies(monkeypatch) -> list[ClassSizes]:
-    calls: list[ClassSizes] = []
+def _count_assemblies(monkeypatch) -> list[ReducedRepresentation]:
+    calls: list[ReducedRepresentation] = []
 
-    def counted(sizes: ClassSizes):
-        calls.append(sizes)
-        return assemble_representation(sizes)
+    def counted(rep: ReducedRepresentation):
+        calls.append(rep)
+        return assemble_representation(rep)
 
     monkeypatch.setattr(search, "assemble_representation", counted)
     return calls
@@ -512,19 +522,19 @@ def test_stream_assembles_no_basis_unless_read(monkeypatch):
     reps = list(enumerate_reduced(representative(LoopClassId(4, 1)), max_class_size=5))
     assert len(reps) == 5041 and calls == []
     assert reps[0].basis is reps[0].basis
-    assert calls == [reps[0].sizes]
+    assert calls == [reps[0]]
     # a leaf is a value of (counts, degree), with a slot of its own for the basis
     leaf = ReducedRepresentation(reps[0].counts, reps[0].degree)
     assert leaf == reps[0] and hash(leaf) == hash(reps[0]) and leaf != reps[1]
     assert leaf != ReducedRepresentation(leaf.counts, leaf.degree + 1)
     assert leaf.basis is leaf.basis and leaf.basis == reps[0].basis
-    assert calls == [reps[0].sizes] * 2
+    assert calls == [reps[0]] * 2
 
 
-def test_stream_builds_no_sizes_or_type_unless_read(monkeypatch):
-    # a leaf holds its counts and degree; its sizes, type and basis are
-    # derived only when read, and read the same values as built directly
-    calls = {"ClassSizes": 0, "type_vector": 0}
+def test_stream_builds_no_type_unless_read(monkeypatch):
+    # a leaf holds its counts and degree; its type and basis are derived
+    # only when read, and read the same values as built directly
+    calls = {"type_vector": 0}
 
     def counted(name, build):
         def wrapper(*args):
@@ -533,20 +543,19 @@ def test_stream_builds_no_sizes_or_type_unless_read(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(search, "ClassSizes", counted("ClassSizes", ClassSizes))
     monkeypatch.setattr(search, "type_vector", counted("type_vector", type_vector))
     sample, count = [], 0
     for rep in enumerate_reduced(representative(LoopClassId(4, 1))):
         count += 1
         if count % 4099 == 1:
             sample.append(rep)
-    assert count == 131040 and calls == {"ClassSizes": 0, "type_vector": 0}
+    assert count == 131040 and calls == {"type_vector": 0}
     for rep in sample:
-        sizes = ClassSizes(4, rep.counts)
-        assert rep.degree == sum(rep.counts)
-        assert rep.sizes == sizes
+        built = ReducedRepresentation(rep.counts, sum(rep.counts))
+        assert rep.degree == sum(rep.counts) and rep.rank == 4
+        assert rep == built
         assert rep.type == type_vector(rep.counts)
-        assert rep.basis == assemble_representation(sizes)
+        assert rep.basis == assemble_representation(built)
 
 
 @pytest.mark.parametrize("loop", ALL_LOOPS, ids=str)
@@ -564,7 +573,7 @@ def test_solve_round_trip_on_enumerated_representations():
     cv4 = representative(LoopClassId(4, 14))
     sample4 = [rep for rep in enumerate_reduced(cv4, max_class_size=3)][::11]
     for rep in sample3 + sample4:
-        assert solve_system(meet_weights(rep.basis.masks)) == rep.sizes
+        assert solve_system(meet_weights(rep.basis.masks)) == rep
 
 
 def test_type_determines_loop_among_minimal():

@@ -104,16 +104,24 @@ def test_benchmark_tracer_finds_every_function_it_wraps():
     # perfbench/tracer.py wraps library functions by module and name, so a
     # rename in src/ must fail here, not only in a traced benchmark run; the
     # wrapped loop checks are called too, so a method turned property or a
-    # changed signature fails here as well
+    # changed signature fails here as well, and the search and record calls,
+    # so a leaf that bypasses the module globals the tracer replaces fails too
     code = textwrap.dedent(
         """
         import sys; sys.path[:0] = ['perfbench', 'src']
         from tracer import Tracer
         tracer = Tracer(); tracer.install()
-        from loopforge import catalog, loops
+        from loopforge import catalog, charvec, fileio, loops, search
         loop = loops.build_loop(catalog.ENTRIES['C4_14'].basis())
         assert loops.is_moufang(loop) and loop.center() == (0, loop.half)
-        assert {name for name, _ in tracer.stats} >= {'loops.is_moufang', 'loops.center'}
+        c4_14, c3_2 = (charvec.representative(charvec.LoopClassId.parse(s)) for s in ('C4_14', 'C3_2'))
+        report = search.minimal_representations(c4_14)
+        stream = [(rep.type, rep.basis) for rep in search.enumerate_reduced(c3_2)]
+        fileio.representation_record(report.loop, report.representations[0])
+        assert ('search.assemble', 'search.minimal') in tracer.stats and stream
+        assert {name for name, _ in tracer.stats} >= {
+            'loops.is_moufang', 'loops.center', 'gf2.type_vector', 'search.enumerate', 'fileio.record'
+        }
         """
     )
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60)
