@@ -12,22 +12,23 @@ verification suite checks both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .gf2 import CodeBasis
+from .gf2 import CodeBasis, _Value
 
 
 def _r(a: int, b: int) -> tuple[int, ...]:
     return tuple(range(a, b + 1))
 
 
-@dataclass(frozen=True)
-class ReferenceEntry:
-    loop: str
-    degree: int
-    type: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
-    published_generators: tuple[tuple[int, ...], ...]
+class ReferenceEntry(_Value):
+    __slots__ = ("loop", "degree", "type", "generators", "published_generators")
+
+    def __init__(self, loop: str, degree: int, type: tuple[int, ...], generators: tuple[tuple[int, ...], ...],
+                 published_generators: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "loop", loop)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "published_generators", published_generators)
 
     @property
     def corrected(self) -> bool:

@@ -29,14 +29,13 @@ is kept in 2 bytes per packed vector once found.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .errors import AssociativeLoop, NotDoublyEven, NotInvertible
 from .errors import UnsupportedRank, quoted
-from .gf2 import CodeBasis, gf2_rank, _xor_span
+from .gf2 import CodeBasis, gf2_rank, _Value, _xor_span
 
 # Orbit representatives of the classified ranks, in the published class
 # order, as shorthand bitstrings (lambda_1..n, then lambda_ij in lexicographic
@@ -74,17 +73,17 @@ def coordinate_masks(n: int) -> tuple[int, ...]:
     return tuple(sum(1 << i for i in s) for size in (1, 2, 3) for s in combinations(range(n), size))
 
 
-@dataclass(frozen=True)
-class LoopClassId:
+class LoopClassId(_Value):
     """Identifier of a classified nonassociative loop, e.g. C3_5 or C4_16."""
 
-    rank: int
-    index: int
+    __slots__ = ("rank", "index")
 
-    def __post_init__(self) -> None:
-        limit = len(orbit_representatives(self.rank))
-        if not 1 <= self.index <= limit:
-            raise ValueError(f"index {self.index} outside 1..{limit} for rank {self.rank}")
+    def __init__(self, rank: int, index: int) -> None:
+        limit = len(orbit_representatives(rank))
+        if not 1 <= index <= limit:
+            raise ValueError(f"index {index} outside 1..{limit} for rank {rank}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "index", index)
 
     def __str__(self) -> str:
         return f"C{self.rank}_{self.index}"
@@ -100,8 +99,7 @@ class LoopClassId:
             raise ValueError(f"bad loop id {quoted(text)}; expected e.g. C3_1 or C4_16") from None
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CharVector:
+class CharVector(_Value):
     """Square, commutator and associator signs of an ordered generating set.
 
     Coordinates are bits in lexicographic order: sigma = (lambda_1..lambda_n),
@@ -109,8 +107,7 @@ class CharVector:
     They are held as one int, ``packed``, coordinate k of ``bits()`` at bit k.
     """
 
-    rank: int
-    packed: int
+    __slots__ = ("rank", "packed")
 
     def __init__(self, rank: int, sigma: tuple[int, ...], beta: tuple[int, ...], alpha: tuple[int, ...]) -> None:
         if rank < 2:
@@ -235,20 +232,19 @@ def _alpha(S: tuple[int, ...], x: int, y: int, z: int) -> int:
 # GL(n, 2)
 
 
-@dataclass(frozen=True)
-class GLMatrix:
+class GLMatrix(_Value):
     """Invertible matrix over GF(2); row i holds the coefficients of the i-th
     new basis vector, stored as an int mask."""
 
-    rank: int
-    rows: tuple[int, ...]
+    __slots__ = ("rank", "rows")
 
-    def __post_init__(self) -> None:
-        n = self.rank
-        if len(self.rows) != n or any(not 0 <= r < (1 << n) for r in self.rows):
+    def __init__(self, rank: int, rows: tuple[int, ...]) -> None:
+        if len(rows) != rank or any(not 0 <= r < (1 << rank) for r in rows):
             raise ValueError("need n row masks of width n")
-        if gf2_rank(self.rows) != n:
-            raise NotInvertible(f"singular matrix {self.rows}")
+        if gf2_rank(rows) != rank:
+            raise NotInvertible(f"singular matrix {rows}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def identity(cls, n: int) -> "GLMatrix":

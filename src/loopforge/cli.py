@@ -181,26 +181,13 @@ def cmd_enumerate(args: argparse.Namespace):
     from . import charvec, fileio, search
     cv = _resolve_vector(args, normalize=True)
     class_id = charvec.loop_class(cv)
+    encode = fileio.representation_encoder(class_id, args.format)
 
     def stream():
-        count = 0
-        min_degree: int | None = None
-        for rep in search.enumerate_reduced(cv, max_class_size=args.max_class_size):
-            count += 1
-            if min_degree is None or rep.degree < min_degree:
-                min_degree = rep.degree
-            if args.format == "csv":  # loop, degree and type, none needs quoting: no record built
-                yield f"{class_id},{rep.degree},{''.join(map(str, rep.type))}\n"
-                continue
-            record = fileio.representation_record(class_id, rep)
-            if args.format == "json":
-                yield fileio.dumps(record)
-            else:
-                gens = "; ".join(",".join(map(str, g)) for g in record["generators"])
-                yield (
-                    f"{record['loop']} degree={record['degree']} "
-                    f"type=({''.join(map(str, record['type']))}) generators: {gens}\n"
-                )
+        count, min_degree = 0, None
+        for count, rep in enumerate(search.enumerate_reduced(cv, max_class_size=args.max_class_size), 1):
+            min_degree = min(min_degree or rep.degree, rep.degree)  # a degree is at least 1
+            yield encode(rep)
         summary = {"loop": str(class_id), "count": count, "min_degree": min_degree}
         if args.format == "json":
             yield fileio.dumps({"summary": summary})
@@ -276,7 +263,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     results = verify.run_claims(only=args.only)
     code = EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
     if args.format == "json":
-        return fileio.dumps([vars(res) for res in results]), code
+        return fileio.dumps([{name: getattr(res, name) for name in res._fields} for res in results]), code
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"

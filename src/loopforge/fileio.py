@@ -13,11 +13,8 @@ coordinate form prefixed ``full:`` (C(n,3) more bits: 7 and 14).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from math import comb
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from .charvec import REPRESENTATIVES, CharVector, GLMatrix, LoopClassId
 from .errors import ParseError, clipped, quoted
@@ -115,6 +112,27 @@ def representation_record(loop: LoopClassId | str, rep: ReducedRepresentation) -
     }
 
 
+def representation_encoder(loop: LoopClassId, form: str) -> Callable[[ReducedRepresentation], str]:
+    """The line of a representation of the loop in an ``enumerate`` stream, written
+    from the counts; in json it is ``dumps(representation_record(loop, rep))``."""
+    if form == "csv":  # loop, degree and type: none needs quoting
+        return lambda rep: f"{loop},{rep.degree},{''.join(map(str, rep.type))}\n"
+    from .search import _class_names
+    names, runs = _class_names(loop.rank), {}  # runs: block -> its positions, formatted once
+    sizes = ",".join(f'"{names[k]}":{{{k}}}' for k in sorted(range(len(names)), key=names.__getitem__))
+
+    def generators(rep: ReducedRepresentation) -> list[str]:
+        return [",".join([runs.get(b) or runs.setdefault(b, ",".join(map(str, b))) for b in blocks if b])
+                for blocks in rep.generator_blocks()]
+
+    if form == "text":
+        return lambda rep: (f"{loop} degree={rep.degree} type=({''.join(map(str, rep.type))}) "
+                            f"generators: {'; '.join(generators(rep))}\n")
+    return lambda rep: (  # keys and sizes in sort_keys order
+        f'{{"degree":{rep.degree},"generators":[{",".join(f"[{g}]" for g in generators(rep))}],'
+        f'"loop":"{loop}","sizes":{{{sizes.format(*rep.counts)}}},"type":[{",".join(map(str, rep.type))}]}}\n')
+
+
 def minimal_report_record(report: MinimalReport) -> dict[str, Any]:
     return {
         "loop": str(report.loop),
@@ -139,11 +157,13 @@ def classify_record(
 
 
 def dumps(record: Any) -> str:
+    import json  # here, not at module level: a text or csv command never loads it
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def csv_text(rows: list[list[Any]]) -> str:
+    import csv
+    import io
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerows(rows)
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()

@@ -13,9 +13,9 @@ linearly, which is what ``codes_equivalent`` exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, count, repeat
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import DegenerateBasis, NotCovering, UnsupportedRank, clipped, quoted
@@ -24,18 +24,47 @@ Sigma = tuple[int, ...]
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class Codeword:
+class _Value:
+    """Fields: the ``__slots__`` without a leading underscore, set once by ``object.__setattr__``;
+    equal and hashed as their tuple within one class, shown as ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__  # called with the name alone
+
+    def __setstate__(self, state: tuple) -> None:  # copy and pickle: (None, the slots by name)
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._key(self)))})"
+
+
+class Codeword(_Value):
     """A subset of I_m = {1, ..., m}, stored as an int bitset (bit p-1 = position p)."""
 
-    length: int
-    bits: int
+    __slots__ = ("length", "bits")
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError(f"negative length {self.length}")
-        if self.bits < 0 or self.bits.bit_length() > self.length:
-            raise ValueError(f"bits out of range for length {self.length}")
+    def __init__(self, length: int, bits: int) -> None:
+        if length < 0:
+            raise ValueError(f"negative length {length}")
+        if bits < 0 or bits.bit_length() > length:
+            raise ValueError(f"bits out of range for length {length}")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_positions(cls, length: int, positions: Iterable[int]) -> "Codeword":
@@ -113,27 +142,27 @@ def gf2_rank(rows: Sequence[int]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class CodeBasis:
+class CodeBasis(_Value):
     """Ordered list of linearly independent generators of a code in GF(2)^m.
 
     Independence is checked eagerly: a zero generator or a dependent family
     is rejected with ``DegenerateBasis``.
     """
 
-    length: int
-    generators: tuple[Codeword, ...]
+    __slots__ = ("length", "generators")
 
-    def __post_init__(self) -> None:
-        if not self.generators:
+    def __init__(self, length: int, generators: tuple[Codeword, ...]) -> None:
+        if not generators:
             raise DegenerateBasis("a basis needs at least one generator")
-        for g in self.generators:
-            if g.length != self.length:
-                raise ValueError(f"generator length {g.length} != ambient length {self.length}")
+        for g in generators:
+            if g.length != length:
+                raise ValueError(f"generator length {g.length} != ambient length {length}")
             if g.bits == 0:
                 raise DegenerateBasis("zero generator")
-        if gf2_rank(self.masks) != len(self.generators):
+        if gf2_rank([g.bits for g in generators]) != len(generators):
             raise DegenerateBasis("generators are linearly dependent over GF(2)")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "generators", generators)
 
     @classmethod
     def from_positions(cls, length: int, generators: Iterable[Iterable[int]]) -> "CodeBasis":
@@ -213,8 +242,7 @@ def _lowest_unset(bits: int, limit: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(_Value):
     """Blocks of positions indistinguishable by generator membership.
 
     ``blocks`` holds one entry per nonempty subset sigma of I_n, in
@@ -222,9 +250,12 @@ class ClassPartition:
     be read off uniformly.
     """
 
-    length: int
-    rank: int
-    blocks: tuple[tuple[Sigma, Codeword], ...]
+    __slots__ = ("length", "rank", "blocks")
+
+    def __init__(self, length: int, rank: int, blocks: tuple[tuple[Sigma, Codeword], ...]) -> None:
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "blocks", blocks)
 
     def block(self, sigma: Sigma) -> Codeword:
         return dict(self.blocks)[tuple(sigma)]

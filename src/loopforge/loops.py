@@ -31,20 +31,20 @@ identity compares composed maps, and the center is the commutant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotDoublyEven, UnsupportedRank
 from .fileio import csv_text
-from .gf2 import Codeword, CodeBasis, _xor_span, is_doubly_even, meet_weights
+from .gf2 import Codeword, CodeBasis, _Value, _xor_span, is_doubly_even, meet_weights
 
 
-@dataclass(frozen=True)
-class FactorSet:
+class FactorSet(_Value):
     """Sign table over the span of a basis, keyed by coefficient masks."""
 
-    basis: CodeBasis
-    codewords: tuple[int, ...]
-    signs: tuple[tuple[int, ...], ...]
+    __slots__ = ("basis", "codewords", "signs")
+
+    def __init__(self, basis: CodeBasis, codewords: tuple[int, ...], signs: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "codewords", codewords)
+        object.__setattr__(self, "signs", signs)
 
     def value(self, v: int, w: int) -> int:
         return self.signs[v][w]

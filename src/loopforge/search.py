@@ -29,7 +29,6 @@ its own class).  ``solve_system`` is the Moebius inverse of the transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import prod
@@ -42,6 +41,7 @@ from .gf2 import (
     CodeBasis,
     Codeword,
     Sigma,
+    _Value,
     canonical_code_signature,
     class_order,
     gf2_rank,
@@ -53,14 +53,15 @@ from .gf2 import (
 REDUCED_MAX = 7
 
 
-@dataclass(unsafe_hash=True, slots=True)  # a plain __init__; equal and hashed by (counts, degree)
-class ReducedRepresentation:
+class ReducedRepresentation(_Value):
     """A code fixed by its class sizes x_sigma (``counts``, in class_order) and
     its degree, their sum; type derived on read, basis cached."""
 
-    counts: tuple[int, ...]
-    degree: int
-    _basis: CodeBasis | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("counts", "degree", "_basis")  # equal and hashed by (counts, degree)
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__  # mutable: the basis is cached on read
+
+    def __init__(self, counts: tuple[int, ...], degree: int) -> None:
+        self.counts, self.degree, self._basis = counts, degree, None  # _basis: CodeBasis | None
 
     @property
     def rank(self) -> int:
@@ -242,18 +243,21 @@ def enumerate_reduced(
     return _representations(cv, max_class_size)
 
 
-@dataclass(frozen=True)
-class MinimalReport:
+class MinimalReport(_Value):
     """Least-degree members of the reduced family, up to code equivalence.
 
     Minimality is certified within the reduced family only (class sizes at
     most ``max_class_size``); ``scope`` records that bound.
     """
 
-    loop: LoopClassId
-    degree: int
-    representations: tuple[ReducedRepresentation, ...]
-    max_class_size: int
+    __slots__ = ("loop", "degree", "representations", "max_class_size")
+
+    def __init__(self, loop: LoopClassId, degree: int, representations: tuple[ReducedRepresentation, ...],
+                 max_class_size: int) -> None:
+        object.__setattr__(self, "loop", loop)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "representations", representations)
+        object.__setattr__(self, "max_class_size", max_class_size)
 
     @property
     def types(self) -> tuple[tuple[int, ...], ...]:

@@ -10,7 +10,6 @@ exhibiting exactly the analyzed defects or if any other entry acquires one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 
@@ -27,7 +26,7 @@ from .charvec import (
     representative,
 )
 from .errors import LoopforgeError, quoted
-from .gf2 import class_order, codes_equivalent, is_doubly_even, meet_weights, sigma_mask
+from .gf2 import _Value, class_order, codes_equivalent, is_doubly_even, meet_weights, sigma_mask
 from .loops import _left_maps, build_loop, is_moufang
 from .search import MinimalReport, assemble_representation, minimal_representations, solve_system
 
@@ -41,12 +40,14 @@ MISPRINT_DIAGNOSES = {
 EXPECTED_MISPRINTS = tuple(MISPRINT_DIAGNOSES)
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    claim: str
-    passed: bool
-    detail: str
-    mismatches: tuple[str, ...] = ()
+class ClaimResult(_Value):
+    __slots__ = ("claim", "passed", "detail", "mismatches")
+
+    def __init__(self, claim: str, passed: bool, detail: str, mismatches: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "mismatches", mismatches)
 
 
 def _result(claim: str, detail: str, mismatches: list[str]) -> ClaimResult:

@@ -7,10 +7,13 @@ import pathlib
 import time
 
 import jsonschema
+import pytest
 
+from loopforge.charvec import LoopClassId, representative
 from loopforge.cli import build_parser, main
 from loopforge.errors import clipped
-from loopforge.search import REDUCED_MAX
+from loopforge.fileio import dumps, representation_encoder, representation_record
+from loopforge.search import REDUCED_MAX, enumerate_reduced
 from loopforge.verify import CLAIMS
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -153,6 +156,35 @@ def test_enumerate_rank3_loop(capsys):
     for record in records[:-1]:
         validate(record, "representation.schema.json")
     assert summary["count"] == len(records) - 1
+
+
+def _record_text_line(record: dict) -> str:
+    """The text line of an ``enumerate`` record, as it was written from the record."""
+    gens = "; ".join(",".join(map(str, g)) for g in record["generators"])
+    kind = "".join(map(str, record["type"]))
+    return f"{record['loop']} degree={record['degree']} type=({kind}) generators: {gens}\n"
+
+
+@pytest.mark.parametrize(
+    "loop, bound", [(f"C3_{i}", REDUCED_MAX) for i in range(1, 6)] + [("C3_1", 16), ("C4_2", 5), ("C4_16", 4)]
+)
+def test_enumerate_encoder_writes_each_record_line(loop, bound):
+    # the stream encoder formats from the counts, not through a record: over
+    # whole streams its lines equal the record's, and parse as schema records
+    # (C3_1 at bound 16 has two-digit sizes and three-digit positions)
+    class_id = LoopClassId.parse(loop)
+    as_json, as_text = (representation_encoder(class_id, form) for form in ("json", "text"))
+    schema = json.loads((SCHEMA_DIR / "representation.schema.json").read_text())
+    check = jsonschema.Draft202012Validator(schema).validate
+    count = 0
+    for rep in enumerate_reduced(representative(class_id), bound):
+        record = representation_record(class_id, rep)
+        line = as_json(rep)
+        assert line == dumps(record)
+        assert as_text(rep) == _record_text_line(record)
+        check(json.loads(line))
+        count += 1
+    assert count > 0
 
 
 def test_minimal_c4_14(capsys):

@@ -129,25 +129,31 @@ def test_benchmark_tracer_finds_every_function_it_wraps():
 
 
 def _loaded_modules(code: str) -> set[str]:
-    """The loopforge modules a fresh interpreter holds after running ``code``."""
-    loaded = "print(*sorted(m for m in sys.modules if m.startswith('loopforge')))"
-    script = f"import sys; sys.path[:0] = ['src']\n{code}\n{loaded}"
+    """The modules a fresh interpreter holds after running ``code``."""
+    script = f"import sys; sys.path[:0] = ['src']\n{code}\nprint(*sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.splitlines()[-1].split())
+
+
+def _package(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.startswith("loopforge")}
 
 
 def test_each_command_imports_only_what_it_runs():
     # a cold command compiles every module it imports, so the CLI loads a
     # module only when a command runs it; perfbench/tracer.py wraps functions
     # in the modules that importing cli and verify loads, render among them
-    assert _loaded_modules("import loopforge.cli") == {
+    assert _package(_loaded_modules("import loopforge.cli")) == {
         "loopforge", "loopforge.cli", "loopforge.errors", "loopforge.render"
     }
     classify = _loaded_modules("from loopforge.cli import main; main(['classify', '--loop', 'C4_3'])")
     assert not classify & {"loopforge.verify", "loopforge.loops", "loopforge.catalog", "loopforge.search"}
+    assert not classify & {"json", "csv"}  # a text command writes no record
     verify = _loaded_modules("from loopforge.cli import main; main(['verify-paper'])")
-    assert verify == {"loopforge"} | {f"loopforge.{p.stem}" for p in SOURCES if p.stem != "__init__"}
+    assert _package(verify) == {"loopforge"} | {f"loopforge.{p.stem}" for p in SOURCES if p.stem != "__init__"}
+    # every module is loaded, and none needs the decorator machinery (4 ms a command)
+    assert not verify & {"dataclasses", "inspect"}
 
 
 def test_readme_library_example_runs():

@@ -4,6 +4,8 @@ the constructor checks."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -11,9 +13,9 @@ import pytest
 from loopforge import catalog
 from loopforge.charvec import CharVector, GLMatrix, LoopClassId, representative
 from loopforge.errors import DegenerateBasis, NotInvertible, UnsupportedRank
-from loopforge.gf2 import ClassPartition, CodeBasis, Codeword, class_partition, meet_weights
+from loopforge.gf2 import ClassPartition, CodeBasis, Codeword, class_partition
 from loopforge.loops import FactorSet, build_factor_set
-from loopforge.search import MinimalReport, ReducedRepresentation, minimal_representations, solve_system
+from loopforge.search import MinimalReport, ReducedRepresentation, minimal_representations
 from loopforge.verify import ClaimResult
 
 
@@ -141,7 +143,17 @@ def test_fields_are_read_only(name):
     for field, value in zip(fields, _values(a)):
         with pytest.raises(AttributeError):
             setattr(a, field, value)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
     assert _values(a) == _values(make())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_copies_and_pickles_are_equal_values(name):
+    cls = CLASSES[name]
+    a = CASES[cls][1]()
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is cls and twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
 
 
 def test_reduced_representation_is_mutable_and_caches_its_basis():
