@@ -35,7 +35,7 @@ from math import comb
 
 from .errors import AssociativeLoop, NotDoublyEven, NotInvertible
 from .errors import UnsupportedRank, quoted
-from .gf2 import CodeBasis, gf2_rank, _Value, _xor_span
+from .gf2 import CodeBasis, gf2_rank, is_doubly_even, _Value, _xor_span
 
 # Orbit representatives of the classified ranks, in the published class
 # order, as shorthand bitstrings (lambda_1..n, then lambda_ij in lexicographic
@@ -171,22 +171,18 @@ def _vector(n: int, packed: int) -> CharVector:
 
 
 def char_vector_of(basis: CodeBasis) -> CharVector:
-    """Characteristic vector of a doubly even code basis, from meets of at most 3 generators.
-
-    The code is doubly even iff every t_i = 0 mod 4 and every t_ij is even,
-    since |v_x| = sum of t_i - 2 * sum of t_ij mod 4 over the i, j in x.
-    """
+    """Characteristic vector of a doubly even code basis, from meets of at most 3 generators:
+    lambda_s is bit 3 - |s| of t_s, and ``is_doubly_even`` has checked the bits below it clear."""
+    if not is_doubly_even(basis):
+        raise NotDoublyEven("characteristic vectors require a doubly even code")
+    if basis.rank < 2:
+        raise UnsupportedRank(f"characteristic vectors need rank at least 2, got {basis.rank}")
     meets = {0: -1}  # the empty meet: every position
     for i, mask in enumerate(basis.masks):
         meets.update([(x | 1 << i, bits & mask) for x, bits in meets.items() if x.bit_count() < 3])
     packed = 0
     for k, s in enumerate(coordinate_masks(basis.rank)):
-        t, low = meets[s].bit_count(), 3 - s.bit_count()  # lambda_s is bit low of t_s
-        if t % (1 << low):  # doubly even: no set bit below it
-            raise NotDoublyEven("characteristic vectors require a doubly even code")
-        packed |= (t >> low & 1) << k
-    if basis.rank < 2:
-        raise UnsupportedRank(f"characteristic vectors need rank at least 2, got {basis.rank}")
+        packed |= (meets[s].bit_count() >> 3 - s.bit_count() & 1) << k
     return _vector(basis.rank, packed)
 
 

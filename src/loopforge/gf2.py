@@ -111,18 +111,8 @@ class Codeword(_Value):
         self._check_length(other)
         return Codeword(self.length, self.bits | other.bits)
 
-    def pad(self, length: int) -> "Codeword":
-        if length < self.length:
-            raise ValueError("cannot shrink a codeword")
-        return Codeword(length, self.bits)
-
     def __repr__(self) -> str:
         return f"Codeword({self.length}, {self.positions})"
-
-
-def weight(v: Codeword) -> int:
-    """Hamming weight |v|."""
-    return v.weight
 
 
 def gf2_rank(rows: Sequence[int]) -> int:
@@ -183,10 +173,6 @@ class CodeBasis(_Value):
             bits |= g.bits
         return Codeword(self.length, bits)
 
-    @property
-    def covers(self) -> bool:
-        return self.support.weight == self.length
-
     def __repr__(self) -> str:
         gens = ", ".join(str(g.positions) for g in self.generators)
         return f"CodeBasis(m={self.length}, [{gens}])"
@@ -200,14 +186,13 @@ def _xor_span(vectors: Sequence[int]) -> list[int]:
     return out
 
 
-def span(basis: CodeBasis) -> tuple[Codeword, ...]:
-    """All 2^n linear combinations, indexed by coefficient mask (bit i-1 = v_i)."""
-    return tuple(Codeword(basis.length, b) for b in _xor_span(basis.masks))
-
-
 def is_doubly_even(basis: CodeBasis) -> bool:
-    """True iff every codeword of the span has weight divisible by 4."""
-    return all(w.weight % 4 == 0 for w in span(basis))
+    """True iff every codeword of the span has weight divisible by 4: iff every t_i = 0 mod 4
+    (x = e_i) and every t_ij is even (x = e_i + e_j), since by inclusion-exclusion, where a meet
+    of k generators counts (-2)^(k-1) times, |v_x| = sum of t_i - 2 * sum of t_ij mod 4 over x."""
+    masks = basis.masks
+    pairs = combinations(masks, 2)
+    return all(m.bit_count() % 4 == 0 for m in masks) and all((a & b).bit_count() % 2 == 0 for a, b in pairs)
 
 
 @lru_cache(maxsize=None)
@@ -266,10 +251,6 @@ class ClassPartition(_Value):
 
     def nonempty(self) -> tuple[tuple[Sigma, Codeword], ...]:
         return tuple((s, b) for s, b in self.blocks if b.bits)
-
-    def as_sets(self) -> frozenset[frozenset[int]]:
-        """The unlabeled partition of I_m (basis-independent)."""
-        return frozenset(frozenset(b.positions) for _, b in self.blocks if b.bits)
 
 
 def class_partition(basis: CodeBasis) -> ClassPartition:

@@ -46,9 +46,6 @@ class FactorSet(_Value):
         object.__setattr__(self, "codewords", codewords)
         object.__setattr__(self, "signs", signs)
 
-    def value(self, v: int, w: int) -> int:
-        return self.signs[v][w]
-
     @property
     def size(self) -> int:
         return len(self.codewords)
@@ -145,11 +142,6 @@ class CodeLoop:
     def associator(self, a: int, b: int, c: int) -> int:
         t = self.table
         return t[t[t[a][b]][c]][self.inverses[t[a][t[b][c]]]]
-
-    def is_associative(self) -> bool:
-        t = self.table
-        rng = range(self.order)
-        return all(t[t[x][y]][z] == t[x][t[y][z]] for x in rng for y in rng for z in rng)
 
     def center(self) -> tuple[int, ...]:
         """The commutant, the x whose row equals their column, is the center of a code

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb
-from operator import and_
+from operator import and_, xor
 
 import pytest
 
@@ -88,6 +88,20 @@ def char_vector_of_meets(meets) -> CharVector:
     if n < 2:
         raise UnsupportedRank(f"characteristic vectors need rank at least 2, got {n}")
     return CharVector(n, *(tuple(t >> low & 1 for t in part) for part, low in zip(parts, (2, 1, 0))))
+
+
+def span(basis: CodeBasis) -> tuple[Codeword, ...]:
+    """All 2^n codewords of the span by definition, indexed by coefficient mask
+    (bit i-1 = v_i): entry x is the xor of the generators that x picks.  The
+    library reads the weights it needs off the meets (``gf2.is_doubly_even``)."""
+    picks = [[x >> i & 1 for i in range(basis.rank)] for x in range(1 << basis.rank)]
+    return tuple(Codeword(basis.length, reduce(xor, compress(basis.masks, pick), 0)) for pick in picks)
+
+
+def blocks_as_sets(partition) -> frozenset[frozenset[int]]:
+    """The unlabeled partition of I_m, which no basis change moves: the
+    positions of each nonempty block."""
+    return frozenset(frozenset(block.positions) for _, block in partition.nonempty())
 
 
 def meet_weight(masks) -> int:
@@ -223,6 +237,13 @@ def center_by_definition(loop) -> tuple[int, ...]:
             for z in ids
         )
     )
+
+
+def associative_by_definition(loop) -> bool:
+    """(x y) z = x (y z) cell by cell, over all order^3 triples.  ``loop`` reads
+    associativity off the characteristic vector (alpha = 0) instead."""
+    t, ids = loop.table, loop.elements()
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x in ids for y in ids for z in ids)
 
 
 def moufang_by_definition(loop) -> bool:

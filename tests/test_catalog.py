@@ -24,7 +24,7 @@ def test_reference_bases_have_claimed_degree_and_type():
     for entry in RANK3 + RANK4:
         basis = entry.basis()
         assert basis.length == entry.degree
-        assert basis.covers
+        assert basis.support.weight == basis.length
         assert type_vector(class_partition(basis).sizes.values()) == entry.type
 
 

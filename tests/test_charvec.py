@@ -20,6 +20,7 @@ from conftest import (
     random_gl,
     row_action,
     shorthand_alpha,
+    span,
     transform_basis,
 )
 from loopforge.catalog import ENTRIES
@@ -48,7 +49,7 @@ from loopforge.errors import (
     UnsupportedRank,
 )
 from loopforge.fileio import parse_lambda
-from loopforge.gf2 import CodeBasis, gf2_rank, is_doubly_even, meet_weights, span
+from loopforge.gf2 import CodeBasis, gf2_rank, is_doubly_even, meet_weights
 
 V1_R3 = CodeBasis.from_positions(7, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7)])
 V5_R3 = CodeBasis.from_positions(
@@ -95,7 +96,7 @@ def test_doubly_even_check_from_meets_matches_the_span(rng):
             verdict = False
         except UnsupportedRank:  # rank 1, after the doubly even check passed
             verdict = basis.rank == 1
-        assert verdict == is_doubly_even(basis)
+        assert verdict == is_doubly_even(basis) == all(w.weight % 4 == 0 for w in span(basis))
         verdicts.add(verdict)
     assert verdicts == {True, False}
 

@@ -7,22 +7,25 @@ that is meant to alter output, rewrite the table with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and say in the change log which rows moved and why.
+and say in the change log which rows moved and why.  With ``--check`` the
+script writes nothing: it replays every row, names each one that differs
+and exits 1 if any does.  It needs no pytest, so it can replay the table
+under any interpreter that runs the package.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-import pytest
 
 from loopforge.catalog import ENTRIES
 from loopforge.cli import main
@@ -135,7 +138,12 @@ def test_full_bound_csv_stream_keeps_its_digest():
     assert _run(argv) == {"argv": argv, "exit": 0, "stdout_sha256": sha, "stderr": ""}
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
+def pytest_generate_tests(metafunc):
+    # parametrized through the hook, so the module imports without pytest
+    if metafunc.function is test_full_bound_record_stream_keeps_its_digest:
+        metafunc.parametrize("fmt", ["json", "text"])
+
+
 def test_full_bound_record_stream_keeps_its_digest(fmt):
     # json and text lay out every leaf's generators and sizes
     argv = ["enumerate", "--loop", "C4_1", "--format", fmt]
@@ -143,7 +151,48 @@ def test_full_bound_record_stream_keeps_its_digest(fmt):
     assert _run(argv) == {"argv": argv, "exit": 0, "stdout_sha256": sha, "stderr": ""}
 
 
+def moved_rows(table: list[dict], rows: list[dict]) -> list[str]:
+    """One line per row of ``rows`` that differs from ``table``: its index,
+    its arguments and the fields that moved."""
+    moved = [
+        f"row {i} ({' '.join(got['argv'])}): {', '.join(k for k in got if want.get(k) != got[k])}"
+        for i, (want, got) in enumerate(zip(table, rows))
+        if want != got
+    ]
+    if len(table) != len(rows):
+        moved.append(f"the table holds {len(table)} rows, the commands {len(rows)}")
+    return moved
+
+
+def test_check_mode_names_each_moved_row():
+    table = [{"argv": ["classify"], "exit": 1, "stdout_sha256": "a", "stderr": "e"}] * 3
+    rows = [table[0], {**table[0], "exit": 2, "stderr": ""}, table[0], table[0]]
+    assert moved_rows(table, table) == []
+    assert moved_rows(table, rows) == ["row 1 (classify): exit, stderr", "the table holds 3 rows, the commands 4"]
+
+
+def test_check_mode_runs_without_pytest_and_writes_nothing():
+    # the replay an interpreter without pytest runs: every row matches here
+    script = (
+        "import runpy, sys; sys.modules['pytest'] = None; sys.path[:0] = ['src']\n"
+        "sys.argv = ['test_golden_cli.py', '--check']\n"
+        "runpy.run_path('tests/test_golden_cli.py', run_name='__main__')\n"
+    )
+    before = TABLE.read_bytes()
+    root = TABLE.parent.parent
+    done = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"all {len(commands())} rows match golden_cli.json\n", "")
+    assert TABLE.read_bytes() == before
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite the golden table from this interpreter's output.")
+    parser.add_argument("--check", action="store_true", help="compare instead: write nothing, exit 1 on a moved row")
+    check = parser.parse_args().check
     rows = run_all()
+    if check:
+        moved = moved_rows(json.loads(TABLE.read_text(encoding="utf-8")), rows)
+        sys.stdout.write("".join(f"{line}\n" for line in moved) or f"all {len(rows)} rows match {TABLE.name}\n")
+        sys.exit(1 if moved else 0)
     TABLE.write_text("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n", encoding="utf-8")
     sys.stdout.write(f"wrote {len(rows)} rows to {TABLE}\n")

@@ -11,6 +11,7 @@ from typing import Iterator
 import pytest
 
 from conftest import (
+    associative_by_definition,
     axiom_violations_by_definition,
     center_by_definition,
     moufang_by_definition,
@@ -82,7 +83,7 @@ def iter_factor_sets(basis: CodeBasis) -> Iterator[FactorSet]:
     for values in product((1, -1), repeat=fs.size - 1):
         c = (1,) + values
         signs = tuple(
-            tuple(fs.value(v, w) * c[v] * c[w] * c[v ^ w] for w in span_masks) for v in span_masks
+            tuple(fs.signs[v][w] * c[v] * c[w] * c[v ^ w] for w in span_masks) for v in span_masks
         )
         yield FactorSet(basis, fs.codewords, signs)
 
@@ -90,17 +91,17 @@ def iter_factor_sets(basis: CodeBasis) -> Iterator[FactorSet]:
 def test_factor_set_identity_row():
     fs = build_factor_set(V1_R3)
     for v in range(fs.size):
-        assert fs.value(0, v) == 1
-        assert fs.value(v, 0) == 1
+        assert fs.signs[0][v] == 1
+        assert fs.signs[v][0] == 1
 
 
 def test_factor_set_square_signs():
     fs = build_factor_set(V1_R3)
     for v, word in enumerate(fs.codewords):
         expected = -1 if (word.bit_count() // 4) % 2 else 1
-        assert fs.value(v, v) == expected
+        assert fs.signs[v][v] == expected
     # every generator of V1 has weight 4, so every nonzero square is -1
-    assert all(fs.value(v, v) == -1 for v in (1, 2, 4))
+    assert all(fs.signs[v][v] == -1 for v in (1, 2, 4))
 
 
 def test_factor_set_axioms_exhaustive_v1():
@@ -203,7 +204,7 @@ def test_loop_identity_and_negation():
 def test_v1_loop_order_and_nonassociativity():
     loop = build_loop(V1_R3)
     assert loop.order == 16
-    assert not loop.is_associative()
+    assert not associative_by_definition(loop)
     assert is_moufang(loop)
 
 
@@ -211,7 +212,7 @@ def test_associative_loop_is_moufang():
     # disjoint weight-4 blocks give an (abelian) group table
     basis = CodeBasis.from_positions(8, [(1, 2, 3, 4), (5, 6, 7, 8)])
     loop = build_loop(basis)
-    assert loop.is_associative()
+    assert associative_by_definition(loop)
     assert is_moufang(loop)
 
 

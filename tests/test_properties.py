@@ -31,7 +31,7 @@ from loopforge.loops import build_factor_set, build_loop, is_moufang
 from loopforge.search import REDUCED_MAX, ReducedRepresentation, _walk_class_sizes
 from loopforge.search import minimal_representations, solve_system
 
-from conftest import axiom_violations_by_definition, center_by_definition, transform_basis
+from conftest import associative_by_definition, axiom_violations_by_definition, center_by_definition, transform_basis
 
 DERANDOMIZED = settings(derandomize=True, deadline=None)
 GL = {n: gl_group(n) for n in (1, 2, 3, 4)}
@@ -116,7 +116,7 @@ def test_center_matches_its_definition(case):
 @given(changed_codes())
 def test_loop_is_associative_iff_its_vector_has_no_associator(case):
     _, _, changed = case
-    assert build_loop(changed).is_associative() == (not char_vector_of(changed).nonassociative)
+    assert associative_by_definition(build_loop(changed)) == (not char_vector_of(changed).nonassociative)
 
 
 @settings(DERANDOMIZED, max_examples=50)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
+import sys
 import tracemalloc
 from functools import lru_cache
 from itertools import islice, product
@@ -376,6 +378,36 @@ def test_walk_equals_the_reference_walk(loop):
         bounds = (3, 5, 7) if str(loop) in ("C4_1", "C4_4", "C4_13") else (3,)
     for bound in bounds:
         assert list(_walk_class_sizes(cv, bound)) == list(reference_walk(cv, bound))
+
+
+def _leaves_walked(cv: CharVector, bound: int) -> tuple[int, int]:
+    """(leaves the walk reaches itself, all leaves it yields): a line tracer
+    counts the runs of the line that builds a walked leaf; a replayed leaf
+    comes from the tail memo and never runs it."""
+    lines, first = inspect.getsourcelines(_walk_class_sizes)
+    target = first + next(i for i, text in enumerate(lines) if text.strip() == "counts = tuple(values)")
+    code, walked = _walk_class_sizes.__code__, 0
+
+    def local(frame, event, arg):
+        nonlocal walked
+        walked += event == "line" and frame.f_lineno == target
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        leaves = sum(1 for _ in _walk_class_sizes(cv, bound))
+    finally:
+        sys.settrace(previous)
+    return walked, leaves
+
+
+def test_the_walk_replays_recorded_tails():
+    # each tail is walked once below its first head and replayed below the
+    # others: at the default bound that walks 128 tails of 32 leaves
+    cv = representative(LoopClassId(4, 1))
+    assert _leaves_walked(cv, 4) == (84, 180)
+    assert _leaves_walked(cv, REDUCED_MAX) == (4096, 131072)
 
 
 def _read(walk, cv: CharVector, bound: int, lower) -> list:

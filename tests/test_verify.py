@@ -9,7 +9,8 @@ import pytest
 from conftest import moufang_by_definition
 import loopforge.catalog as catalog
 import loopforge.verify as verify
-from loopforge.charvec import LoopClassId, loop_class, nonassociative_count, orbit_sizes
+from loopforge.charvec import CharVector, GLMatrix, LoopClassId, loop_class, nonassociative_count
+from loopforge.charvec import orbit_representatives, orbit_sizes, representative
 from loopforge.loops import CodeLoop, FactorSet, build_factor_set, is_moufang
 from loopforge.verify import (
     ClaimResult,
@@ -133,6 +134,26 @@ def test_orbit_claim_reports_a_missing_orbit(monkeypatch):
         "found 4 orbits, expected 5",
     )
     assert " 2:0 " in res.detail
+
+
+@pytest.mark.parametrize("part", [0, 1, 2], ids=["class", "representative", "witness"])
+def test_orbit_claim_reports_each_wrong_part_of_a_canonical_form(monkeypatch, part):
+    # one of the three parts canonicalize returns for C3_3 is wrong: the claim
+    # must report it, not only a form with all three wrong
+    short = orbit_representatives(3)[2]
+    target, real = CharVector.from_shorthand(3, short), verify.canonicalize
+    wrong = (LoopClassId(3, 1), representative(LoopClassId(3, 1)), GLMatrix(3, (2, 1, 4)))[part]
+
+    def tampered(cv):
+        form = list(real(cv))
+        if cv == target:
+            form[part] = wrong
+        return tuple(form)
+
+    monkeypatch.setattr(verify, "canonicalize", tampered)
+    (res,) = run_claims(only="rank3-orbits")
+    assert not res.passed
+    assert res.mismatches == (f"representative {short} does not canonicalize to itself",)
 
 
 def test_loop_laws_claim_reports_factor_set_axiom_violations(monkeypatch):
