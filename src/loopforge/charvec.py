@@ -261,24 +261,27 @@ class GLMatrix(_Value):
         return tuple("".join(str(r >> j & 1) for j in range(self.rank)) for r in self.rows)
 
 
+_set_rank, _set_rows = GLMatrix.rank.__set__, GLMatrix.rows.__set__  # slot descriptors, past __setattr__
+
+
 def _invertible(n: int, rows: tuple[int, ...]) -> GLMatrix:
     """``GLMatrix(n, rows)`` for rows independent by construction: no re-ranking."""
     g = object.__new__(GLMatrix)
-    object.__setattr__(g, "rank", n)
-    object.__setattr__(g, "rows", rows)
+    _set_rank(g, n)
+    _set_rows(g, rows)
     return g
 
 
 def gl_group(n: int) -> tuple[GLMatrix, ...]:
     """All invertible n x n matrices over GF(2), ordered by their last row,
     then the row before it, and so on (each ascending as an int mask)."""
-    if n > 4:
-        raise UnsupportedRank("GL(n,2) enumeration is capped at n = 4")
-    found: list[tuple[int, ...]] = [()]
-    for _ in range(n):  # put row i before rows i+1..n-1, outside their span (which holds 0)
-        found = [(r,) + rows for rows in found for spanned in [set(_xor_span(rows))]
-                 for r in range(1 << n) if r not in spanned]
-    return tuple(_invertible(n, rows) for rows in found)
+    if not 0 < n <= 4:
+        raise UnsupportedRank(f"GL(n,2) enumeration covers n = 1..4, got {n}")
+    found = [((), 1)]  # rows i+1..n-1, and their span as a bitmask (bit x: x is in it)
+    for _ in range(n - 1):  # put row i before them, outside their span (which holds 0)
+        found = [((r,) + rows, _spanned_with(spanned, r)) for rows, spanned in found
+                 for r in range(1 << n) if not spanned >> r & 1]
+    return tuple(_invertible(n, (r,) + rows) for rows, spanned in found for r in range(1 << n) if not spanned >> r & 1)
 
 
 def gl_transform(cv: CharVector, g: GLMatrix) -> CharVector:

@@ -34,6 +34,8 @@ def parse_code_text(text: str) -> CodeBasis:
         fields = dict(part.split("=") for part in head) if len(head) == 2 else {}
         m = int(fields["m"])
         n = int(fields["n"])
+        if m < 0 or n < 0:
+            raise ValueError
     except (ValueError, KeyError):
         raise ParseError(f"bad header {quoted(lines[0])}; expected 'm=<int> n=<int>'") from None
     if len(lines) - 1 != n:

@@ -13,8 +13,9 @@ linearly, which is what ``codes_equivalent`` exploits.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations, compress, count, repeat
+from itertools import chain, combinations, compress, count, repeat
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -321,8 +322,12 @@ def label_counts(basis: CodeBasis) -> tuple[int, ...]:
     return tuple(superset_sums(meet_weights(basis.masks), -1)[1:])
 
 
+class _LabelActions(tuple):
+    """Label actions in ``gl_group`` order; ``by_head`` files them by their first two entries."""
+
+
 @lru_cache(maxsize=None)
-def _gl_label_perms(n: int) -> tuple[bytes, ...]:
+def _gl_label_perms(n: int) -> _LabelActions:
     """The GL(n,2) actions on nonzero label masks: entry chi - 1 of the k-th
     is the xor of the rows of ``gl_group(n)[k]`` picked by the bits of chi.
 
@@ -333,15 +338,18 @@ def _gl_label_perms(n: int) -> tuple[bytes, ...]:
     """
     from .charvec import gl_group  # local import to avoid a module cycle
 
-    group, run = gl_group(n), 1 << (n - 1)  # row 0 varies fastest: runs of 2^(n-1) share rows[1:]
-    xor_by = [bytes(x ^ r for x in range(256)) for r in range(1 << n)]
-    span, perms = bytearray(1 << n), []
-    for k in range(0, len(group), run):  # span entry x: suffix entry x >> 1, xor row 0 if x is odd
-        span[::2] = suffix = bytes(_xor_span(group[k].rows[1:]))
+    group, run, odd = gl_group(n), 1 << (n - 1), 1 << n  # row 0 varies fastest: runs of 2^(n-1) share rows[1:]
+    xor_odd = [bytes(x ^ odd ^ r if x & odd else x for x in range(256)) for r in range(1 << n)]  # unflag, xor r
+    perms, by_row1 = [], defaultdict(lambda: [[] for _ in range(1 << n)])  # by_row1[rows[1:2]][rows[0]]
+    for k in range(0, len(group), run):  # entry x - 1: suffix span entry x >> 1, xor row 0 if x is odd
+        template = bytes(s | odd * b for s in _xor_span(group[k].rows[1:]) for b in (0, 1))[1:]  # odd ones flagged
+        by_row0 = by_row1[group[k].rows[1:2]]
         for g in group[k : k + run]:
-            span[1::2] = suffix.translate(xor_by[g.rows[0]])
-            perms.append(bytes(span[1:]))
-    return tuple(perms)
+            perms.append(perm := template.translate(xor_odd[g.rows[0]]))
+            by_row0[g.rows[0]].append(perm)
+    actions = _LabelActions(perms)  # the head of an action: its first two entries, rows 0 and 1
+    actions.by_head = {bytes((r, *row1)): p for row1, by_row0 in by_row1.items() for r, p in enumerate(by_row0) if p}
+    return actions
 
 
 def canonical_code_signature(basis: CodeBasis) -> tuple[int, ...]:
@@ -352,13 +360,19 @@ def canonical_code_signature(basis: CodeBasis) -> tuple[int, ...]:
     basis change permutes the labels linearly, and matching labeled block
     sizes yields a block-by-block position matching.  Ranking the distinct
     counts keeps order and fits a byte, so the byte minimum maps back exactly.
+    Only actions whose head (the images of labels 1 and 2, so their first two
+    bytes) ranks least are translated: the order is lexicographic, so any other
+    is greater than the minimum, which is therefore the minimum over all.
     """
     n = basis.rank
     if n > 4:
         raise UnsupportedRank("code equivalence is implemented for rank <= 4")
     values = sorted(set(counts := label_counts(basis)))
     table = bytes([0, *map(values.index, counts)]).ljust(256, b"\0")  # label chi -> rank
-    return tuple(values[i] for i in min(map(bytes.translate, _gl_label_perms(n), repeat(table))))
+    by_head = _gl_label_perms(n).by_head
+    least = min(head.translate(table) for head in by_head)
+    actions = chain.from_iterable(perms for head, perms in by_head.items() if head.translate(table) == least)
+    return tuple(values[i] for i in min(map(bytes.translate, actions, repeat(table))))
 
 
 def codes_equivalent(a: CodeBasis, b: CodeBasis) -> bool:

@@ -259,8 +259,9 @@ def test_gl_transform_is_a_right_action(rng):
 def test_gl_group_sizes():
     assert len(gl_group(3)) == 168
     assert len(gl_group(4)) == 20160
-    with pytest.raises(UnsupportedRank):
-        gl_group(5)
+    for n in (0, -1, 5):
+        with pytest.raises(UnsupportedRank, match=f"covers n = 1..4, got {n}$"):
+            gl_group(n)
 
 
 def test_enumerate_counts():

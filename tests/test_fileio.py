@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from loopforge.charvec import CharVector
+from loopforge.cli import main
 from loopforge.errors import ParseError
 from loopforge.fileio import (
     format_code,
@@ -46,6 +49,19 @@ def test_code_parse_errors():
     for header in ("m=7 n=3 k=2", "m=7 m=9 n=3"):  # a field too many, or one twice
         with pytest.raises(ParseError, match="expected 'm=<int> n=<int>'"):
             parse_code_text(f"{header}\n1,2,3,4\n1,2,5,6\n1,3,5,7\n")
+
+
+@pytest.mark.parametrize("text", ["m=8 n=-1\n", "m=-5 n=1\n1\n", "m=-5 n=1\nb:1111\n", "m=-0 n=-3\n"])
+def test_negative_header_values_are_bad_headers(text, tmp_path, capsys):
+    # before the generator count, a position's range or a bitstring's length is checked against them
+    header = text.splitlines()[0]
+    message = f"bad header {header!r}; expected 'm=<int> n=<int>'"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_code_text(text)
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    assert main(["classify", "--code", str(path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_lambda_shorthand_parsing():

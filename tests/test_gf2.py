@@ -446,6 +446,20 @@ def test_label_perms_keep_their_values():
         assert sorted(perms) == sorted(parities)
 
 
+def test_label_actions_are_filed_by_their_head():
+    # canonical_code_signature translates only the actions filed under the heads (the
+    # images of labels 1 and 2) of least rank, so each action is filed once, under its own
+    from loopforge.gf2 import _gl_label_perms
+
+    for n in (1, 2, 3, 4):
+        actions = _gl_label_perms(n)
+        filed = [(head, perm) for head, perms in actions.by_head.items() for perm in perms]
+        assert len(set(actions)) == len(actions)
+        assert sorted(perm for _, perm in filed) == sorted(actions)
+        assert all(perm[:2] == head for head, perm in filed)
+        assert len(actions.by_head) == ((1 << n) - 1) * max((1 << n) - 2, 1)  # ordered pairs of distinct labels
+
+
 def _xor_rows(rows, tau):
     out = 0
     for i, row in enumerate(rows):
@@ -471,7 +485,8 @@ def _basis_of_label_counts(n, counts):
 
 def _random_label_counts(rng, n):
     # zero counts, counts of 256 and more (past one byte), all-distinct counts and ties
-    # in turn, then the tie-heavy worst cases: every count equal, and counts in {1, 2}
+    # in turn, then the tie-heavy worst cases: every count equal, and counts in {1, 2},
+    # {0, 1} and {3, 5}, where many actions share the least pair of head ranks
     size = (1 << n) - 1
     draws = (
         lambda: [rng.choice((0, 0, 1, 2, 3)) for _ in range(size)],
@@ -480,6 +495,8 @@ def _random_label_counts(rng, n):
         lambda: [rng.choice((4, 8)) for _ in range(size)],
         lambda: [rng.randrange(1, 400)] * size,
         lambda: [rng.choice((1, 2)) for _ in range(size)],
+        lambda: [rng.choice((0, 1)) for _ in range(size)],
+        lambda: [rng.choice((3, 5)) for _ in range(size)],
     )
     for draw in draws:
         counts = draw()
@@ -499,6 +516,6 @@ def test_signature_matches_the_tuple_minimum(rng):
                 basis = _basis_of_label_counts(n, counts)
                 assert label_counts(basis) == counts
                 bases.append(basis)
-    assert len(bases) == 42 + 4 * (6 + 3 * 6)
+    assert len(bases) == 42 + 4 * (6 + 3 * 8)
     for basis in bases:
         assert canonical_code_signature(basis) == _signature_by_tuples(basis), basis

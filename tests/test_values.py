@@ -148,6 +148,26 @@ def test_fields_are_read_only(name):
     assert _values(a) == _values(make())
 
 
+def test_matrices_built_past_the_constructor_are_plain_values():
+    # gl_group, products, inverses and witnesses fill their GLMatrix through the slot
+    # descriptors without re-ranking; each is the value the constructor builds, as read-only
+    from loopforge.charvec import _invertible, canonicalize, gl_group, normalize_rank4
+
+    cv = CharVector.from_shorthand(4, "0001001100")
+    g, h = GLMatrix(4, (3, 2, 4, 9)), GLMatrix(4, (1, 2, 4, 8))
+    built = [_invertible(1, (1,)), *gl_group(3), g * h, g.inverse(), canonicalize(cv)[2], normalize_rank4(cv)[1]]
+    for matrix in built:
+        checked = GLMatrix(matrix.rank, matrix.rows)
+        assert type(matrix) is GLMatrix and not hasattr(matrix, "__dict__")
+        assert matrix == checked and hash(matrix) == hash(checked) and repr(matrix) == repr(checked)
+        for field, value in (("rank", matrix.rank), ("rows", matrix.rows)):
+            with pytest.raises(AttributeError, match=f"cannot assign to or delete field '{field}'"):
+                setattr(matrix, field, value)
+            with pytest.raises(AttributeError, match=f"cannot assign to or delete field '{field}'"):
+                delattr(matrix, field)
+        assert (matrix.rank, matrix.rows) == (checked.rank, checked.rows)
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_copies_and_pickles_are_equal_values(name):
     cls = CLASSES[name]
