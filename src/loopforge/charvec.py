@@ -34,7 +34,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import AssociativeLoop, NotDoublyEven, NotInvertible
-from .errors import UnsupportedRank, quoted
+from .errors import UnsupportedRank, clipped, quoted
 from .gf2 import CodeBasis, gf2_rank, is_doubly_even, _Value, _xor_span
 
 # Orbit representatives of the classified ranks, in the published class
@@ -58,7 +58,7 @@ def orbit_representatives(n: int) -> tuple[str, ...]:
         return REPRESENTATIVES[n]
     except KeyError:
         ranks = " or ".join(map(str, REPRESENTATIVES))
-        raise UnsupportedRank(f"classified loops have rank {ranks}, got {n}") from None
+        raise UnsupportedRank(f"classified loops have rank {ranks}, got {clipped(str(n))}") from None
 
 
 def nonassociative_count(n: int) -> int:

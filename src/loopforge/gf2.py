@@ -322,14 +322,11 @@ def label_counts(basis: CodeBasis) -> tuple[int, ...]:
     return tuple(superset_sums(meet_weights(basis.masks), -1)[1:])
 
 
-class _LabelActions(tuple):
-    """Label actions in ``gl_group`` order; ``by_head`` files them by their first two entries."""
-
-
 @lru_cache(maxsize=None)
-def _gl_label_perms(n: int) -> _LabelActions:
-    """The GL(n,2) actions on nonzero label masks: entry chi - 1 of the k-th
-    is the xor of the rows of ``gl_group(n)[k]`` picked by the bits of chi.
+def _gl_label_perms(n: int) -> dict[bytes, list[bytes]]:
+    """The GL(n,2) actions on nonzero label masks, filed by their head (their first
+    two entries, the images of labels 1 and 2): entry chi - 1 of the action of g
+    is the xor of the rows of g picked by the bits of chi.
 
     A basis change with rows r_i sends label chi to the mask whose bit i is
     the parity of r_i & chi: the transposed action.  Transposition permutes
@@ -340,16 +337,13 @@ def _gl_label_perms(n: int) -> _LabelActions:
 
     group, run, odd = gl_group(n), 1 << (n - 1), 1 << n  # row 0 varies fastest: runs of 2^(n-1) share rows[1:]
     xor_odd = [bytes(x ^ odd ^ r if x & odd else x for x in range(256)) for r in range(1 << n)]  # unflag, xor r
-    perms, by_row1 = [], defaultdict(lambda: [[] for _ in range(1 << n)])  # by_row1[rows[1:2]][rows[0]]
+    by_row1 = defaultdict(lambda: [[] for _ in range(1 << n)])  # by_row1[rows[1:2]][rows[0]]: one head's actions
     for k in range(0, len(group), run):  # entry x - 1: suffix span entry x >> 1, xor row 0 if x is odd
         template = bytes(s | odd * b for s in _xor_span(group[k].rows[1:]) for b in (0, 1))[1:]  # odd ones flagged
         by_row0 = by_row1[group[k].rows[1:2]]
         for g in group[k : k + run]:
-            perms.append(perm := template.translate(xor_odd[g.rows[0]]))
-            by_row0[g.rows[0]].append(perm)
-    actions = _LabelActions(perms)  # the head of an action: its first two entries, rows 0 and 1
-    actions.by_head = {bytes((r, *row1)): p for row1, by_row0 in by_row1.items() for r, p in enumerate(by_row0) if p}
-    return actions
+            by_row0[g.rows[0]].append(template.translate(xor_odd[g.rows[0]]))
+    return {bytes((r, *row1)): p for row1, by_row0 in by_row1.items() for r, p in enumerate(by_row0) if p}
 
 
 def canonical_code_signature(basis: CodeBasis) -> tuple[int, ...]:
@@ -369,7 +363,7 @@ def canonical_code_signature(basis: CodeBasis) -> tuple[int, ...]:
         raise UnsupportedRank("code equivalence is implemented for rank <= 4")
     values = sorted(set(counts := label_counts(basis)))
     table = bytes([0, *map(values.index, counts)]).ljust(256, b"\0")  # label chi -> rank
-    by_head = _gl_label_perms(n).by_head
+    by_head = _gl_label_perms(n)
     least = min(head.translate(table) for head in by_head)
     actions = chain.from_iterable(perms for head, perms in by_head.items() if head.translate(table) == least)
     return tuple(values[i] for i in min(map(bytes.translate, actions, repeat(table))))

@@ -16,8 +16,8 @@ lexicographic in the counts; one packed int per depth holds each t_m in its own
 digit (digit 0: the degree) and sets the next cell and the degree bound, so every
 leaf it yields (counts, degree, nonempty labels) carries the vector unchecked.  The
 cells holding generator 1 (the head) come first; a later (tail) cell m reads them
-only through t_m mod its modulus, so heads with equal residues share a tail: while
-the limit cannot cut it, its first walk is recorded (4,096 rows in all) and replayed.
+only through t_m mod its modulus, so heads with equal residues share a tail: with no
+limit, each such tail is walked once on its own and replayed (4,096 rows in all).
 A kept leaf (its labels span GF(2)^n, so its generators are nonzero and independent)
 is a ``ReducedRepresentation``, as a ``solve_system`` result is: its counts and
 degree, with its type and code (cached) derived on read.
@@ -158,42 +158,53 @@ def _walk_class_sizes(
     Yields ``(counts, degree, labels)``, bit m of labels set iff cell m is nonempty.
     Every strict superset of a cell comes earlier in ``class_order``, so the cell's
     value is read off its own digit of the int packed above it (digit m holds t_m,
-    digit 0 the degree).  The consumer may lower ``limit[0]``: branches above it are cut.
+    digit 0 the degree).  The consumer may lower ``limit[0]``: branches above it are
+    cut, and every leaf is walked.  With no limit nothing is cut, so tails are shared.
     """
     masks = [sigma_mask(sigma) for sigma in class_order(cv.rank)]
-    last = len(masks) - 1
-    if limit is None:
-        limit = [max_size * len(masks)]
     width = (max_size * len(masks)).bit_length() + 1  # per t_m: none exceeds the degree
-    digit = (1 << width) - 1
     spread = [sum(1 << width * m for m in range(s + 1) if m & s == m) for s in masks]
-    shift = [width * m for m in masks]
     # t_sigma = lambda_sigma * 2^(3-|sigma|) mod 2^(4-|sigma|); lambda is 0 at |sigma| = 4
     lam = coordinates_by_mask(cv)
     target = [lam[m] * 8 >> m.bit_count() for m in masks]
     modulus = [16 >> m.bit_count() for m in masks]
-    bits, split = [1 << m for m in masks], len(masks) + 1 >> 1  # split: the first tail cell
-    tail_bits, tail_max = sum(bits[split:]), max_size * (len(masks) - split)
-    tail_size = prod(max_size // modulus[p] + 1 for p in range(split, len(masks)))  # most leaves
-    key_mask = sum(modulus[p] - 1 << shift[p] for p in range(split, len(masks)))
-    memo, room, rows = {}, 4096, None  # room: rows left, all 128 tails of 32 at rank 4, bound 7
-    values = [target[0] % modulus[0]] + [0] * last
-    acc = [0] * len(masks)  # acc[p] = sum of values[q] * spread[q] over q < p
-    pos, bound = 0, limit[0]  # bound is limit[0], re-read after each yield
+    cells = spread, [width * m for m in masks], target, modulus, [1 << m for m in masks], (1 << width) - 1, max_size
+    if limit is not None:
+        return _walk_cells(cells, limit, 0, 0)
+    return _walk_cells(cells, [max_size * len(masks)], 0, 0, len(masks) + 1 >> 1)  # split: the first tail cell
+
+
+def _walk_cells(
+    cells: tuple, limit: list[int], pos: int, packed: int, split: int = 0
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The walk's loop from cell ``pos``, entered with the packed int ``packed``, earlier cells at 0.
+
+    The cells holding generator 1 (the head) come first; a later (tail) cell m
+    reads them only through t_m mod its modulus, so heads with equal residues
+    (one key) share a tail.  Given the first tail cell ``split`` (no limit can
+    fall), each key's tail is walked once, alone from ``split`` with the key as
+    its packed int (degrees relative to the head), and replayed below every head
+    with that key; past 4,096 rows a new tail is walked in place.
+    """
+    spread, shift, target, modulus, bits, digit, max_size = cells
+    last, start = len(spread) - 1, pos
+    values, acc = [0] * len(spread), [packed] * len(spread)  # acc[p] = packed + sum of values[q] * spread[q] over q < p
+    values[pos] = (target[pos] - (packed >> shift[pos])) % modulus[pos]
+    if split:  # 0: no memo, as pos is past 0 when it is compared
+        memo, key_mask = {}, sum(modulus[p] - 1 << shift[p] for p in range(split, last + 1))
+        tails = 4096 // prod(max_size // modulus[p] + 1 for p in range(split, last + 1))  # 128 of 32 at rank 4, bound 7
+    bound = limit[0]  # re-read after each yield
     while True:  # hot steps first, end test on backtrack: short jumps (no EXTENDED_ARG)
         value = values[pos]
         if value > max_size or value > bound - (acc[pos] & digit):  # cut, and the rest of the cell
             pos -= 1
-            if pos < 0:
+            if pos < start:
                 return
             values[pos] += modulus[pos]
             continue
         if pos == last:
             counts = tuple(values)
-            leaf = counts, (acc[last] & digit) + value, sum(compress(bits, counts))
-            if rows is not None:
-                rows += (leaf,)
-            yield leaf
+            yield counts, (acc[last] & digit) + value, sum(compress(bits, counts))
             bound = limit[0]
             values[last] += modulus[last]
             continue
@@ -202,19 +213,13 @@ def _walk_class_sizes(
         values[pos] = (target[pos] - (packed >> shift[pos])) % modulus[pos]
         if pos != split:
             continue
-        if rows is not None and bound - base >= tail_max:  # the tail recorded last, uncut
-            memo[key], room = [(c[split:], d - base, ls & tail_bits) for c, d, ls in rows], room - len(rows)
-        rows, base = None, packed & digit
-        if bound - base < tail_max:  # the limit may cut this tail: walk it
-            continue
-        if (key := packed & key_mask) not in memo:  # walk the tail and record its leaves
-            rows = [] if room >= tail_size else None
-            continue
-        labels = sum(compress(bits, head := tuple(values[:split])))
-        for tail, degree, tail_labels in memo[key]:
-            if base + degree <= bound:
-                yield head + tail, base + degree, labels | tail_labels
-                bound = limit[0]
+        if (rows := memo.get(key := packed & key_mask)) is None:
+            if len(memo) == tails:  # the memo is full: walk this tail in place
+                continue
+            rows = memo[key] = [(c[split:], d, ls) for c, d, ls in _walk_cells(cells, limit, split, key)]
+        labels, base = sum(compress(bits, head := tuple(values[:split]))), packed & digit
+        for tail, degree, tail_labels in rows:
+            yield head + tail, base + degree, labels | tail_labels
         values[split] = max_size + 1  # the tail is replayed: its cell is cut next
 
 

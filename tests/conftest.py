@@ -171,8 +171,8 @@ def meets_of_counts(rank: int, counts: tuple[int, ...]) -> list[int]:
 
 def reference_walk(cv: CharVector, max_size: int, limit: list[int] | None = None):
     """The packed depth-first walk one leaf at a time, the reference for
-    ``search._walk_class_sizes``, which replays each tail subtree it has
-    recorded: the same ``(counts, degree, labels)`` in the same order under
+    ``search._walk_class_sizes``, which with no limit replays each tail it
+    walked alone: the same ``(counts, degree, labels)`` in the same order under
     the same ``limit``, with no memo.  Digit m of the packed int holds t_m,
     digit 0 the degree; labels has bit m set iff the cell of mask m is nonempty."""
     masks = [sigma_mask(sigma) for sigma in class_order(cv.rank)]

@@ -402,6 +402,15 @@ def test_huge_inputs_give_short_errors(capsys, tmp_path):
         _one_short_error_line(*run(capsys, command, "--code", str(path)))
 
 
+def test_a_huge_rank_in_a_loop_id_is_echoed_clipped(capsys):
+    # the rank parses as an int, so the error is the domain's, exit 2, and it
+    # echoes the rank clipped as other echoed numbers are
+    code, out, err = run(capsys, "classify", "--loop", "C" + "9" * 4000 + "_1")
+    assert (code, out) == (2, "")
+    assert err == f"error: UnsupportedRank: classified loops have rank 3 or 4, got {'9' * 40}... (4000 characters)\n"
+    _one_short_error_line(code, out, err)
+
+
 def test_usage_errors_are_clipped_only_when_long(capsys):
     # the longest usage message the parser makes for a short value: whole
     code, out, err = run(capsys, "verify-paper", "--only", "z" * 40)

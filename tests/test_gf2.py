@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -422,28 +423,33 @@ def test_equivalence_relation_properties(rng):
                     assert codes_equivalent(a, c)
 
 
+@lru_cache(maxsize=None)
+def _label_actions(n):
+    """The GL(n,2) label actions by definition, one per element of ``gl_group(n)``:
+    entry chi - 1 is the xor of the element's rows picked by the bits of chi."""
+    from loopforge.charvec import gl_group
+
+    return tuple(bytes(_xor_rows(g.rows, tau) for tau in range(1, 1 << n)) for g in gl_group(n))
+
+
 def test_label_perms_keep_their_values():
-    # entry chi of element k is the xor of the rows of gl_group(n)[k] picked by chi;
-    # as a set they are the basis-change actions, which send label chi to the mask
+    # the filed actions are the xor spans of the rows of gl_group(n), once each; as a
+    # multiset they are the basis-change actions, which send label chi to the mask
     # with bit i = parity(r_i & chi) (the transposed action)
     from loopforge.charvec import gl_group
     from loopforge.gf2 import _gl_label_perms
 
     for n in (1, 2, 3, 4):  # n = 1: row 0 alone, over an empty suffix
-        group = gl_group(n)
-        spans = tuple(
-            tuple(_xor_rows(g.rows, tau) for tau in range(1, 1 << n)) for g in group
-        )
-        parities = tuple(
-            tuple(
+        parities = [
+            bytes(
                 sum((((g.rows[i] & tau).bit_count() & 1) << i) for i in range(n))
                 for tau in range(1, 1 << n)
             )
-            for g in group
-        )
-        perms = tuple(map(tuple, _gl_label_perms(n)))
-        assert perms == spans
-        assert sorted(perms) == sorted(parities)
+            for g in gl_group(n)
+        ]
+        perms = sorted(perm for perms in _gl_label_perms(n).values() for perm in perms)
+        assert perms == sorted(_label_actions(n))
+        assert perms == sorted(parities)
 
 
 def test_label_actions_are_filed_by_their_head():
@@ -452,12 +458,12 @@ def test_label_actions_are_filed_by_their_head():
     from loopforge.gf2 import _gl_label_perms
 
     for n in (1, 2, 3, 4):
-        actions = _gl_label_perms(n)
-        filed = [(head, perm) for head, perms in actions.by_head.items() for perm in perms]
+        actions = _label_actions(n)
+        filed = [(head, perm) for head, perms in _gl_label_perms(n).items() for perm in perms]
         assert len(set(actions)) == len(actions)
         assert sorted(perm for _, perm in filed) == sorted(actions)
         assert all(perm[:2] == head for head, perm in filed)
-        assert len(actions.by_head) == ((1 << n) - 1) * max((1 << n) - 2, 1)  # ordered pairs of distinct labels
+        assert len(_gl_label_perms(n)) == ((1 << n) - 1) * max((1 << n) - 2, 1)  # ordered pairs of distinct labels
 
 
 def _xor_rows(rows, tau):
@@ -469,11 +475,10 @@ def _xor_rows(rows, tau):
 
 
 def _signature_by_tuples(basis):
-    # the signature as one tuple per label action, before ranking the counts into bytes
-    from loopforge.gf2 import _gl_label_perms
-
+    # the signature as one tuple per label action, before ranking the counts into bytes;
+    # the actions come from the definition, not from the code under test
     counts = label_counts(basis)
-    return min(tuple(counts[t - 1] for t in perm) for perm in _gl_label_perms(basis.rank))
+    return min(tuple(counts[t - 1] for t in perm) for perm in _label_actions(basis.rank))
 
 
 def _basis_of_label_counts(n, counts):

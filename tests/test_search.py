@@ -247,8 +247,9 @@ def test_enumerate_reduced_is_lazy():
 
 @pytest.mark.parametrize("bound, leaves", [(63, 200_000), (15, 50_000)])
 def test_large_bound_stream_keeps_its_memory_small(bound, leaves):
-    # the tail memo holds at most 4,096 rows: at bound 63 no tail fits, at
-    # bound 15 one tail of 4,096 leaves does; the leaves stream through unkept
+    # the tail memo of the unlimited stream holds at most 4,096 rows: at bound 63
+    # no tail fits and each is walked in place, at bound 15 one tail of 4,096
+    # leaves does; the leaves stream through unkept
     stream = enumerate_reduced(representative(LoopClassId(4, 1)), bound)
     tracemalloc.start()
     try:
@@ -369,8 +370,8 @@ def test_kept_leaves_agree_with_their_assembled_code(loop):
 
 @pytest.mark.parametrize("loop", ALL_LOOPS, ids=str)
 def test_walk_equals_the_reference_walk(loop):
-    # whole streams, replayed tails and all; bound 7 is the default, where a
-    # rank-4 walk records 128 tails of 32 leaves and replays each 32 times
+    # whole streams with no limit, replayed tails and all; bound 7 is the default,
+    # where a rank-4 walk walks 128 tails of 32 leaves alone and replays each 32 times
     cv = representative(loop)
     if loop.rank == 3:
         bounds = (1, 2, 3, 4, 5, 7, 9, 15)
@@ -380,13 +381,14 @@ def test_walk_equals_the_reference_walk(loop):
         assert list(_walk_class_sizes(cv, bound)) == list(reference_walk(cv, bound))
 
 
-def _leaves_walked(cv: CharVector, bound: int) -> tuple[int, int]:
+def _leaves_walked(cv: CharVector, bound: int, limit: list[int] | None = None) -> tuple[int, int]:
     """(leaves the walk reaches itself, all leaves it yields): a line tracer
-    counts the runs of the line that builds a walked leaf; a replayed leaf
-    comes from the tail memo and never runs it."""
-    lines, first = inspect.getsourcelines(_walk_class_sizes)
+    counts the runs of the loop's line that builds a walked leaf, whether in
+    the main walk or in a tail walked alone; a replayed leaf comes from the
+    tail memo and never runs it."""
+    lines, first = inspect.getsourcelines(search._walk_cells)
     target = first + next(i for i, text in enumerate(lines) if text.strip() == "counts = tuple(values)")
-    code, walked = _walk_class_sizes.__code__, 0
+    code, walked = search._walk_cells.__code__, 0
 
     def local(frame, event, arg):
         nonlocal walked
@@ -396,17 +398,25 @@ def _leaves_walked(cv: CharVector, bound: int) -> tuple[int, int]:
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
-        leaves = sum(1 for _ in _walk_class_sizes(cv, bound))
+        leaves = sum(1 for _ in _walk_class_sizes(cv, bound, limit))
     finally:
         sys.settrace(previous)
     return walked, leaves
 
 
 def test_the_walk_replays_recorded_tails():
-    # each tail is walked once below its first head and replayed below the
-    # others: at the default bound that walks 128 tails of 32 leaves
+    # with no limit each tail is walked once, alone, and replayed below every
+    # head with its key: at the default bound that walks 128 tails of 32 leaves
     cv = representative(LoopClassId(4, 1))
     assert _leaves_walked(cv, 4) == (84, 180)
+    assert _leaves_walked(cv, REDUCED_MAX) == (4096, 131072)
+
+
+def test_a_passed_limit_walks_every_leaf():
+    # a limit the consumer may lower turns the memo off, even one never lowered:
+    # branch and bound walks every leaf it yields, and records nothing
+    cv = representative(LoopClassId(4, 1))
+    assert _leaves_walked(cv, REDUCED_MAX, [REDUCED_MAX * 15]) == (131072, 131072)
     assert _leaves_walked(cv, REDUCED_MAX) == (4096, 131072)
 
 
@@ -420,9 +430,10 @@ def _read(walk, cv: CharVector, bound: int, lower) -> list:
     return seen
 
 
-# (leaf index, limit): lowering the limit there cuts the tail below a head while
-# that tail is first walked and recorded, but not the same tail below a later,
-# lighter head, which must then walk it anew (found by scanning the reference walk)
+# (leaf index, limit): lowering the limit there cuts the tail below one head but
+# not the same tail below a later, lighter head (found by scanning the reference
+# walk, when the walk recorded tails under a live limit); a passed limit walks
+# every leaf, so these stay as equality cases for the lowered limit
 CUT_WHILE_RECORDED = {"C4_3": (193, 57), "C4_7": (225, 65), "C4_9": (1377, 65), "C4_16": (225, 65)}
 
 

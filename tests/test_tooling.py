@@ -92,14 +92,17 @@ KEPT_UNREAD_MEMBERS = {
     "CodeLoop.associator": "the loop's element API: (x, y, z), the associator law's left side",
     "CodeLoop.element_id": "the loop's element API: how a caller names the element (sign, codeword)",
     "CodeLoop.negative_identity": "the loop's element API: -1, where squares, commutators and associators land",
+    "CharVector.sigma": "the README documents it as the vector's square part",
+    "CharVector.beta": "the README documents it as the vector's commutator part",
 }
 
 
 def test_every_class_member_is_read_or_kept_for_a_reason():
-    # a method or property that no module under src/ reads, and that perfbench/
-    # reads neither as an attribute nor as a string, has only the tests left
-    # as callers: it goes, and its tests move to the code it wraps or to an
-    # oracle in tests/conftest.py, unless it is kept above with its reason
+    # a method or property (defined, or assigned as ``name = property(...)``) that
+    # no module under src/ reads, and that perfbench/ reads neither as an
+    # attribute nor as a string, has only the tests left as callers: it goes, and
+    # its tests move to the code it wraps or to an oracle in tests/conftest.py,
+    # unless it is kept above with its reason
     read = set()
     for path in [*SOURCES, *(ROOT / "perfbench").glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -108,12 +111,17 @@ def test_every_class_member_is_read_or_kept_for_a_reason():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and path.parent.name == "perfbench":
                 read.add(node.value)
     unread = [
-        f"{cls.name}.{member.name}"
+        f"{cls.name}.{name}"
         for path in SOURCES
         for cls in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(cls, ast.ClassDef)
         for member in cls.body
-        if isinstance(member, ast.FunctionDef) and not member.name.startswith("__") and member.name not in read
+        for name in (
+            [member.name] if isinstance(member, ast.FunctionDef)
+            else [t.id for t in member.targets if isinstance(t, ast.Name)] if isinstance(member, ast.Assign)
+            else []
+        )
+        if not name.startswith("__") and name not in read
     ]
     assert sorted(unread) == sorted(KEPT_UNREAD_MEMBERS)
 
