@@ -14,13 +14,14 @@ The walk is a lazy depth-first generator over the cells in the fixed labeling
 order (``gf2.class_order``) with ascending values, so the stream is
 lexicographic in the counts; one packed int per depth holds each t_m in its own
 digit (digit 0: the degree) and sets the next cell and the degree bound, so every
-leaf it yields (counts, degree, nonempty labels) carries the vector unchecked.  The
-cells holding generator 1 (the head) come first; a later (tail) cell m reads them
-only through t_m mod its modulus, so heads with equal residues share a tail: with no
-limit, each such tail is walked once on its own and replayed (4,096 rows in all).
-A kept leaf (its labels span GF(2)^n, so its generators are nonzero and independent)
-is a ``ReducedRepresentation``, as a ``solve_system`` result is: its counts and
-degree, with its type and code (cached) derived on read.
+leaf carries the vector unchecked.  The cells holding generator 1 (the head) come
+first; a later (tail) cell m reads them only through t_m mod its modulus, so heads
+with equal residues (one key) share a tail: the stream walks each key's tail once on
+its own and replays it (4,096 rows in all), building each kept leaf where it yields
+it.  A leaf is kept iff its labels (its nonempty cells) span GF(2)^n, so its
+generators are nonzero and independent; below a head that spans, no row is tested.
+A kept leaf is a ``ReducedRepresentation``, as a ``solve_system`` result is: its
+counts and degree, with its type and code (cached) derived on read.
 Minimal representations come from branch and bound over the same walk: any
 branch whose partial degree exceeds the least degree found so far is cut, and
 tied least-degree leaves are deduplicated by code equivalence (a lone one is
@@ -150,17 +151,22 @@ def _require_normalized(cv: CharVector, max_class_size: int) -> None:
         raise ValueError("max_class_size must be at least 1")
 
 
-def _walk_class_sizes(
-    cv: CharVector, max_size: int, limit: list[int] | None = None
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Count tuples compatible with the congruences, lazily, in DFS order.
+class _Spanning(dict):
+    """Whether a label set (bit m: cell m is nonempty) spans GF(2)^rank, so the
+    generators are nonzero and independent: one rank test per set, on first lookup."""
 
-    Yields ``(counts, degree, labels)``, bit m of labels set iff cell m is nonempty.
-    Every strict superset of a cell comes earlier in ``class_order``, so the cell's
-    value is read off its own digit of the int packed above it (digit m holds t_m,
-    digit 0 the degree).  The consumer may lower ``limit[0]``: branches above it are
-    cut, and every leaf is walked.  With no limit nothing is cut, so tails are shared.
-    """
+    def __init__(self, rank: int) -> None:
+        self.rank = rank
+
+    def __missing__(self, labels: int) -> bool:
+        spans = self[labels] = gf2_rank([m for m in range(labels.bit_length()) if labels >> m & 1]) == self.rank
+        return spans
+
+
+def _cells(cv: CharVector, max_size: int) -> tuple:
+    """The walk's tables, one entry per cell in ``class_order``.  Every strict superset of
+    a cell comes earlier, so the cell's value is read off its own digit of the int packed
+    above it (digit m holds t_m, digit 0 the degree); bit m of labels: cell m is nonempty."""
     masks = [sigma_mask(sigma) for sigma in class_order(cv.rank)]
     width = (max_size * len(masks)).bit_length() + 1  # per t_m: none exceeds the degree
     spread = [sum(1 << width * m for m in range(s + 1) if m & s == m) for s in masks]
@@ -168,23 +174,26 @@ def _walk_class_sizes(
     lam = coordinates_by_mask(cv)
     target = [lam[m] * 8 >> m.bit_count() for m in masks]
     modulus = [16 >> m.bit_count() for m in masks]
-    cells = spread, [width * m for m in masks], target, modulus, [1 << m for m in masks], (1 << width) - 1, max_size
-    if limit is not None:
-        return _walk_cells(cells, limit, 0, 0)
-    return _walk_cells(cells, [max_size * len(masks)], 0, 0, len(masks) + 1 >> 1)  # split: the first tail cell
+    return spread, [width * m for m in masks], target, modulus, [1 << m for m in masks], (1 << width) - 1, max_size
 
 
-def _walk_cells(
-    cells: tuple, limit: list[int], pos: int, packed: int, split: int = 0
+def _walk_class_sizes(
+    cv: CharVector, max_size: int, limit: list[int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Count tuples compatible with the congruences, lazily, in DFS order, each leaf walked
+    live and yielded raw, degenerate ones too: ``(counts, degree, labels)``.  The consumer
+    may lower ``limit[0]``: branches above it are cut."""
+    return _walk_cells(_cells(cv, max_size), limit or [max_size * ((1 << cv.rank) - 1)], 0, 0)
+
+
+def _walk_cells(cells: tuple, limit: list[int], pos: int, packed: int, split: int = 0) -> Iterator:
     """The walk's loop from cell ``pos``, entered with the packed int ``packed``, earlier cells at 0.
 
-    The cells holding generator 1 (the head) come first; a later (tail) cell m
-    reads them only through t_m mod its modulus, so heads with equal residues
-    (one key) share a tail.  Given the first tail cell ``split`` (no limit can
-    fall), each key's tail is walked once, alone from ``split`` with the key as
-    its packed int (degrees relative to the head), and replayed below every head
-    with that key; past 4,096 rows a new tail is walked in place.
+    With no ``split`` it yields every leaf raw.  Given the first tail cell ``split`` (the
+    stream: no limit can fall) it walks each key's tail once, raw and alone from ``split``
+    with the key as its packed int (degrees relative to the head), replays it below every
+    head with that key, and yields a ``ReducedRepresentation`` per spanning leaf, testing
+    rows only below a head that does not span.  Past 4,096 rows a tail is walked in place.
     """
     spread, shift, target, modulus, bits, digit, max_size = cells
     last, start = len(spread) - 1, pos
@@ -193,8 +202,9 @@ def _walk_cells(
     if split:  # 0: no memo, as pos is past 0 when it is compared
         memo, key_mask = {}, sum(modulus[p] - 1 << shift[p] for p in range(split, last + 1))
         tails = 4096 // prod(max_size // modulus[p] + 1 for p in range(split, last + 1))  # 128 of 32 at rank 4, bound 7
-    bound = limit[0]  # re-read after each yield
-    while True:  # hot steps first, end test on backtrack: short jumps (no EXTENDED_ARG)
+        spans = _Spanning(len(spread).bit_length())
+    bound = limit[0]  # re-read after each raw row
+    while True:  # hot steps first, end test on backtrack
         value = values[pos]
         if value > max_size or value > bound - (acc[pos] & digit):  # cut, and the rest of the cell
             pos -= 1
@@ -204,8 +214,11 @@ def _walk_cells(
             continue
         if pos == last:
             counts = tuple(values)
-            yield counts, (acc[last] & digit) + value, sum(compress(bits, counts))
-            bound = limit[0]
+            if not split:
+                yield counts, (acc[last] & digit) + value, sum(compress(bits, counts))
+                bound = limit[0]
+            elif spans[sum(compress(bits, counts))]:  # a tail walked in place
+                yield ReducedRepresentation(counts, (acc[last] & digit) + value)
             values[last] += modulus[last]
             continue
         acc[pos + 1] = packed = acc[pos] + value * spread[pos]
@@ -218,21 +231,14 @@ def _walk_cells(
                 continue
             rows = memo[key] = [(c[split:], d, ls) for c, d, ls in _walk_cells(cells, limit, split, key)]
         labels, base = sum(compress(bits, head := tuple(values[:split]))), packed & digit
-        for tail, degree, tail_labels in rows:
-            yield head + tail, base + degree, labels | tail_labels
+        if spans[labels]:
+            for tail, degree, _ in rows:
+                yield ReducedRepresentation(head + tail, base + degree)
+        else:
+            for tail, degree, tail_labels in rows:
+                if spans[labels | tail_labels]:
+                    yield ReducedRepresentation(head + tail, base + degree)
         values[split] = max_size + 1  # the tail is replayed: its cell is cut next
-
-
-def _representations(
-    cv: CharVector, max_size: int, limit: list[int] | None = None
-) -> Iterator[ReducedRepresentation]:
-    """The leaves of the walk whose labels span GF(2)^n, under ``limit``."""
-    spanning: dict[int, bool] = {}  # per label set
-    for counts, degree, labels in _walk_class_sizes(cv, max_size, limit):
-        if (spans := spanning.get(labels)) is None:
-            spans = spanning[labels] = gf2_rank([m for m in range(labels.bit_length()) if labels >> m & 1]) == cv.rank
-        if spans:
-            yield ReducedRepresentation(counts, degree)
 
 
 def enumerate_reduced(
@@ -240,12 +246,14 @@ def enumerate_reduced(
 ) -> Iterator[ReducedRepresentation]:
     """Every reduced representation with the given characteristic vector.
 
-    Leaves stream straight from the walk; degenerate ones (empty or
-    dependent generators) are pruned silently.  A vector the walk cannot
-    take raises here, at the call, not at the first leaf.
+    The walk builds each leaf where it reaches or replays it; degenerate ones
+    (empty or dependent generators) are pruned silently.  A vector the walk
+    cannot take raises here, at the call, not at the first leaf.
     """
     _require_normalized(cv, max_class_size)
-    return _representations(cv, max_class_size)
+    cells = _cells(cv, max_class_size)
+    size = len(cells[0])
+    return _walk_cells(cells, [max_class_size * size], 0, 0, size + 1 >> 1)  # split: the first tail cell
 
 
 class MinimalReport(_Value):
@@ -284,11 +292,13 @@ def minimal_representations(
     # survive and arrive in lexicographic counts order
     limit = [max_class_size * ((1 << cv.rank) - 1)]
     best: list[ReducedRepresentation] = []
-    for rep in _representations(cv, max_class_size, limit):
-        if best and rep.degree < best[0].degree:
-            best = []
-        limit[0] = rep.degree
-        best.append(rep)
+    spans = _Spanning(cv.rank)
+    for counts, degree, labels in _walk_class_sizes(cv, max_class_size, limit):
+        if spans[labels]:
+            if best and degree < best[0].degree:
+                best = []
+            limit[0] = degree
+            best.append(ReducedRepresentation(counts, degree))
     if not best:
         raise InfeasibleProfile("no nondegenerate reduced representation exists")
     if len(best) > 1:  # ties deduplicate by code equivalence; a lone minimum is its own class

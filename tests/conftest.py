@@ -171,10 +171,10 @@ def meets_of_counts(rank: int, counts: tuple[int, ...]) -> list[int]:
 
 def reference_walk(cv: CharVector, max_size: int, limit: list[int] | None = None):
     """The packed depth-first walk one leaf at a time, the reference for
-    ``search._walk_class_sizes``, which with no limit replays each tail it
-    walked alone: the same ``(counts, degree, labels)`` in the same order under
-    the same ``limit``, with no memo.  Digit m of the packed int holds t_m,
-    digit 0 the degree; labels has bit m set iff the cell of mask m is nonempty."""
+    ``search._walk_class_sizes``: the same raw ``(counts, degree, labels)`` in the
+    same order under the same ``limit``, degenerate leaves included.  Digit m of
+    the packed int holds t_m, digit 0 the degree; labels has bit m set iff the
+    cell of mask m is nonempty."""
     masks = [sigma_mask(sigma) for sigma in class_order(cv.rank)]
     last = len(masks) - 1
     if limit is None:
@@ -204,6 +204,20 @@ def reference_walk(cv: CharVector, max_size: int, limit: list[int] | None = None
             continue
         pos -= 1
         values[pos] += modulus[pos]
+
+
+def spanning_leaves(rank: int, leaves):
+    """The ``(counts, degree)`` of the raw ``leaves`` whose labels span
+    GF(2)^rank, each leaf tested on its own (one rank per label set).  Over
+    ``reference_walk`` this is the reference for ``search.enumerate_reduced``,
+    which replays each tail it walked alone, builds its leaves in the walk and
+    tests no row below a head that spans."""
+    spans: dict[int, bool] = {}
+    for counts, degree, labels in leaves:
+        if labels not in spans:
+            spans[labels] = gf2_rank([m for m in range(labels.bit_length()) if labels >> m & 1]) == rank
+        if spans[labels]:
+            yield counts, degree
 
 
 def walked_counts(cv: CharVector, bound: int, limit: list[int] | None = None):

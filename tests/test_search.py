@@ -9,6 +9,7 @@ import tracemalloc
 from functools import lru_cache
 from itertools import islice, product
 from math import comb
+from typing import Iterator
 
 import pytest
 
@@ -18,6 +19,7 @@ from conftest import (
     meets_of_counts,
     random_doubly_even_basis,
     reference_walk,
+    spanning_leaves,
     walked_counts,
 )
 from loopforge.catalog import (
@@ -328,25 +330,25 @@ def test_walk_yields_exactly_the_counts_of_the_vector(loop, bound):
     assert list(walked_counts(cv, bound)) == wanted
 
 
-def test_zero_patterns_decide_degeneracy(monkeypatch):
+def test_zero_patterns_decide_degeneracy():
     # a leaf is kept exactly when its basis assembles; only which counts are
-    # zero matters, so the 0/1 patterns (scaled by 8) are all the cases
+    # zero matters, so the 0/1 patterns (scaled by 8) are all the cases of the
+    # span table that the stream and the minimal search read
     degenerate = 0
     for rank in (3, 4):
-        cv = CharVector(rank, (0,) * rank, (0,) * comb(rank, 2), (0,) * comb(rank, 3))
         masks = [sigma_mask(sigma) for sigma in class_order(rank)]
-        patterns = [c for c in product((0, 8), repeat=(1 << rank) - 1) if any(c)]
-        leaves = [(c, sum(c), sum(1 << m for m, x in zip(masks, c) if x)) for c in patterns]
-        monkeypatch.setattr(search, "_walk_class_sizes", lambda *_: iter(leaves))
-        kept = {rep.counts for rep in search._representations(cv, 8)}
-        for counts in patterns:
+        spans = search._Spanning(rank)
+        for counts in product((0, 8), repeat=(1 << rank) - 1):
+            if not any(counts):
+                continue
+            kept = spans[sum(1 << m for m, x in zip(masks, counts) if x)]
             try:
                 assemble_representation(ReducedRepresentation(counts, sum(counts)))
             except DegenerateBasis:
                 degenerate += 1
-                assert counts not in kept
+                assert not kept
             else:
-                assert counts in kept
+                assert kept
     assert degenerate == 1570
 
 
@@ -370,22 +372,26 @@ def test_kept_leaves_agree_with_their_assembled_code(loop):
 
 @pytest.mark.parametrize("loop", ALL_LOOPS, ids=str)
 def test_walk_equals_the_reference_walk(loop):
-    # whole streams with no limit, replayed tails and all; bound 7 is the default,
-    # where a rank-4 walk walks 128 tails of 32 leaves alone and replays each 32 times
+    # whole walks with no limit: the raw walk leaf by leaf, and the stream with
+    # its replayed tails; bound 7 is the default, where a rank-4 stream walks
+    # 128 tails of 32 leaves alone and replays each 32 times
     cv = representative(loop)
     if loop.rank == 3:
         bounds = (1, 2, 3, 4, 5, 7, 9, 15)
     else:
         bounds = (3, 5, 7) if str(loop) in ("C4_1", "C4_4", "C4_13") else (3,)
     for bound in bounds:
-        assert list(_walk_class_sizes(cv, bound)) == list(reference_walk(cv, bound))
+        reference = list(reference_walk(cv, bound))
+        assert list(_walk_class_sizes(cv, bound)) == reference
+        stream = [(rep.counts, rep.degree) for rep in enumerate_reduced(cv, bound)]
+        assert stream == list(spanning_leaves(cv.rank, reference))
 
 
-def _leaves_walked(cv: CharVector, bound: int, limit: list[int] | None = None) -> tuple[int, int]:
-    """(leaves the walk reaches itself, all leaves it yields): a line tracer
-    counts the runs of the loop's line that builds a walked leaf, whether in
-    the main walk or in a tail walked alone; a replayed leaf comes from the
-    tail memo and never runs it."""
+def _leaves_walked(leaves: Iterator) -> tuple[int, int]:
+    """(leaves the walk reaches itself, items read from ``leaves``): a line
+    tracer counts the runs of the loop's line that builds a walked leaf, whether
+    in the main walk, in a tail walked alone or in one walked in place; a
+    replayed leaf comes from the tail memo and never runs it."""
     lines, first = inspect.getsourcelines(search._walk_cells)
     target = first + next(i for i, text in enumerate(lines) if text.strip() == "counts = tuple(values)")
     code, walked = search._walk_cells.__code__, 0
@@ -398,26 +404,45 @@ def _leaves_walked(cv: CharVector, bound: int, limit: list[int] | None = None) -
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
     try:
-        leaves = sum(1 for _ in _walk_class_sizes(cv, bound, limit))
+        read = sum(1 for _ in leaves)
     finally:
         sys.settrace(previous)
-    return walked, leaves
+    return walked, read
 
 
 def test_the_walk_replays_recorded_tails():
-    # with no limit each tail is walked once, alone, and replayed below every
-    # head with its key: at the default bound that walks 128 tails of 32 leaves
+    # the stream walks each tail once, alone, and replays it below every head
+    # with its key: at bound 4 it walks 84 of 180 leaves and keeps all but 2
+    # degenerate ones; at the default bound 128 tails of 32 leaves of 131,072,
+    # and keeps all but 32
     cv = representative(LoopClassId(4, 1))
-    assert _leaves_walked(cv, 4) == (84, 180)
-    assert _leaves_walked(cv, REDUCED_MAX) == (4096, 131072)
+    assert _leaves_walked(enumerate_reduced(cv, 4)) == (84, 178)
+    assert sum(1 for _ in _walk_class_sizes(cv, 4)) == 180
+    assert _leaves_walked(enumerate_reduced(cv, REDUCED_MAX)) == (4096, 131040)
+    assert sum(1 for _ in _walk_class_sizes(cv, REDUCED_MAX)) == 131072
 
 
 def test_a_passed_limit_walks_every_leaf():
     # a limit the consumer may lower turns the memo off, even one never lowered:
-    # branch and bound walks every leaf it yields, and records nothing
+    # branch and bound walks every leaf it yields, and records nothing; only
+    # the stream, which takes no limit, records tails
     cv = representative(LoopClassId(4, 1))
-    assert _leaves_walked(cv, REDUCED_MAX, [REDUCED_MAX * 15]) == (131072, 131072)
-    assert _leaves_walked(cv, REDUCED_MAX) == (4096, 131072)
+    assert _leaves_walked(_walk_class_sizes(cv, REDUCED_MAX, [REDUCED_MAX * 15])) == (131072, 131072)
+    assert _leaves_walked(enumerate_reduced(cv, REDUCED_MAX)) == (4096, 131040)
+
+
+def test_a_full_memo_walks_new_tails_in_place():
+    # at bound 8 a rank-4 tail has up to 1,080 rows, so the memo takes 3 tails;
+    # once it is full each new tail is walked in place, each leaf's span tested
+    cv = representative(LoopClassId(4, 1))
+    stream = enumerate_reduced(cv, 8)
+    prefix = [(rep.counts, rep.degree) for rep in islice(stream, 20_000)]
+    state = stream.gi_frame.f_locals
+    assert state["tails"] == len(state["memo"]) == 3
+    assert prefix == list(islice(spanning_leaves(4, reference_walk(cv, 8)), 20_000))
+    # leaves walked beyond the recorded rows were walked in place
+    walked, read = _leaves_walked(islice(enumerate_reduced(cv, 8), 20_000))
+    assert read == 20_000 and walked > sum(map(len, state["memo"].values()))
 
 
 def _read(walk, cv: CharVector, bound: int, lower) -> list:
@@ -441,7 +466,7 @@ CUT_WHILE_RECORDED = {"C4_3": (193, 57), "C4_7": (225, 65), "C4_9": (1377, 65), 
 def test_walk_under_a_lowered_limit_equals_the_reference_walk(loop):
     cv = representative(loop)
     cases = [(bound, lambda i, degree, limit: degree) for bound in (3, 7, 15, 63)]  # branch and bound
-    # to its degree at the 5,000th leaf, inside a replayed tail: each later row meets the new limit
+    # to its degree at the 5,000th leaf, midway through a tail: each later leaf meets the new limit
     cases.append((REDUCED_MAX, lambda i, degree, limit: degree if i == 5000 else limit))
     if str(loop) in CUT_WHILE_RECORDED:
         at, cut = CUT_WHILE_RECORDED[str(loop)]
