@@ -25,13 +25,15 @@ commutator and associator sign laws, which the ``loop-laws`` claim of
 ``CodeLoop`` numbers (e, v) as id = sign bit * |V| | mask of v, the sign bit set
 for e = -1, so a ^ b multiplies the signs and adds the codewords: the product of
 ids a and b is a ^ b, its sign bit flipped where phi(v, w) = -1.  Identity is 0.
-The laws are read on whole rows, row a being the map z -> a z: the Moufang
-identity compares composed maps, and the center is the commutant.
+The laws are read on whole rows, row a being the map z -> a z: the Moufang identity
+compares composed maps, and the center is the commutant.  As -1 is central, row and
+column -a are those of a with the sign bit flipped; on a table that shows this, the
+laws take a and b over V alone and find the same first counterexample.
 """
 
 from __future__ import annotations
 
-from .errors import NotDoublyEven, UnsupportedRank
+from .errors import NotDoublyEven, UnsupportedRank, clipped
 from .fileio import csv_text
 from .gf2 import Codeword, CodeBasis, _Value, _xor_span, is_doubly_even, meet_weights
 
@@ -110,12 +112,15 @@ class CodeLoop:
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if isinstance(word, Codeword):
-            bits = word.bits
-            mask = self.factor_set.codewords.index(bits)
-        else:
+            if word.length != self.basis.length:
+                raise ValueError(f"codeword of length {clipped(str(word.length))}, the code's is {self.basis.length}")
+            if word.bits not in self.factor_set.codewords:
+                raise ValueError("codeword is not in the code")
+            mask = self.factor_set.codewords.index(word.bits)
+        elif isinstance(word, int) and 0 <= word < self.half:
             mask = word
-            if not 0 <= mask < self.half:
-                raise ValueError("coefficient mask out of range")
+        else:
+            raise ValueError(f"coefficient mask must be an int in range({self.half})")
         return (0 if sign == 1 else self.half) + mask
 
     def sign_of(self, a: int) -> int:
@@ -162,15 +167,25 @@ def _left_maps(table: tuple[tuple[int, ...], ...]) -> list[bytes]:
     return [bytes(row) + pad for row in table]
 
 
+def _law_range(loop: CodeLoop, left: list[bytes]) -> range:
+    """range(half), V, if the table is sign symmetric: L_(a ^ half) = F L_a = L_a F for a in V,
+    F the byte map z -> z ^ half; else every id.  F then commutes with every row map, so each
+    law's counterexamples are closed under a -> a ^ half and b -> b ^ half (the Moufang rows at -x
+    are F L_x L_y F L_x = L_x L_y L_x, at -y both sides gain an F; a sign cell flips on both sides
+    or neither), and since a < a ^ half on V the first in a, b, c order over all ids lies in V."""
+    flip = bytes(z ^ loop.half if z < loop.order else z for z in range(256))
+    flipped = (left[a ^ loop.half] == left[a].translate(flip) == flip.translate(left[a]) for a in range(loop.half))
+    return range(loop.half if all(flipped) else loop.order)
+
+
 def is_moufang(loop: CodeLoop) -> bool:
-    """((x y) x) z = x (y (x z)) as the row identity L_((x y) x) = L_x L_y L_x; order <= 64."""
+    """((x y) x) z = x (y (x z)) as the row identity L_((x y) x) = L_x L_y L_x, with x and y
+    over ``_law_range``: V once the table is sign symmetric; order <= 64."""
     if loop.order > 64:
         raise UnsupportedRank("exhaustive identity check is capped at order 64")
     t, left = loop.table, _left_maps(loop.table)
-    return all(
-        left[t[t[x][y]][x]] == lx.translate(left[y]).translate(lx)
-        for x, lx in enumerate(left) for y in range(loop.order)
-    )
+    xs = _law_range(loop, left)
+    return all(left[t[t[x][y]][x]] == lx.translate(left[y]).translate(lx) for x, lx in zip(xs, left) for y in xs)
 
 
 def loop_table_csv(loop: CodeLoop) -> str:

@@ -27,7 +27,7 @@ from .charvec import (
 )
 from .errors import LoopforgeError, quoted
 from .gf2 import _Value, class_order, codes_equivalent, is_doubly_even, meet_weights, sigma_mask
-from .loops import _left_maps, build_loop, is_moufang
+from .loops import _law_range, _left_maps, build_loop, is_moufang
 from .search import MinimalReport, assemble_representation, minimal_representations, solve_system
 
 # What each misprinted listing shows as published, in the words of
@@ -188,9 +188,9 @@ def claim_worked_example() -> ClaimResult:
 
 
 def check_loop_laws(entry: catalog.ReferenceEntry) -> list[str]:
-    """Exhaustive law checks for one reference basis: the Moufang identity, and
-    sign agreement of squares, commutators and associators with the weight
-    formulas; each law reports its first counterexample.
+    """Exhaustive law checks for one reference basis: the Moufang identity, and sign
+    agreement of squares, commutators and associators with the weight formulas; each law
+    reports its first counterexample; a and b run over ``loops._law_range``, V on a sign-symmetric table.
 
     Under the xor rule of ``CodeLoop`` the three sign laws are the square, twist
     and cocycle axioms of the factor set, and they imply the identity axioms: the
@@ -200,8 +200,8 @@ def check_loop_laws(entry: catalog.ReferenceEntry) -> list[str]:
         loop = build_loop(entry.basis())
     except LoopforgeError as exc:
         return [f"{entry.loop}: factor set failed: {exc}"]
-    t, half, cw = loop.table, loop.half, loop.factor_set.codewords
-    ids, v, left = loop.elements(), cw * 2, _left_maps(t)
+    t, half, cw, left = loop.table, loop.half, loop.factor_set.codewords, _left_maps(loop.table)
+    ids, v, outer = loop.elements(), cw * 2, _law_range(loop, left)
     # byte c of L_(ab) xor L_a L_b is where (ab)c and a(bc) differ; the weight
     # formula's, per meet m = v_a & v_b, is half where |m & v_c| is odd
     as_int = partial(int.from_bytes, byteorder="little")
@@ -213,14 +213,14 @@ def check_loop_laws(entry: catalog.ReferenceEntry) -> list[str]:
     laws = {
         "Moufang identity fails": None if is_moufang(loop) else (),
         "square sign wrong at element {}": next(
-            ((a,) for a in ids if t[a][a] != half * (v[a].bit_count() >> 2 & 1)), None
+            ((a,) for a in outer if t[a][a] != half * (v[a].bit_count() >> 2 & 1)), None
         ),
         "commutator sign wrong at ({},{})": next(
-            ((a, b) for a in ids for b in ids
+            ((a, b) for a in outer for b in outer
              if (t[a][b] != t[b][a]) != (v[a] & v[b]).bit_count() >> 1 & 1), None
         ),
         "associator sign wrong at ({},{},{})": next(
-            ((a, b, c) for a in ids for b in ids
+            ((a, b, c) for a in outer for b in outer
              if rows[t[a][b]] ^ as_int(left[b].translate(left[a])) != flips[v[a] & v[b]]
              for c in ids
              if (t[t[a][b]][c] != t[a][t[b][c]]) != (v[a] & v[b] & v[c]).bit_count() & 1), None

@@ -261,10 +261,49 @@ def associative_by_definition(loop) -> bool:
 
 
 def moufang_by_definition(loop) -> bool:
-    """The Moufang identity ((x y) x) z = x (y (x z)) cell by cell, the reference
-    for ``is_moufang``, which compares whole rows."""
+    """The Moufang identity ((x y) x) z = x (y (x z)) cell by cell over all
+    x, y, z, the reference for ``is_moufang``, which compares whole rows and takes
+    x and y over V alone once the table is sign symmetric."""
     t, ids = loop.table, loop.elements()
     return all(t[t[t[x][y]][x]][z] == t[x][t[y][t[x][z]]] for x in ids for y in ids for z in ids)
+
+
+def _codewords_by_id(loop) -> list[int]:
+    """The codeword mask of each id, whatever its sign."""
+    return [loop.factor_set.codewords[a % loop.half] for a in loop.elements()]
+
+
+def first_square_by_definition(loop) -> str | None:
+    """The square law cell by cell over all ids, the reference for
+    ``check_loop_laws``: a a is -1 exactly where |v_a| / 4 is odd."""
+    t, ids, half, v = loop.table, loop.elements(), loop.half, _codewords_by_id(loop)
+    return next(
+        (f"square sign wrong at element {a}" for a in ids
+         if t[a][a] != (half if v[a].bit_count() // 4 % 2 else 0)),
+        None,
+    )
+
+
+def first_commutator_by_definition(loop) -> str | None:
+    """The commutator law cell by cell over all pairs, the reference for
+    ``check_loop_laws``: a b = -(b a) exactly where |v_a & v_b| / 2 is odd."""
+    t, ids, v = loop.table, loop.elements(), _codewords_by_id(loop)
+    return next(
+        (f"commutator sign wrong at ({a},{b})" for a in ids for b in ids
+         if (t[a][b] != t[b][a]) != (v[a] & v[b]).bit_count() // 2 % 2),
+        None,
+    )
+
+
+def first_associator_by_definition(loop) -> str | None:
+    """The associator law cell by cell over all triples, the reference for
+    ``check_loop_laws``: (a b) c = -(a (b c)) exactly where |v_a & v_b & v_c| is odd."""
+    t, ids, v = loop.table, loop.elements(), _codewords_by_id(loop)
+    return next(
+        (f"associator sign wrong at ({a},{b},{c})" for a in ids for b in ids for c in ids
+         if (t[t[a][b]][c] != t[a][t[b][c]]) != (v[a] & v[b] & v[c]).bit_count() % 2),
+        None,
+    )
 
 
 def axiom_violations_by_definition(fs) -> list[str]:

@@ -14,6 +14,9 @@ from conftest import (
     associative_by_definition,
     axiom_violations_by_definition,
     center_by_definition,
+    first_associator_by_definition,
+    first_commutator_by_definition,
+    first_square_by_definition,
     moufang_by_definition,
     random_doubly_even_basis,
 )
@@ -132,7 +135,9 @@ def test_axiom_violations_match_the_cell_by_cell_check(monkeypatch, name):
     # phi(v, w), phi(w, v) (which keeps the square and twist axioms), and
     # codewords that are no longer the span in mask order.  Only +1/-1 tables: build_factor_set
     # writes no other entry, and CodeLoop reads any entry that is not negative
-    # as +1, so an entry of 0 is a +1 to the claim but a violation to the scan
+    # as +1, so an entry of 0 is a +1 to the claim but a violation to the scan.
+    # Every one of these loop tables is sign symmetric, so the laws run over V;
+    # each message must still name the first counterexample over all elements
     entry = ENTRIES[name]
     fs = build_factor_set(entry.basis())
     size = fs.size
@@ -145,7 +150,18 @@ def test_axiom_violations_match_the_cell_by_cell_check(monkeypatch, name):
     verdicts = []
     for table in tables:
         monkeypatch.setattr(verify, "build_loop", lambda basis, table=table: CodeLoop(table))
-        verdicts.append(bool(verify.check_loop_laws(entry)))
+        found = verify.check_loop_laws(entry)
+        verdicts.append(bool(found))
+        loop = CodeLoop(table)
+        moufang = moufang_by_definition(loop)
+        assert is_moufang(loop) == moufang
+        first = [
+            None if moufang else "Moufang identity fails",
+            first_square_by_definition(loop),
+            first_commutator_by_definition(loop),
+            first_associator_by_definition(loop),
+        ]
+        assert found == [f"{name}: {message}" for message in first if message]
     assert verdicts == [bool(axiom_violations_by_definition(table)) for table in tables]
     assert verdicts == [False] + [True] * (len(tables) - 1)
 
@@ -183,6 +199,24 @@ def test_factor_set_rejects_codes_that_are_not_doubly_even(rank):
     basis = CodeBasis.from_positions(max(6, 4 * rank - 4), gens)
     with pytest.raises(NotDoublyEven, match="factor sets require a doubly even code"):
         build_factor_set(basis)
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        (Codeword(7, 0b11), "codeword is not in the code"),
+        (Codeword(99, 0b1111), "codeword of length 99, the code's is 7"),
+        (2.0, r"coefficient mask must be an int in range\(8\)"),
+        (8, r"coefficient mask must be an int in range\(8\)"),
+        (-1, r"coefficient mask must be an int in range\(8\)"),
+    ],
+)
+def test_element_id_rejects_what_names_no_element(word, message):
+    # a codeword outside the span or of another length, and a mask that is not
+    # an int in range, each name no element of C3_1's loop
+    loop = build_loop(ENTRIES["C3_1"].basis())
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        loop.element_id(1, word)
 
 
 def test_loop_identity_and_negation():
