@@ -97,6 +97,7 @@ class CodeLoop:
         )
         # the identity appears once per row: codeword of a, one of its two signs
         self.inverses: tuple[int, ...] = tuple(row.index(0) for row in self.table)
+        self._laws: tuple = (None,)  # (table, row maps, law range) of the table the laws last read
 
     # -- element bookkeeping ------------------------------------------------
 
@@ -160,13 +161,6 @@ def build_loop(basis: CodeBasis) -> CodeLoop:
     return CodeLoop(build_factor_set(basis))
 
 
-def _left_maps(table: tuple[tuple[int, ...], ...]) -> list[bytes]:
-    """Row a as a 256-byte ``bytes.translate`` table for z -> a z, the identity past
-    the ids (which must fit a byte): ``L[b].translate(L[a])`` is z -> a (b z)."""
-    pad = bytes(range(len(table), 256))
-    return [bytes(row) + pad for row in table]
-
-
 def _law_range(loop: CodeLoop, left: list[bytes]) -> range:
     """range(half), V, if the table is sign symmetric: L_(a ^ half) = F L_a = L_a F for a in V,
     F the byte map z -> z ^ half; else every id.  F then commutes with every row map, so each
@@ -178,13 +172,22 @@ def _law_range(loop: CodeLoop, left: list[bytes]) -> range:
     return range(loop.half if all(flipped) else loop.order)
 
 
+def _law_maps(loop: CodeLoop) -> tuple[list[bytes], range]:
+    """Row a as a 256-byte ``bytes.translate`` table for z -> a z (ids fit a byte), so ``L[b].translate(L[a])``
+    is z -> a (b z), and their ``_law_range``: built once per table, kept on the loop for every law."""
+    if loop._laws[0] is not loop.table:
+        pad = bytes(range(len(loop.table), 256))
+        left = [bytes(row) + pad for row in loop.table]
+        loop._laws = loop.table, left, _law_range(loop, left)
+    return loop._laws[1:]
+
+
 def is_moufang(loop: CodeLoop) -> bool:
     """((x y) x) z = x (y (x z)) as the row identity L_((x y) x) = L_x L_y L_x, with x and y
     over ``_law_range``: V once the table is sign symmetric; order <= 64."""
     if loop.order > 64:
         raise UnsupportedRank("exhaustive identity check is capped at order 64")
-    t, left = loop.table, _left_maps(loop.table)
-    xs = _law_range(loop, left)
+    t, (left, xs) = loop.table, _law_maps(loop)
     return all(left[t[t[x][y]][x]] == lx.translate(left[y]).translate(lx) for x, lx in zip(xs, left) for y in xs)
 
 

@@ -22,10 +22,12 @@ it.  A leaf is kept iff its labels (its nonempty cells) span GF(2)^n, so its
 generators are nonzero and independent; below a head that spans, no row is tested.
 A kept leaf is a ``ReducedRepresentation``, as a ``solve_system`` result is: its
 counts and degree, with its type and code (cached) derived on read.
-Minimal representations come from branch and bound over the same walk: any
-branch whose partial degree exceeds the least degree found so far is cut, and
-tied least-degree leaves are deduplicated by code equivalence (a lone one is
-its own class).  ``solve_system`` is the Moebius inverse of the transform.
+Minimal representations come from branch and bound over the same walk: a branch is cut
+once its partial degree plus the most any open generator i still needs, (4 lambda_i - t_i)
+mod 8 positions as t_i is fixed mod 8, exceeds the least degree found so far; every leaf
+meets the congruences, so none within the limit is lost.  Tied least-degree leaves are
+deduplicated by code equivalence (a lone one is its own class).  ``solve_system`` is the
+Moebius inverse of the transform.
 """
 
 from __future__ import annotations
@@ -174,7 +176,19 @@ def _cells(cv: CharVector, max_size: int) -> tuple:
     lam = coordinates_by_mask(cv)
     target = [lam[m] * 8 >> m.bit_count() for m in masks]
     modulus = [16 >> m.bit_count() for m in masks]
-    return spread, [width * m for m in masks], target, modulus, [1 << m for m in masks], (1 << width) - 1, max_size
+    # digit m of top - packed: 2^(width-1) + target - t_m, no borrow; generator i: low 3 bits (4 lambda_i - t_i) mod 8
+    top = sum((1 << width - 1) + r << width * m for r, m in zip(target, masks)) + (1 << width - 1)
+    shift, bits = [width * m for m in masks], [1 << m for m in masks]
+    return spread, shift, target, modulus, bits, (1 << width) - 1, max_size, top, *_cut_tables(cv.rank, width)
+
+
+@lru_cache(maxsize=None)
+def _cut_tables(rank: int, width: int) -> tuple:
+    """Per cell p, ``ones`` is 1 in the digit of each generator held past p (as its singleton is): the walk
+    reads those 3-bit fields (7 ones), adds 7 - room to each (by room < 7) and tests their carries (8 ones)."""
+    masks = [sigma_mask(sigma) for sigma in class_order(rank)]
+    ones = [sum(1 << width * m for m in masks[p + 1:] if m & m - 1 == 0) for p in range(len(masks))]
+    return [7 * s for s in ones], [[(7 - room) * s for room in range(7)] for s in ones], [8 * s for s in ones]
 
 
 def _walk_class_sizes(
@@ -195,7 +209,7 @@ def _walk_cells(cells: tuple, limit: list[int], pos: int, packed: int, split: in
     head with that key, and yields a ``ReducedRepresentation`` per spanning leaf, testing
     rows only below a head that does not span.  Past 4,096 rows a tail is walked in place.
     """
-    spread, shift, target, modulus, bits, digit, max_size = cells
+    spread, shift, target, modulus, bits, digit, max_size, top, need, over, carry = cells
     last, start = len(spread) - 1, pos
     values, acc = [0] * len(spread), [packed] * len(spread)  # acc[p] = packed + sum of values[q] * spread[q] over q < p
     values[pos] = (target[pos] - (packed >> shift[pos])) % modulus[pos]
@@ -222,6 +236,9 @@ def _walk_cells(cells: tuple, limit: list[int], pos: int, packed: int, split: in
             values[last] += modulus[last]
             continue
         acc[pos + 1] = packed = acc[pos] + value * spread[pos]
+        if (room := bound - (packed & digit)) < 7 and (top - packed & need[pos]) + over[pos][room] & carry[pos]:
+            values[pos] += modulus[pos]  # the generators still open need more than the room left
+            continue
         pos += 1
         values[pos] = (target[pos] - (packed >> shift[pos])) % modulus[pos]
         if pos != split:

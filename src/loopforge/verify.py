@@ -27,7 +27,7 @@ from .charvec import (
 )
 from .errors import LoopforgeError, quoted
 from .gf2 import _Value, class_order, codes_equivalent, is_doubly_even, meet_weights, sigma_mask
-from .loops import _law_range, _left_maps, build_loop, is_moufang
+from .loops import _law_maps, build_loop, is_moufang
 from .search import MinimalReport, assemble_representation, minimal_representations, solve_system
 
 # What each misprinted listing shows as published, in the words of
@@ -200,8 +200,8 @@ def check_loop_laws(entry: catalog.ReferenceEntry) -> list[str]:
         loop = build_loop(entry.basis())
     except LoopforgeError as exc:
         return [f"{entry.loop}: factor set failed: {exc}"]
-    t, half, cw, left = loop.table, loop.half, loop.factor_set.codewords, _left_maps(loop.table)
-    ids, v, outer = loop.elements(), cw * 2, _law_range(loop, left)
+    t, half, cw, (left, outer) = loop.table, loop.half, loop.factor_set.codewords, _law_maps(loop)
+    ids, v = loop.elements(), cw * 2
     # byte c of L_(ab) xor L_a L_b is where (ab)c and a(bc) differ; the weight
     # formula's, per meet m = v_a & v_b, is half where |m & v_c| is odd
     as_int = partial(int.from_bytes, byteorder="little")

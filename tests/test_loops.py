@@ -28,6 +28,7 @@ from loopforge.gf2 import CodeBasis, Codeword
 from loopforge.loops import (
     CodeLoop,
     FactorSet,
+    _law_range,
     build_factor_set,
     build_loop,
     is_moufang,
@@ -263,6 +264,22 @@ def test_moufang_matches_its_definition():
     assert len(loops) == 37
     for loop in loops:
         assert is_moufang(loop) and moufang_by_definition(loop)
+
+
+def test_law_maps_are_built_once_per_table(monkeypatch):
+    # the loop-laws claim and is_moufang share one set of row maps per loop;
+    # a table set after a check is read afresh, not through the old maps
+    ranges = []
+    monkeypatch.setattr("loopforge.loops._law_range", lambda loop, left: ranges.append(loop) or _law_range(loop, left))
+    assert verify.check_loop_laws(ENTRIES["C3_1"]) == []
+    assert len(ranges) == 1
+    loop = build_loop(ENTRIES["C3_1"].basis())
+    assert is_moufang(loop) and is_moufang(loop) and len(ranges) == 2
+    rows = [list(row) for row in loop.table]
+    rows[0][0] ^= loop.half
+    loop.table = tuple(map(tuple, rows))
+    assert not is_moufang(loop) and not moufang_by_definition(loop)
+    assert len(ranges) == 3
 
 
 def test_moufang_check_is_capped_at_order_64():

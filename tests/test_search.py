@@ -218,12 +218,17 @@ def test_enumerate_reduced_rank3_walk_is_32_leaves():
 
 
 def test_walk_limit_keeps_exactly_the_leaves_within_it():
-    cv = representative(LoopClassId(4, 14))
-    full = list(walked_counts(cv, 3))
-    for bound in (0, 9, 13, 20):
-        assert list(walked_counts(cv, 3, [bound])) == [
-            c for c in full if sum(c) <= bound
-        ]
+    # class bounds 1 and 2 give 5- and 6-bit digits, the least room for the
+    # offset that keeps the walk's residue read from borrowing; every limit
+    # from 0 past the heaviest leaf, ties with a leaf's degree included
+    for loop, size in (("C4_14", 3), ("C4_1", 1), ("C4_1", 2), ("C4_2", 2)):
+        cv = representative(LoopClassId.parse(loop))
+        full = [counts for counts, _, _ in reference_walk(cv, size)]
+        assert full
+        for bound in range(max(map(sum, full)) + 2):
+            assert list(walked_counts(cv, size, [bound])) == [
+                c for c in full if sum(c) <= bound
+            ]
 
 
 def test_walk_limit_lowered_mid_stream_cuts_later_branches():
@@ -392,8 +397,13 @@ def _leaves_walked(leaves: Iterator) -> tuple[int, int]:
     tracer counts the runs of the loop's line that builds a walked leaf, whether
     in the main walk, in a tail walked alone or in one walked in place; a
     replayed leaf comes from the tail memo and never runs it."""
+    return _line_runs("counts = tuple(values)", leaves)
+
+
+def _line_runs(line: str, leaves: Iterator) -> tuple[int, int]:
+    """(runs of the walk loop's ``line``, items read from ``leaves``)."""
     lines, first = inspect.getsourcelines(search._walk_cells)
-    target = first + next(i for i, text in enumerate(lines) if text.strip() == "counts = tuple(values)")
+    target = first + next(i for i, text in enumerate(lines) if text.strip() == line)
     code, walked = search._walk_cells.__code__, 0
 
     def local(frame, event, arg):
@@ -420,6 +430,20 @@ def test_the_walk_replays_recorded_tails():
     assert sum(1 for _ in _walk_class_sizes(cv, 4)) == 180
     assert _leaves_walked(enumerate_reduced(cv, REDUCED_MAX)) == (4096, 131040)
     assert sum(1 for _ in _walk_class_sizes(cv, REDUCED_MAX)) == 131072
+
+
+def test_minimal_search_cuts_what_the_open_generators_cannot_fit():
+    # a branch is cut once the positions its open generators still need, each
+    # (4 lambda_i - t_i) mod 8, exceed the room left under the incumbent: the 21
+    # default-bound searches take 38,654 steps of the walk loop, 105,075 when only
+    # the partial degree is compared, 38,992 when the generators whose singleton
+    # is the next cell are left to that cell's own check
+    def searches():
+        for loop in ALL_LOOPS:
+            yield minimal_representations(representative(loop))
+
+    steps, read = _line_runs("value = values[pos]", searches())
+    assert read == 21 and steps == 38_654
 
 
 def test_a_passed_limit_walks_every_leaf():
@@ -672,10 +696,11 @@ def test_max_class_size_override():
 
 
 def _minimal_by_sorting(cv: CharVector, max_class_size: int) -> MinimalReport:
-    """Exhaustive oracle: materialize the walk, sort by (degree, counts),
-    keep the least nondegenerate degree, deduplicate by code equivalence."""
+    """Exhaustive oracle: materialize the reference walk, which cuts on the
+    degree alone, sort by (degree, counts), keep the least nondegenerate
+    degree, deduplicate by code equivalence."""
     loop_id, _, _ = canonicalize(cv)
-    leaves = sorted((sum(c), c) for c in walked_counts(cv, max_class_size))
+    leaves = sorted((degree, counts) for counts, degree, _ in reference_walk(cv, max_class_size))
     best: list[ReducedRepresentation] = []
     best_degree = None
     for degree, counts in leaves:
@@ -712,9 +737,10 @@ def _report_or_error(search, cv: CharVector, bound: int):
 def test_branch_and_bound_matches_sorting_oracle(loop):
     # rank 4 at bound 3 is a small walk in which six loops have no valid
     # leaf; bound 4 is the least at which all sixteen have one; C4_4, C4_13
-    # and C4_15 tie two or more least-degree leaves at bounds 3 to 5
+    # and C4_15 tie two or more least-degree leaves at bounds 3 to 5.  Bounds
+    # 1 and 2 (rank 3 up to 9) give the narrowest digits, 4 to 7 bits
     cv = representative(loop)
-    for bound in (7,) if loop.rank == 3 else (3, 4, 5):
+    for bound in range(1, 10) if loop.rank == 3 else (1, 2, 3, 4, 5):
         assert _report_or_error(minimal_representations, cv, bound) == _report_or_error(
             _minimal_by_sorting, cv, bound
         )
