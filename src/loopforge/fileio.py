@@ -5,6 +5,8 @@ Code file format:
     lines 2 .. n+1:    one generator each, either comma-separated distinct 1-based
                        positions (``1,2,3,4``) or a bitstring of length m
                        prefixed ``b:`` (``b:01101...``).
+Each <int> and position is ASCII digits with an optional ``-`` (and spaces or tabs
+around a position), not the wider ``int()`` syntax: no ``_``, ``+`` or other digits.
 
 Characteristic vectors are accepted in shorthand (n + C(n,2) bits: 6 for
 rank 3, 10 for rank 4, omitted coordinates fixed by convention) or in full
@@ -13,6 +15,7 @@ coordinate form prefixed ``full:`` (C(n,3) more bits: 7 and 14).
 
 from __future__ import annotations
 
+import re
 from math import comb
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -24,6 +27,17 @@ if TYPE_CHECKING:
     from .search import MinimalReport, ReducedRepresentation
 
 
+_INTEGER = re.compile(r"[ \t]*-?[0-9]+[ \t]*")
+
+
+def _integer(text: str) -> int:
+    """``text`` as an int: ASCII digits with an optional ``-`` and spaces or tabs around
+    them, not ``int()``'s wider syntax (``_``, ``+``, other scripts' digits)."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {quoted(text)}")
+    return int(text)
+
+
 def parse_code_text(text: str) -> CodeBasis:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -32,8 +46,7 @@ def parse_code_text(text: str) -> CodeBasis:
     try:
         # exactly the two fields m and n, each once
         fields = dict(part.split("=") for part in head) if len(head) == 2 else {}
-        m = int(fields["m"])
-        n = int(fields["n"])
+        m, n = _integer(fields["m"]), _integer(fields["n"])
         if m < 0 or n < 0:
             raise ValueError
     except (ValueError, KeyError):
@@ -52,7 +65,7 @@ def parse_code_text(text: str) -> CodeBasis:
                 raise ParseError(str(exc)) from None
         else:
             try:
-                positions = [int(p) for p in ln.split(",")]
+                positions = [_integer(p) for p in ln.split(",")]
                 generators.append(Codeword.from_positions(m, positions))
                 if generators[-1].weight < len(positions):  # a position was merged
                     ordered = sorted(positions)

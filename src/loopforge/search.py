@@ -10,18 +10,18 @@ sigma are sized, x_sigma is fixed mod 2^(4-|sigma|) and the reduced family
   rank 3:  x_123 odd, each x_ij fixed mod 4, each x_i fixed mod 8   (32 leaves)
   rank 4:  x_1234 free, x_ijk fixed mod 2, x_ij mod 4, x_i mod 8    (2^17 leaves)
 
-The walk is a lazy depth-first generator over the cells in the fixed labeling
-order (``gf2.class_order``) with ascending values, so the stream is
-lexicographic in the counts; one packed int per depth holds each t_m in its own
-digit (digit 0: the degree) and sets the next cell and the degree bound, so every
-leaf carries the vector unchecked.  The cells holding generator 1 (the head) come
-first; a later (tail) cell m reads them only through t_m mod its modulus, so heads
-with equal residues (one key) share a tail: the stream walks each key's tail once on
-its own and replays it (4,096 rows in all), building each kept leaf where it yields
-it.  A leaf is kept iff its labels (its nonempty cells) span GF(2)^n, so its
-generators are nonzero and independent; below a head that spans, no row is tested.
-A kept leaf is a ``ReducedRepresentation``, as a ``solve_system`` result is: its
-counts and degree, with its type and code (cached) derived on read.
+The walk is one lazy depth-first loop over a run of cells in the fixed labeling order
+(``gf2.class_order``), values ascending, that yields each leaf raw; its leaves are
+lexicographic in the counts.  One packed int per depth holds each t_m in its own digit
+(digit 0: the degree) and sets the next cell and the degree bound, so every leaf carries
+the vector unchecked.  The cells holding generator 1 (the head) come first; a later
+(tail) cell m reads them only through t_m mod its modulus, so heads with equal residues
+(one key) share a tail.  The stream walks the heads and, once per key, the tail alone
+from the key, replaying its rows (4,096 at most) below every head with that key and
+building each kept leaf there.  A leaf is kept iff its labels (its nonempty cells) span
+GF(2)^n, so its generators are nonzero and independent; below a head that spans, no row
+is tested.  A kept leaf is a ``ReducedRepresentation``, as a ``solve_system`` result is:
+its counts and degree, with its type and code (cached) derived on read.
 Minimal representations come from branch and bound over the same walk: a branch is cut
 once its partial degree plus the most any open generator i still needs, (4 lambda_i - t_i)
 mod 8 positions as t_i is fixed mod 8, exceeds the least degree found so far; every leaf
@@ -149,6 +149,8 @@ def _require_normalized(cv: CharVector, max_class_size: int) -> None:
         raise AssociativeLoop("representation search needs a nonassociative vector")
     if not cv.is_normalized:
         raise ValueError("normalize the vector first (alpha must be 1 / 1000)")
+    if not isinstance(max_class_size, int):
+        raise ValueError(f"max_class_size must be an int, got {type(max_class_size).__name__}")
     if max_class_size < 1:
         raise ValueError("max_class_size must be at least 1")
 
@@ -179,7 +181,7 @@ def _cells(cv: CharVector, max_size: int) -> tuple:
     # digit m of top - packed: 2^(width-1) + target - t_m, no borrow; generator i: low 3 bits (4 lambda_i - t_i) mod 8
     top = sum((1 << width - 1) + r << width * m for r, m in zip(target, masks)) + (1 << width - 1)
     shift, bits = [width * m for m in masks], [1 << m for m in masks]
-    return spread, shift, target, modulus, bits, (1 << width) - 1, max_size, top, *_cut_tables(cv.rank, width)
+    return spread, shift, target, modulus, bits, *_cut_tables(cv.rank, width), (1 << width) - 1, max_size, top
 
 
 @lru_cache(maxsize=None)
@@ -191,48 +193,39 @@ def _cut_tables(rank: int, width: int) -> tuple:
     return [7 * s for s in ones], [[(7 - room) * s for room in range(7)] for s in ones], [8 * s for s in ones]
 
 
-def _walk_class_sizes(
-    cv: CharVector, max_size: int, limit: list[int] | None = None
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Count tuples compatible with the congruences, lazily, in DFS order, each leaf walked
-    live and yielded raw, degenerate ones too: ``(counts, degree, labels)``.  The consumer
-    may lower ``limit[0]``: branches above it are cut."""
-    return _walk_cells(_cells(cv, max_size), limit or [max_size * ((1 << cv.rank) - 1)], 0, 0)
+def _walk_class_sizes(cv: CharVector, max_size: int, limit: list[int] | None = None) -> Iterator[tuple]:
+    """Count tuples compatible with the congruences, lazily, in DFS order, degenerate ones
+    too: ``(counts, degree, labels)`` per leaf of ``_walk_cells`` over every cell.  The
+    consumer may lower ``limit[0]``: branches above it are cut."""
+    cells = _cells(cv, max_size)
+    digit, walk = cells[8], _walk_cells(cells, limit or [max_size * ((1 << cv.rank) - 1)], 0, len(cells[0]), 0)
+    return ((counts, packed & digit, labels) for counts, packed, labels in walk)
 
 
-def _walk_cells(cells: tuple, limit: list[int], pos: int, packed: int, split: int = 0) -> Iterator:
-    """The walk's loop from cell ``pos``, entered with the packed int ``packed``, earlier cells at 0.
-
-    With no ``split`` it yields every leaf raw.  Given the first tail cell ``split`` (the
-    stream: no limit can fall) it walks each key's tail once, raw and alone from ``split``
-    with the key as its packed int (degrees relative to the head), replays it below every
-    head with that key, and yields a ``ReducedRepresentation`` per spanning leaf, testing
-    rows only below a head that does not span.  Past 4,096 rows a tail is walked in place.
-    """
-    spread, shift, target, modulus, bits, digit, max_size, top, need, over, carry = cells
-    last, start = len(spread) - 1, pos
-    values, acc = [0] * len(spread), [packed] * len(spread)  # acc[p] = packed + sum of values[q] * spread[q] over q < p
-    values[pos] = (target[pos] - (packed >> shift[pos])) % modulus[pos]
-    if split:  # 0: no memo, as pos is past 0 when it is compared
-        memo, key_mask = {}, sum(modulus[p] - 1 << shift[p] for p in range(split, last + 1))
-        tails = 4096 // prod(max_size // modulus[p] + 1 for p in range(split, last + 1))  # 128 of 32 at rank 4, bound 7
-        spans = _Spanning(len(spread).bit_length())
-    bound = limit[0]  # re-read after each raw row
+def _walk_cells(cells: tuple, limit: list[int], start: int, stop: int, packed: int) -> Iterator:
+    """The walk's loop over cells ``start .. stop-1``, entered with the packed int ``packed`` of
+    the cells before them.  It yields each leaf raw, degenerate ones too, as ``(counts, packed,
+    labels)`` of its own cells; the last cell's value is added to digit 0 (the degree, the entry
+    int's included) only: ``stop`` ends every cell or the head, and no tail cell reads the digit
+    of the head's last cell, generator 1's singleton."""
+    spread, shift, target, modulus, bits, need, over, carry = (table[start:stop] for table in cells[:8])
+    digit, max_size, top = cells[8:]
+    pos, last = 0, stop - start - 1
+    values, acc = [0] * (last + 1), [packed] * (last + 1)  # acc[p] = packed + sum of values[q] * spread[q] over q < p
+    values[0] = (target[0] - (packed >> shift[0])) % modulus[0]
+    bound = limit[0]  # re-read after each leaf
     while True:  # hot steps first, end test on backtrack
         value = values[pos]
         if value > max_size or value > bound - (acc[pos] & digit):  # cut, and the rest of the cell
             pos -= 1
-            if pos < start:
+            if pos < 0:
                 return
             values[pos] += modulus[pos]
             continue
         if pos == last:
             counts = tuple(values)
-            if not split:
-                yield counts, (acc[last] & digit) + value, sum(compress(bits, counts))
-                bound = limit[0]
-            elif spans[sum(compress(bits, counts))]:  # a tail walked in place
-                yield ReducedRepresentation(counts, (acc[last] & digit) + value)
+            yield counts, acc[last] + value, sum(compress(bits, counts))
+            bound = limit[0]
             values[last] += modulus[last]
             continue
         acc[pos + 1] = packed = acc[pos] + value * spread[pos]
@@ -241,36 +234,42 @@ def _walk_cells(cells: tuple, limit: list[int], pos: int, packed: int, split: in
             continue
         pos += 1
         values[pos] = (target[pos] - (packed >> shift[pos])) % modulus[pos]
-        if pos != split:
-            continue
+
+
+def _stream(cells: tuple) -> Iterator[ReducedRepresentation]:
+    """The kept leaves of the whole walk, in its order: the heads walked raw, and below each
+    the rows of its key's tail, walked alone from the key (degrees relative to the head) by the
+    key's first head and replayed by the rest; once 4,096 rows are kept, a new key's tail is
+    walked in place.  Rows are span-tested only below a head whose own labels do not span."""
+    spread, shift, _, modulus, *_, digit, max_size, _ = cells
+    size = len(spread)
+    split, limit, spans, memo = size + 1 >> 1, [max_size * size], _Spanning(size.bit_length()), {}
+    key_mask = sum(modulus[p] - 1 << shift[p] for p in range(split, size))
+    tails = 4096 // prod(max_size // modulus[p] + 1 for p in range(split, size))  # 128 of 32 at rank 4, bound 7
+    for head, packed, labels in _walk_cells(cells, limit, 0, split, 0):
+        whole, base = spans[labels], packed & digit  # whole: the head's labels span
         if (rows := memo.get(key := packed & key_mask)) is None:
             if len(memo) == tails:  # the memo is full: walk this tail in place
+                for tail, leaf, tail_labels in _walk_cells(cells, limit, split, size, packed):
+                    if whole or spans[labels | tail_labels]:
+                        yield ReducedRepresentation(head + tail, leaf & digit)
                 continue
-            rows = memo[key] = [(c[split:], d, ls) for c, d, ls in _walk_cells(cells, limit, split, key)]
-        labels, base = sum(compress(bits, head := tuple(values[:split]))), packed & digit
-        if spans[labels]:
+            rows = memo[key] = [(c, p & digit, ls) for c, p, ls in _walk_cells(cells, limit, split, size, key)]
+        if whole:
             for tail, degree, _ in rows:
                 yield ReducedRepresentation(head + tail, base + degree)
         else:
             for tail, degree, tail_labels in rows:
                 if spans[labels | tail_labels]:
                     yield ReducedRepresentation(head + tail, base + degree)
-        values[split] = max_size + 1  # the tail is replayed: its cell is cut next
 
 
-def enumerate_reduced(
-    cv: CharVector, max_class_size: int = REDUCED_MAX
-) -> Iterator[ReducedRepresentation]:
-    """Every reduced representation with the given characteristic vector.
-
-    The walk builds each leaf where it reaches or replays it; degenerate ones
-    (empty or dependent generators) are pruned silently.  A vector the walk
-    cannot take raises here, at the call, not at the first leaf.
-    """
+def enumerate_reduced(cv: CharVector, max_class_size: int = REDUCED_MAX) -> Iterator[ReducedRepresentation]:
+    """Every reduced representation with the given characteristic vector, in the walk's order,
+    from ``_stream``; degenerate ones (empty or dependent generators) are pruned silently.  A
+    vector or bound the walk cannot take raises here, at the call, not at the first leaf."""
     _require_normalized(cv, max_class_size)
-    cells = _cells(cv, max_class_size)
-    size = len(cells[0])
-    return _walk_cells(cells, [max_class_size * size], 0, 0, size + 1 >> 1)  # split: the first tail cell
+    return _stream(_cells(cv, max_class_size))
 
 
 class MinimalReport(_Value):

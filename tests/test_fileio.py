@@ -64,6 +64,35 @@ def test_negative_header_values_are_bad_headers(text, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("m=1_0 n=1\n1,2,3,4\n", "bad header 'm=1_0 n=1'; expected 'm=<int> n=<int>'"),
+        ("m=8 n=1\n+1,2,3,4\n", "bad generator line '+1,2,3,4': not an integer: '+1'"),
+        ("m=8 n=1\n\u0661,2,3,4\n", "bad generator line '\u0661,2,3,4': not an integer: '\u0661'"),
+        ("m=8 n=1\n1_0,2,3,4\n", "bad generator line '1_0,2,3,4': not an integer: '1_0'"),
+    ],
+    ids=["underscore-header", "plus-position", "arabic-indic-position", "underscore-position"],
+)
+def test_code_file_integers_are_ascii_digits(text, message, tmp_path, capsys):
+    # int() syntax read m=1_0 as 10, and +1 and an Arabic-Indic one as position 1;
+    # 1_0 was refused as "position 10 outside 1..8", a number the file does not hold
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_code_text(text)
+    path = tmp_path / "code.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["classify", "--code", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_code_file_integers_keep_a_minus_and_blanks():
+    assert parse_code_text("m=8 n=1\n 1, 2 ,3,\t4\n").generators[0].positions == (1, 2, 3, 4)
+    with pytest.raises(ParseError, match="^bad header 'm=8,9 n=1'; expected 'm=<int> n=<int>'$"):
+        parse_code_text("m=8,9 n=1\n1,2,3,4\n")
+    with pytest.raises(ParseError, match="^bad generator line '-1,2,3,4': position -1 outside 1..8$"):
+        parse_code_text("m=8 n=1\n-1,2,3,4\n")
+
+
 def test_lambda_shorthand_parsing():
     cv = parse_lambda("111000")
     assert cv.rank == 3 and cv.shorthand() == "111000"

@@ -392,23 +392,26 @@ def test_walk_equals_the_reference_walk(loop):
         assert stream == list(spanning_leaves(cv.rank, reference))
 
 
-def _leaves_walked(leaves: Iterator) -> tuple[int, int]:
-    """(leaves the walk reaches itself, items read from ``leaves``): a line
-    tracer counts the runs of the loop's line that builds a walked leaf, whether
-    in the main walk, in a tail walked alone or in one walked in place; a
-    replayed leaf comes from the tail memo and never runs it."""
-    return _line_runs("counts = tuple(values)", leaves)
+def _leaves_walked(leaves: Iterator) -> tuple[dict[tuple[int, int], int], int]:
+    """(leaves the walk reaches itself, items read from ``leaves``): a line tracer
+    counts the runs of the loop's line that builds a walked leaf, keyed by the cells
+    ``(start, stop)`` that the walk spans: at rank 4 the raw walk over every cell is
+    (0, 15), the stream's head walk (0, 8) and each tail it walks, alone or in place,
+    (8, 15); a replayed leaf comes from the tail memo and never runs it."""
+    return _line_runs("counts = tuple(values)", leaves, lambda local: (local["start"], local["stop"]))
 
 
-def _line_runs(line: str, leaves: Iterator) -> tuple[int, int]:
-    """(runs of the walk loop's ``line``, items read from ``leaves``)."""
+def _line_runs(line: str, leaves: Iterator, key=None) -> tuple:
+    """(runs of the walk loop's ``line``, items read from ``leaves``); given ``key``,
+    the runs are counted per ``key(the frame's locals)``."""
     lines, first = inspect.getsourcelines(search._walk_cells)
     target = first + next(i for i, text in enumerate(lines) if text.strip() == line)
-    code, walked = search._walk_cells.__code__, 0
+    code, runs = search._walk_cells.__code__, {}
 
     def local(frame, event, arg):
-        nonlocal walked
-        walked += event == "line" and frame.f_lineno == target
+        if event == "line" and frame.f_lineno == target:
+            walk = key(frame.f_locals) if key else None
+            runs[walk] = runs.get(walk, 0) + 1
         return local
 
     previous = sys.gettrace()
@@ -417,18 +420,18 @@ def _line_runs(line: str, leaves: Iterator) -> tuple[int, int]:
         read = sum(1 for _ in leaves)
     finally:
         sys.settrace(previous)
-    return walked, read
+    return (runs if key else runs.get(None, 0)), read
 
 
 def test_the_walk_replays_recorded_tails():
-    # the stream walks each tail once, alone, and replays it below every head
-    # with its key: at bound 4 it walks 84 of 180 leaves and keeps all but 2
-    # degenerate ones; at the default bound 128 tails of 32 leaves of 131,072,
-    # and keeps all but 32
+    # the stream walks its heads, then each tail once, alone, and replays it below
+    # every head with its key: at bound 4 it walks 84 heads and 84 of 180 tail
+    # leaves and keeps all but 2 degenerate ones; at the default bound 4,096 heads
+    # and 128 tails of 32 leaves of 131,072, and keeps all but 32
     cv = representative(LoopClassId(4, 1))
-    assert _leaves_walked(enumerate_reduced(cv, 4)) == (84, 178)
+    assert _leaves_walked(enumerate_reduced(cv, 4)) == ({(0, 8): 84, (8, 15): 84}, 178)
     assert sum(1 for _ in _walk_class_sizes(cv, 4)) == 180
-    assert _leaves_walked(enumerate_reduced(cv, REDUCED_MAX)) == (4096, 131040)
+    assert _leaves_walked(enumerate_reduced(cv, REDUCED_MAX)) == ({(0, 8): 4096, (8, 15): 4096}, 131040)
     assert sum(1 for _ in _walk_class_sizes(cv, REDUCED_MAX)) == 131072
 
 
@@ -451,13 +454,14 @@ def test_a_passed_limit_walks_every_leaf():
     # branch and bound walks every leaf it yields, and records nothing; only
     # the stream, which takes no limit, records tails
     cv = representative(LoopClassId(4, 1))
-    assert _leaves_walked(_walk_class_sizes(cv, REDUCED_MAX, [REDUCED_MAX * 15])) == (131072, 131072)
-    assert _leaves_walked(enumerate_reduced(cv, REDUCED_MAX)) == (4096, 131040)
+    assert _leaves_walked(_walk_class_sizes(cv, REDUCED_MAX, [REDUCED_MAX * 15])) == ({(0, 15): 131072}, 131072)
+    assert _leaves_walked(enumerate_reduced(cv, REDUCED_MAX)) == ({(0, 8): 4096, (8, 15): 4096}, 131040)
 
 
 def test_a_full_memo_walks_new_tails_in_place():
     # at bound 8 a rank-4 tail has up to 1,080 rows, so the memo takes 3 tails;
-    # once it is full each new tail is walked in place, each leaf's span tested
+    # once it is full each new tail is walked in place, its leaves span-tested
+    # only below a head whose own labels do not span
     cv = representative(LoopClassId(4, 1))
     stream = enumerate_reduced(cv, 8)
     prefix = [(rep.counts, rep.degree) for rep in islice(stream, 20_000)]
@@ -466,7 +470,7 @@ def test_a_full_memo_walks_new_tails_in_place():
     assert prefix == list(islice(spanning_leaves(4, reference_walk(cv, 8)), 20_000))
     # leaves walked beyond the recorded rows were walked in place
     walked, read = _leaves_walked(islice(enumerate_reduced(cv, 8), 20_000))
-    assert read == 20_000 and walked > sum(map(len, state["memo"].values()))
+    assert read == 20_000 and walked[8, 15] > sum(map(len, state["memo"].values()))
 
 
 def _read(walk, cv: CharVector, bound: int, lower) -> list:
@@ -693,6 +697,17 @@ def test_max_class_size_override():
         list(enumerate_reduced(cv, max_class_size=0))
     with pytest.raises(ValueError, match="max_class_size must be at least 1"):
         minimal_representations(cv, max_class_size=0)
+
+
+@pytest.mark.parametrize("bound", [7.0, 7.5, "7", None], ids=repr)
+def test_a_bound_that_is_not_an_int_is_refused_at_the_call(bound):
+    # a float bound used to reach the walk's table build and end in AttributeError
+    # ('float' object has no attribute 'bit_length'), a str or None in TypeError
+    cv = representative(LoopClassId(4, 1))
+    message = f"^max_class_size must be an int, got {type(bound).__name__}$"
+    for run_search in (enumerate_reduced, minimal_representations):
+        with pytest.raises(ValueError, match=message):
+            run_search(cv, bound)
 
 
 def _minimal_by_sorting(cv: CharVector, max_class_size: int) -> MinimalReport:
